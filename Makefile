@@ -1,4 +1,4 @@
-.PHONY: all build test verify lint sanitize equiv bench bench-smoke bench-perf bench-backend bench-serve serve-smoke clean
+.PHONY: all build test verify lint sanitize equiv bench bench-smoke bench-perf bench-backend bench-serve serve-smoke perf-smoke clean
 
 all: build
 
@@ -63,6 +63,12 @@ bench-serve:
 # bit-identical across clients and store temperatures
 serve-smoke:
 	dune exec bench/servebench.exe -- --smoke BENCH_PR10.json
+
+# CI gate for the compile path: CRAT-static plans for all 22 apps, each
+# checked against its committed digest (resource analysis, candidate
+# allocations, chosen allocated kernel text)
+perf-smoke:
+	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
 
 clean:
 	dune clean

@@ -13,22 +13,23 @@ type t =
    MaxLive is a lower bound; colouring (and the paper's type-sensitivity)
    can need a little more, so probe upward from MaxLive. Under the
    machine backend the scalar partition relieves vector pressure, so
-   the probe starts below MaxLive and searches downward first. *)
-let probe_max_reg ?(scalar = fun _ -> false) ?(scalar_limit = 0) kernel
-    ~block_size ~max_live ~cap =
-  let spill_free lim =
-    let a =
-      Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size
-        ~reg_limit:lim kernel
-    in
-    a.Regalloc.Allocator.spilled = []
+   the probe starts below MaxLive and searches downward first. Every
+   limit is coloured at most once, on one round-1 interference graph.
+   Also returns whether the answer was confirmed spill-free: it is not
+   when the upward walk stopped at [cap] without colouring it. *)
+let probe_max_reg probe ~scalar_limit ~max_live ~cap =
+  let spill_free lim = Regalloc.Allocator.spill_free probe ~reg_limit:lim in
+  let rec up lim =
+    if lim >= cap then (min lim cap, false)
+    else if spill_free lim then (lim, true)
+    else up (lim + 1)
   in
-  let rec up lim = if lim >= cap || spill_free lim then min lim cap else up (lim + 1) in
   let rec down lim =
     if lim > 1 && spill_free (lim - 1) then down (lim - 1) else lim
   in
-  let lo = up max_live in
-  if scalar_limit > 0 && spill_free lo then down lo else lo
+  let lo, confirmed = up max_live in
+  if scalar_limit > 0 && (confirmed || spill_free lo) then (down lo, true)
+  else (lo, confirmed)
 
 let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
     (app : Workloads.App.t) =
@@ -45,16 +46,16 @@ let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
       ( Machine.Scalarize.predicate ~block_size kernel
       , Machine.Backend.default_scalar_limit )
   in
-  let max_reg =
-    probe_max_reg kernel ~scalar ~scalar_limit ~block_size
-      ~max_live:(min max_live_units cap) ~cap
+  let probe = Regalloc.Allocator.probe ~scalar ~scalar_limit flow live in
+  let max_reg, spill_free =
+    probe_max_reg probe ~scalar_limit ~max_live:(min max_live_units cap) ~cap
   in
   let sregs_per_warp =
     if scalar_limit = 0 then 0
+    else if spill_free then Regalloc.Allocator.scalar_units probe
     else
-      (* the scalar footprint barely moves with the vector limit (the
-         uniform set is fixed by the analysis), so measure it once at
-         the spill-free point *)
+      (* [cap] itself spills: the scalar footprint is the one of the
+         allocation that spills its way down to [cap] *)
       (Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size
          ~reg_limit:max_reg kernel)
         .Regalloc.Allocator.scalar_units_used

@@ -63,14 +63,108 @@ let remat_candidates k =
     | Some 1, Some op -> Some op
     | _ -> None
 
+let check_scalar_limit scalar_limit =
+  if scalar_limit < 0 then invalid_arg "Allocator: scalar_limit must be >= 0";
+  if scalar_limit > 0 && scalar_limit < 8 then
+    invalid_arg "Allocator: a scalar file needs at least 8 units"
+
+let empty_result =
+  { Coloring.assignment = RMap.empty; spilled = []; colors_used = 0; type_waste = 0 }
+
+(* The half of a colouring round that does not depend on [reg_limit]:
+   the round kernel's graph and spill costs, the 64-bit demand, and the
+   predicate and scalar-file colourings. *)
+type prepared =
+  { color_class :
+      member:(Ptx.Reg.t -> bool) -> Ptx.Types.reg_class -> int -> Coloring.result
+  ; is_scalar : Ptx.Reg.t -> bool
+  ; need64 : int
+  ; rp : Coloring.result
+  ; s64 : Coloring.result
+  ; s32 : Coloring.result
+  }
+
+let prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live =
+  let graph = Interference.build flow live in
+  let color_class ~member cls kcolors =
+    match strategy with
+    | Chaitin_briggs ->
+      Coloring.color ~type_strict ~member ~graph ~cls ~k:kcolors ~spill_cost:cost ()
+    | Linear_scan ->
+      Linear_scan.color ~member ~flow ~live ~cls ~k:kcolors ~spill_cost:cost ()
+  in
+  (* the scalar partition: caller-classified registers move to the
+     per-warp scalar file, colouring against [scalar_limit] instead of
+     [reg_limit]. Spill temporaries and other registers born inside
+     this round's rewrite are never in the caller's set, so they fall
+     to the vector file, as does everything when scalar_limit = 0. *)
+  let is_scalar r =
+    scalar_limit > 0
+    && Ptx.Types.reg_class (Ptx.Reg.ty r) <> Ptx.Types.Cpred
+    && scalar r
+  in
+  let need64 = Interference.max_live graph live Ptx.Types.C64 in
+  (* linear scan works on conservative whole-range intervals, which
+     overlap more than true liveness: give it head-room *)
+  let need64 =
+    match strategy with
+    | Chaitin_briggs -> need64
+    | Linear_scan -> need64 + 2
+  in
+  let rp = color_class ~member:(fun _ -> true) Ptx.Types.Cpred 1024 in
+  let s64, s32 =
+    if scalar_limit = 0 then (empty_result, empty_result)
+    else begin
+      let s64 = color_class ~member:is_scalar Ptx.Types.C64 (scalar_limit / 2) in
+      let ks32 = scalar_limit - (2 * s64.Coloring.colors_used) in
+      (s64, color_class ~member:is_scalar Ptx.Types.C32 (max ks32 0))
+    end
+  in
+  { color_class; is_scalar; need64; rp; s64; s32 }
+
+(* The other half: the vector classes against [reg_limit], 64-bit
+   first, the 32-bit class getting what is left. *)
+let color_vectors p ~reg_limit =
+  let need64 = p.need64 in
+  let k64 =
+    if (2 * need64) + 4 <= reg_limit then need64
+    else begin
+      (* forcing 64-bit spills: the class still needs room for the
+         spill-stack base registers (up to 2) plus the operand/result
+         temporaries of one rewritten 64-bit instruction *)
+      let floor64 = min need64 5 in
+      max floor64 ((reg_limit - 4) / 2)
+    end
+  in
+  let is_vector r = not (p.is_scalar r) in
+  let r64 = p.color_class ~member:is_vector Ptx.Types.C64 k64 in
+  let k32 = reg_limit - (2 * r64.Coloring.colors_used) in
+  if k32 < 3 then
+    failwith
+      (Printf.sprintf "Allocator: reg_limit %d too small (needs %d 64-bit regs)"
+         reg_limit r64.Coloring.colors_used);
+  (r64, p.color_class ~member:is_vector Ptx.Types.C32 k32)
+
+let scalar_units p = p.s32.Coloring.colors_used + (2 * p.s64.Coloring.colors_used)
+
+let spill_cost ?(infra = RSet.empty) ?(preference = `Cheap_first) defuse r =
+  if RSet.mem r infra then infinity
+  else
+    let w =
+      match RMap.find_opt r defuse with
+      | Some s -> s.Cfg.Defuse.weighted
+      | None -> 0.
+    in
+    match preference with
+    | `Cheap_first -> w
+    | `Expensive_first -> 1. /. (1. +. w)
+
 let allocate ?(strategy = Chaitin_briggs) ?(type_strict = true)
     ?(shared_policy = `Off) ?(spill_preference = `Cheap_first) ?shared_chunk
     ?(coalesce = false) ?(remat = false) ?weight_provider
     ?(scalar = fun _ -> false) ?(scalar_limit = 0) ~block_size ~reg_limit
     k =
-  if scalar_limit < 0 then invalid_arg "Allocator: scalar_limit must be >= 0";
-  if scalar_limit > 0 && scalar_limit < 8 then
-    invalid_arg "Allocator: a scalar file needs at least 8 units";
+  check_scalar_limit scalar_limit;
   (* optional pre-pass: conservative copy coalescing on the input *)
   let k =
     if not coalesce then k
@@ -144,85 +238,14 @@ let allocate ?(strategy = Chaitin_briggs) ?(type_strict = true)
     let k', stats = Spill.apply ~block_size k spec in
     let flow = Cfg.Flow.of_kernel k' in
     let live = Cfg.Liveness.compute flow in
-    let graph = Interference.build flow live in
-    let infra = Spill.infra_registers k k' in
     let defuse' = Cfg.Defuse.compute ?weight:(du_weight flow) flow in
-    let cost r =
-      if RSet.mem r infra then infinity
-      else
-        let w =
-          match RMap.find_opt r defuse' with
-          | Some s -> s.Cfg.Defuse.weighted
-          | None -> 0.
-        in
-        match spill_preference with
-        | `Cheap_first -> w
-        | `Expensive_first -> 1. /. (1. +. w)
+    let cost =
+      spill_cost ~infra:(Spill.infra_registers k k') ~preference:spill_preference
+        defuse'
     in
-    (* the scalar partition: caller-classified registers move to the
-       per-warp scalar file, colouring against [scalar_limit] instead of
-       [reg_limit]. Spill temporaries and other registers born inside
-       this round's rewrite are never in the caller's set, so they fall
-       to the vector file, as does everything when scalar_limit = 0. *)
-    let is_scalar r =
-      scalar_limit > 0
-      && Ptx.Types.reg_class (Ptx.Reg.ty r) <> Ptx.Types.Cpred
-      && scalar r
-    in
-    let is_vector r = not (is_scalar r) in
-    let color_class ?member cls kcolors =
-      match strategy with
-      | Chaitin_briggs ->
-        Coloring.color ~type_strict ?member ~graph ~cls ~k:kcolors
-          ~spill_cost:cost ()
-      | Linear_scan ->
-        Linear_scan.color ?member ~flow ~live ~cls ~k:kcolors ~spill_cost:cost
-          ()
-    in
-    let need64 = Interference.max_live graph live Ptx.Types.C64 in
-    (* linear scan works on conservative whole-range intervals, which
-       overlap more than true liveness: give it head-room *)
-    let need64 =
-      match strategy with
-      | Chaitin_briggs -> need64
-      | Linear_scan -> need64 + 2
-    in
-    let k64 =
-      if (2 * need64) + 4 <= reg_limit then need64
-      else begin
-        (* forcing 64-bit spills: the class still needs room for the
-           spill-stack base registers (up to 2) plus the operand/result
-           temporaries of one rewritten 64-bit instruction *)
-        let floor64 = min need64 5 in
-        max floor64 ((reg_limit - 4) / 2)
-      end
-    in
-    let r64 = color_class ~member:is_vector Ptx.Types.C64 k64 in
-    let k32 = reg_limit - (2 * r64.Coloring.colors_used) in
-    if k32 < 3 then
-      failwith
-        (Printf.sprintf "Allocator: reg_limit %d too small (needs %d 64-bit regs)"
-           reg_limit r64.Coloring.colors_used);
-    let r32 = color_class ~member:is_vector Ptx.Types.C32 k32 in
-    let rp = color_class Ptx.Types.Cpred 1024 in
-    let empty_result =
-      { Coloring.assignment = RMap.empty
-      ; spilled = []
-      ; colors_used = 0
-      ; type_waste = 0
-      }
-    in
-    let s64, s32 =
-      if scalar_limit = 0 then (empty_result, empty_result)
-      else begin
-        let s64 =
-          color_class ~member:is_scalar Ptx.Types.C64 (scalar_limit / 2)
-        in
-        let ks32 = scalar_limit - (2 * s64.Coloring.colors_used) in
-        let s32 = color_class ~member:is_scalar Ptx.Types.C32 (max ks32 0) in
-        (s64, s32)
-      end
-    in
+    let p = prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live in
+    let { is_scalar; rp; s64; s32; _ } = p in
+    let r64, r32 = color_vectors p ~reg_limit in
     let new_spills =
       r64.Coloring.spilled @ r32.Coloring.spilled @ s64.Coloring.spilled
       @ s32.Coloring.spilled
@@ -269,8 +292,7 @@ let allocate ?(strategy = Chaitin_briggs) ?(type_strict = true)
       ; units_used = r32.Coloring.colors_used + (2 * r64.Coloring.colors_used)
       ; pred_used = rp.Coloring.colors_used
       ; scalar_limit
-      ; scalar_units_used =
-          s32.Coloring.colors_used + (2 * s64.Coloring.colors_used)
+      ; scalar_units_used = scalar_units p
       ; scalarized =
           RMap.cardinal s32.Coloring.assignment
           + RMap.cardinal s64.Coloring.assignment
@@ -289,6 +311,21 @@ let allocate ?(strategy = Chaitin_briggs) ?(type_strict = true)
     end
   in
   round 1
+
+type probe = prepared
+
+(* Round 1 of [allocate] with default options: no spill code yet, so
+   the round kernel is the input and no register is unspillable. *)
+let probe ?(scalar = fun _ -> false) ?(scalar_limit = 0) flow live =
+  check_scalar_limit scalar_limit;
+  prepare ~strategy:Chaitin_briggs ~type_strict:true ~scalar ~scalar_limit
+    ~cost:(spill_cost (Cfg.Defuse.compute flow)) flow live
+
+let spill_free p ~reg_limit =
+  let r64, r32 = color_vectors p ~reg_limit in
+  List.for_all
+    (fun (r : Coloring.result) -> r.spilled = [])
+    [ r64; r32; p.s64; p.s32 ]
 
 let spill_bytes t =
   let orig_flow = Cfg.Flow.of_kernel t.original in

@@ -112,6 +112,43 @@ val allocate :
     registers are needed to execute any instruction plus the spill
     infrastructure). *)
 
+(** {2 Spill-free probe}
+
+    Each colouring round of {!allocate} has two steps. The first builds
+    the round kernel's interference graph and spill costs and colours
+    the predicate and scalar-file classes; none of that depends on
+    [reg_limit]. The second colours the vector classes against
+    [reg_limit]. Whether a limit is spill-free is decided by round 1
+    alone, so a probe runs the first step of round 1 once and the second
+    step once per queried limit. It never builds spill code. *)
+
+type probe
+
+val probe :
+  ?scalar:(Ptx.Reg.t -> bool)
+  -> ?scalar_limit:int
+  -> Cfg.Flow.t
+  -> Cfg.Liveness.t
+  -> probe
+(** [probe ?scalar ?scalar_limit flow live] prepares round 1 of
+    allocating [flow.kernel], where [flow = Cfg.Flow.of_kernel kernel]
+    and [live = Cfg.Liveness.compute flow]. [scalar] and [scalar_limit]
+    are as for {!allocate}. *)
+
+val spill_free : probe -> reg_limit:int -> bool
+(** [spill_free (probe ~scalar ~scalar_limit flow live) ~reg_limit]
+    equals [(allocate ~scalar ~scalar_limit ~block_size ~reg_limit
+    flow.kernel).spilled = []] with every other option at its default,
+    for any [block_size].
+    @raise Failure exactly when round 1 of that allocation does (the
+    limit is below the feasible minimum). When round 1 spills, the
+    probe answers [false] without running the later rounds, even where
+    {!allocate} would go on to raise [Failure] in one of them. *)
+
+val scalar_units : probe -> int
+(** Round 1's scalar-file units per warp: [scalar_units_used] of the
+    allocation at any limit where {!spill_free} holds. *)
+
 val spill_bytes : t -> int
 (** Total spill traffic footprint in bytes (sum over placements of the
     spilled width times its static access count) — the Figure 12 metric. *)

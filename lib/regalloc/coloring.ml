@@ -1,5 +1,6 @@
 module RSet = Ptx.Reg.Set
 module RMap = Ptx.Reg.Map
+module ISet = Set.Make (Int)
 
 type result =
   { assignment : int RMap.t
@@ -10,88 +11,100 @@ type result =
 
 let color ?(type_strict = true) ?(member = fun _ -> true) ~graph ~cls ~k
     ~spill_cost () =
-  let nodes = List.filter member (Interference.nodes_of_class graph cls) in
-  let node_set = RSet.of_list nodes in
-  (* degrees restricted to the remaining subgraph *)
-  let remaining = ref node_set in
-  let deg = Ptx.Reg.Tbl.create 64 in
-  List.iter
-    (fun r ->
-       let d =
-         RSet.cardinal (RSet.inter (Interference.neighbors graph r) node_set)
-       in
-       Ptx.Reg.Tbl.replace deg r d)
-    nodes;
-  let stack = ref [] in
-  let remove r =
-    remaining := RSet.remove r !remaining;
-    RSet.iter
-      (fun n ->
-         if RSet.mem n !remaining then
-           Ptx.Reg.Tbl.replace deg n (Ptx.Reg.Tbl.find deg n - 1))
-      (Interference.neighbors graph r);
-    stack := r :: !stack
+  (* the subproblem's nodes, numbered in register order: the smallest
+     number is the smallest register, so each "first node" choice below
+     is the one a walk over a register set makes *)
+  let nodes =
+    Array.of_list (List.filter member (Interference.nodes_of_class graph cls))
   in
-  (* simplify: low-degree nodes first; otherwise a cheap potential spill *)
-  while not (RSet.is_empty !remaining) do
-    let low =
-      RSet.fold
-        (fun r acc ->
-           match acc with
-           | Some _ -> acc
-           | None -> if Ptx.Reg.Tbl.find deg r < k then Some r else None)
-        !remaining None
-    in
-    match low with
-    | Some r -> remove r
+  let n = Array.length nodes in
+  let index = Ptx.Reg.Tbl.create (max n 1) in
+  Array.iteri (fun i r -> Ptx.Reg.Tbl.replace index r i) nodes;
+  (* edges to nodes outside the subproblem never constrain a colour *)
+  let adj =
+    Array.map
+      (fun r ->
+         Array.of_list
+           (RSet.fold
+              (fun m acc ->
+                 match Ptx.Reg.Tbl.find_opt index m with
+                 | Some j -> j :: acc
+                 | None -> acc)
+              (Interference.neighbors graph r)
+              []))
+      nodes
+  in
+  let cost = Array.map spill_cost nodes in
+  (* degrees restricted to the remaining subgraph *)
+  let deg = Array.map Array.length adj in
+  let removed = Array.make n false in
+  (* the remaining nodes of degree below [k]: degrees only fall, so a
+     node joins this set at most once and leaves it only on removal *)
+  let low = ref ISet.empty in
+  Array.iteri (fun i d -> if d < k then low := ISet.add i !low) deg;
+  let stack = ref [] in
+  let remove i =
+    removed.(i) <- true;
+    low := ISet.remove i !low;
+    Array.iter
+      (fun j ->
+         if not removed.(j) then begin
+           deg.(j) <- deg.(j) - 1;
+           if deg.(j) < k then low := ISet.add j !low
+         end)
+      adj.(i);
+    stack := i :: !stack
+  in
+  (* simplify: the first low-degree node; otherwise a cheap potential
+     spill, the first of least cost per remaining degree *)
+  for _ = 1 to n do
+    match ISet.min_elt_opt !low with
+    | Some i -> remove i
     | None ->
-      let candidate =
-        RSet.fold
-          (fun r acc ->
-             let c = spill_cost r in
-             if c = infinity then acc
-             else
-               let d = float_of_int (max 1 (Ptx.Reg.Tbl.find deg r)) in
-               let metric = c /. d in
-               match acc with
-               | Some (_, best) when best <= metric -> acc
-               | Some _ | None -> Some (r, metric))
-          !remaining None
-      in
-      (match candidate with
-       | Some (r, _) -> remove r
-       | None ->
-         failwith
-           (Printf.sprintf
-              "Coloring: cannot colour class with k=%d; all remaining nodes \
-               unspillable"
-              k))
+      let best = ref (-1) and best_metric = ref 0. in
+      for i = 0 to n - 1 do
+        if (not removed.(i)) && cost.(i) <> infinity then begin
+          let metric = cost.(i) /. float_of_int (max 1 deg.(i)) in
+          if !best < 0 || not (!best_metric <= metric) then begin
+            best := i;
+            best_metric := metric
+          end
+        end
+      done;
+      if !best < 0 then
+        failwith
+          (Printf.sprintf
+             "Coloring: cannot colour class with k=%d; all remaining nodes \
+              unspillable"
+             k);
+      remove !best
   done;
   (* select, optimistically *)
   let assignment = ref RMap.empty in
   let spilled = ref [] in
-  let color_ty : (int, Ptx.Types.scalar) Hashtbl.t = Hashtbl.create 16 in
+  let color_of = Array.make n (-1) in
+  (* the type each colour was last given to *)
+  let color_ty = Array.make (max k 0) None in
+  (* [taken.(c) = i]: a neighbour of node [i] holds colour [c] *)
+  let taken = Array.make (max k 0) (-1) in
   let colors_used = ref 0 in
   let type_waste = ref 0 in
   List.iter
-    (fun r ->
-       let used =
-         RSet.fold
-           (fun n acc ->
-              match RMap.find_opt n !assignment with
-              | Some c -> c :: acc
-              | None -> acc)
-           (Interference.neighbors graph r)
-           []
-       in
+    (fun i ->
+       Array.iter
+         (fun j ->
+            let c = color_of.(j) in
+            if c >= 0 then taken.(c) <- i)
+         adj.(i);
+       let r = nodes.(i) in
        let ty = Ptx.Reg.ty r in
-       let free c = not (List.mem c used) in
+       let free c = taken.(c) <> i in
        let binding_matches c =
-         match Hashtbl.find_opt color_ty c with
+         match color_ty.(c) with
          | Some t -> Ptx.Types.equal_scalar t ty
          | None -> false
        in
-       let unbound c = not (Hashtbl.mem color_ty c) in
+       let unbound c = Option.is_none color_ty.(c) in
        let find pred =
          let rec loop c = if c >= k then None else if free c && pred c then Some c else loop (c + 1) in
          loop 0
@@ -116,11 +129,12 @@ let color ?(type_strict = true) ?(member = fun _ -> true) ~graph ~cls ~k
        in
        match choice with
        | Some c ->
+         color_of.(i) <- c;
          assignment := RMap.add r c !assignment;
-         Hashtbl.replace color_ty c ty;
+         color_ty.(c) <- Some ty;
          colors_used := max !colors_used (c + 1)
        | None ->
-         if spill_cost r = infinity then
+         if cost.(i) = infinity then
            failwith "Coloring: unspillable node could not be coloured"
          else spilled := r :: !spilled)
     !stack;

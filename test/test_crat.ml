@@ -36,21 +36,75 @@ let test_resource_cfd () =
   check_int "MaxReg at cap" 63 r.Crat.Resource.max_reg;
   check "MaxTLP in range" true (r.Crat.Resource.max_tlp >= 1 && r.Crat.Resource.max_tlp <= 8)
 
+(* the scalar partition [Resource.analyze] hands the allocator *)
+let scalar_partition backend ~block_size kernel =
+  match backend with
+  | Machine.Backend.Ptx -> ((fun _ -> false), 0)
+  | Machine.Backend.Machine ->
+    (Machine.Scalarize.predicate ~block_size kernel, Machine.Backend.default_scalar_limit)
+
+(* MaxReg is spill-free and MaxReg - 1 is not (unless MaxReg is already
+   MinReg), under both register-file backends; the machine backend's
+   scalar footprint is the one of the allocation at MaxReg *)
 let test_resource_maxreg_is_no_spill_point () =
   let a = Workloads.Suite.find "STM" in
-  let r = Crat.Resource.analyze fermi a in
-  let al =
-    Regalloc.Allocator.allocate ~block_size:a.Workloads.App.block_size
-      ~reg_limit:r.Crat.Resource.max_reg (Workloads.App.kernel a)
+  let kernel = Workloads.App.kernel a in
+  let block_size = a.Workloads.App.block_size in
+  List.iter
+    (fun backend ->
+       let name = Machine.Backend.to_string backend in
+       let r = Crat.Resource.analyze ~backend fermi a in
+       let scalar, scalar_limit = scalar_partition backend ~block_size kernel in
+       let alloc reg_limit =
+         Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size ~reg_limit kernel
+       in
+       let al = alloc r.Crat.Resource.max_reg in
+       check (name ^ ": no spills at MaxReg") true (al.Regalloc.Allocator.spilled = []);
+       check_int (name ^ ": scalar footprint at MaxReg")
+         al.Regalloc.Allocator.scalar_units_used r.Crat.Resource.sregs_per_warp;
+       if r.Crat.Resource.max_reg > r.Crat.Resource.min_reg then
+         check (name ^ ": spills just below MaxReg") true
+           ((alloc (r.Crat.Resource.max_reg - 1)).Regalloc.Allocator.spilled <> []))
+    [ Machine.Backend.Ptx; Machine.Backend.Machine ]
+
+(* (MaxReg, scalar units per warp) the reference way: one full
+   allocation per probed limit, and one more for the scalar footprint.
+   The rest of [Resource.t] follows from these and the app. *)
+let reference_max_reg ~backend (cfg : Gpusim.Config.t) (app : Workloads.App.t) =
+  let kernel = Workloads.App.kernel app in
+  let block_size = app.Workloads.App.block_size in
+  let max_live =
+    Cfg.Liveness.max_pressure (Cfg.Liveness.compute (Cfg.Flow.of_kernel kernel))
   in
-  check "no spills at MaxReg" true (al.Regalloc.Allocator.spilled = []);
-  if r.Crat.Resource.max_reg > r.Crat.Resource.min_reg then begin
-    let below =
-      Regalloc.Allocator.allocate ~block_size:a.Workloads.App.block_size
-        ~reg_limit:(r.Crat.Resource.max_reg - 1) (Workloads.App.kernel a)
-    in
-    check "spills just below MaxReg" true (below.Regalloc.Allocator.spilled <> [])
-  end
+  let cap = cfg.Gpusim.Config.max_regs_per_thread in
+  let scalar, scalar_limit = scalar_partition backend ~block_size kernel in
+  let alloc reg_limit =
+    Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size ~reg_limit kernel
+  in
+  let spill_free lim = (alloc lim).Regalloc.Allocator.spilled = [] in
+  let rec up lim = if lim >= cap || spill_free lim then min lim cap else up (lim + 1) in
+  let rec down lim = if lim > 1 && spill_free (lim - 1) then down (lim - 1) else lim in
+  let lo = up (min max_live cap) in
+  let max_reg = if scalar_limit > 0 && spill_free lo then down lo else lo in
+  ( max_reg
+  , if scalar_limit = 0 then 0 else (alloc max_reg).Regalloc.Allocator.scalar_units_used )
+
+let test_resource_matches_reference () =
+  List.iter
+    (fun (cfg : Gpusim.Config.t) ->
+       List.iter
+         (fun backend ->
+            List.iter
+              (fun (a : Workloads.App.t) ->
+                 let r = Crat.Resource.analyze ~backend cfg a in
+                 Alcotest.(check (pair int int))
+                   (Printf.sprintf "%s %s %s: MaxReg, sregs/warp" a.Workloads.App.abbr
+                      cfg.Gpusim.Config.name (Machine.Backend.to_string backend))
+                   (reference_max_reg ~backend cfg a)
+                   (r.Crat.Resource.max_reg, r.Crat.Resource.sregs_per_warp))
+              Workloads.Suite.all)
+         [ Machine.Backend.Ptx; Machine.Backend.Machine ])
+    [ fermi; Gpusim.Config.kepler ]
 
 (* ---------- design space ---------- *)
 
@@ -320,6 +374,8 @@ let () =
       , [ Alcotest.test_case "CFD analysis" `Quick test_resource_cfd
         ; Alcotest.test_case "MaxReg = no-spill point" `Quick
             test_resource_maxreg_is_no_spill_point
+        ; Alcotest.test_case "matches per-limit allocation" `Slow
+            test_resource_matches_reference
         ] )
     ; ( "design-space"
       , [ Alcotest.test_case "staircase structure" `Quick test_stairs_structure

@@ -561,6 +561,41 @@ let prop_allocated_demand_bounded =
       let a = Regalloc.Allocator.allocate ~block_size:64 ~reg_limit:lim k in
       a.Regalloc.Allocator.units_used <= lim)
 
+(* the spill-free probe is round 1 of [allocate]: at every limit it
+   answers [(allocate ...).spilled = []] and raises [Failure] where
+   round 1 does, with and without a scalar partition. The one allowed
+   difference: round 1 spills (the probe says [false]) and a later
+   spill round of [allocate] finds the limit infeasible. *)
+let probe_matches_allocate ~scalar ~scalar_limit k =
+  let flow = Cfg.Flow.of_kernel k in
+  let p =
+    Regalloc.Allocator.probe ~scalar ~scalar_limit flow (Cfg.Liveness.compute flow)
+  in
+  List.for_all
+    (fun reg_limit ->
+       let probed =
+         match Regalloc.Allocator.spill_free p ~reg_limit with
+         | free -> Some free
+         | exception Failure _ -> None
+       in
+       let allocated =
+         match
+           Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size:64 ~reg_limit k
+         with
+         | a -> Some (a.Regalloc.Allocator.spilled = [])
+         | exception Failure _ -> None
+       in
+       probed = allocated || (probed = Some false && allocated = None))
+    (List.init 63 (fun i -> i + 1))
+
+let prop_probe_matches_allocate =
+  QCheck.Test.make ~count:20 ~name:"spill-free probe matches allocate"
+    Testsupport.Gen.arbitrary_kernel (fun k ->
+      probe_matches_allocate ~scalar:(fun _ -> false) ~scalar_limit:0 k
+      && probe_matches_allocate
+           ~scalar:(Machine.Scalarize.predicate ~block_size:64 k)
+           ~scalar_limit:Machine.Backend.default_scalar_limit k)
+
 let () =
   Alcotest.run "regalloc"
     [ ( "interference"
@@ -622,4 +657,5 @@ let () =
           ; prop_linear_scan_preserves_semantics
           ; prop_allocated_demand_bounded
           ] )
+    ; ("probe", List.map QCheck_alcotest.to_alcotest [ prop_probe_matches_allocate ])
     ]
