@@ -1,4 +1,4 @@
-.PHONY: all build test verify lint sanitize equiv bench bench-smoke bench-perf bench-backend bench-serve serve-smoke perf-smoke clean
+.PHONY: all build test verify lint sanitize equiv bench bench-smoke bench-perf bench-backend bench-serve serve-smoke perf-smoke perf-canary clean
 
 all: build
 
@@ -69,6 +69,13 @@ serve-smoke:
 # allocations, chosen allocated kernel text)
 perf-smoke:
 	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
+
+# CI gate on the suite fingerprints of earlier reports (~90 s on 2 cores):
+# re-derives BENCH_PR5's fig13-family digest and engine counts, the
+# CRAT/OptTLP geomean of BENCH_PR6 and BENCH_PR10's daemon digest; exits
+# 1 on any mismatch
+perf-canary:
+	dune exec ./perfbench/perf.exe -- --canary
 
 clean:
 	dune clean

@@ -311,15 +311,20 @@ let trace_cmd =
   in
   let run abbr warp block steps =
     let app = find_app abbr in
-    let input = Workloads.App.default_input app in
-    let entries =
-      Gpusim.Trace.warp_trace ~max_steps:steps ~ctaid:block ~warp
-        (Workloads.App.launch app ~input ())
+    let l =
+      Workloads.App.launch app ~input:(Workloads.App.default_input app) ()
     in
-    Format.printf "%a" Gpusim.Trace.pp entries
+    match Gpusim.Trace.warp_trace ~max_steps:steps ~ctaid:block ~warp l with
+    | entries -> `Ok (Format.printf "%a" Gpusim.Trace.pp entries)
+    | exception Invalid_argument msg ->
+      `Error
+        ( true
+        , Printf.sprintf "%s (%s has %d blocks of %d warps)" msg abbr
+            l.Gpusim.Launch.num_blocks
+            (l.Gpusim.Launch.block_size / l.Gpusim.Launch.warp_size) )
   in
   Cmd.v (Cmd.info "trace" ~doc)
-    Term.(const run $ app_arg $ warp_arg $ block_arg $ steps_arg)
+    Term.(ret (const run $ app_arg $ warp_arg $ block_arg $ steps_arg))
 
 (* ---------- optimize ---------- *)
 

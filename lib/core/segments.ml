@@ -21,15 +21,8 @@ let latency_of (c : Gpusim.Config.t) = function
 let trace (cfg : Gpusim.Config.t) app input =
   let kernel = Workloads.App.kernel app in
   let image = Gpusim.Image.prepare kernel in
-  let memory = Workloads.App.memory app input in
   let lctx =
-    { Gpusim.Interp.image
-    ; global = memory
-    ; params = Workloads.App.params app input
-    ; block_size = app.Workloads.App.block_size
-    ; num_blocks = input.Workloads.App.num_blocks
-    ; san = None
-    }
+    Gpusim.Simt.launch_ctx ~image (Workloads.App.launch app ~kernel ~input ())
   in
   let _block, warps =
     Gpusim.Interp.make_block lctx ~ctaid:0 ~warp_size:cfg.Gpusim.Config.warp_size

@@ -1,53 +1,14 @@
-let run_block lctx ~ctaid ~warp_size =
-  let _block, warps = Interp.make_block lctx ~ctaid ~warp_size in
-  let warps = Array.of_list warps in
-  let waiting = Array.make (Array.length warps) false in
-  let all_done () = Array.for_all Interp.is_done warps in
-  (* run each warp until it blocks on a barrier or finishes; release the
-     barrier when every live warp reached it *)
-  let progress = ref true in
-  while (not (all_done ())) && !progress do
-    progress := false;
-    Array.iteri
-      (fun i w ->
-         if (not (Interp.is_done w)) && not waiting.(i) then begin
-           let stop = ref false in
-           while not !stop do
-             match Interp.step w with
-             | Interp.E_barrier ->
-               waiting.(i) <- true;
-               stop := true;
-               progress := true
-             | Interp.E_exit ->
-               stop := true;
-               progress := true
-             | Interp.E_alu _ | Interp.E_mem _ -> progress := true
-           done
-         end)
-      warps;
-    (* all live warps waiting -> release the barrier *)
-    let live_blocked = ref true in
-    Array.iteri
-      (fun i w -> if (not (Interp.is_done w)) && not waiting.(i) then live_blocked := false)
-      warps;
-    if !live_blocked then
-      Array.iteri (fun i _ -> waiting.(i) <- false) warps
-  done;
-  if not (all_done ()) then failwith "Emulator: barrier deadlock"
-
 let run ?sanitize (l : Launch.t) =
-  let image = Image.prepare l.Launch.kernel in
-  let lctx =
-    { Interp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = sanitize
-    }
-  in
+  let lctx = Simt.launch_ctx ?sanitize ~image:(Image.prepare l.Launch.kernel) l in
   for ctaid = 0 to l.Launch.num_blocks - 1 do
-    run_block lctx ~ctaid ~warp_size:l.Launch.warp_size
+    let _block, warps =
+      Interp.make_block lctx ~ctaid ~warp_size:l.Launch.warp_size
+    in
+    Simt.run_block ~is_done:Interp.is_done ~warps ~step:(fun w ->
+      match Interp.step w with
+      | Interp.E_barrier -> Simt.Barrier
+      | Interp.E_exit -> Simt.Exit
+      | Interp.E_alu _ | Interp.E_mem _ -> Simt.Step)
   done
 
 let run_to_memory (l : Launch.t) =

@@ -15,7 +15,7 @@
    interpreter); the differential property tests keep the two in
    lockstep agreement. *)
 
-type launch_ctx =
+type launch_ctx = Simt.launch_ctx =
   { image : Image.t
   ; global : Memory.t
   ; params : (string * Value.t) list

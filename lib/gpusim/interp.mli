@@ -18,16 +18,15 @@
     ({!Sm}) and the reference emulator ({!Emulator}) used by the
     semantics-preservation property tests. *)
 
-type launch_ctx =
+type launch_ctx = Simt.launch_ctx =
   { image : Image.t
   ; global : Memory.t
   ; params : (string * Value.t) list
   ; block_size : int
   ; num_blocks : int
   ; san : Sancheck.runtime option
-      (** armed sanitizer: shared/local lane accesses are checked
-          against its per-pc mask, and violating lanes suppressed *)
   }
+(** {!Simt}'s launch context. *)
 
 type block_ctx =
   { launch : launch_ctx

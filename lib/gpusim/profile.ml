@@ -91,62 +91,25 @@ let record_branch t w =
     if !taken <> 0 && fall <> 0 then s.b_divergent <- s.b_divergent + 1
   | _ -> ()
 
-(* The barrier-waiting block driver, mirroring {!Refinterp.run_block},
-   with the counters hooked around every step. *)
-let run_block t ~line ~banks lctx ~ctaid ~warp_size =
-  let _block, warps = Refinterp.make_block lctx ~ctaid ~warp_size in
-  let warps = Array.of_list warps in
-  let waiting = Array.make (Array.length warps) false in
-  let all_done () = Array.for_all Refinterp.is_done warps in
-  let progress = ref true in
-  while (not (all_done ())) && !progress do
-    progress := false;
-    Array.iteri
-      (fun i w ->
-         if (not (Refinterp.is_done w)) && not waiting.(i) then begin
-           let stop = ref false in
-           while not !stop do
-             record_branch t w;
-             let pc = Refinterp.pc w in
-             match Refinterp.step w with
-             | Refinterp.E_barrier ->
-               waiting.(i) <- true;
-               stop := true;
-               progress := true
-             | Refinterp.E_exit ->
-               stop := true;
-               progress := true
-             | Refinterp.E_mem { space; lane_addrs; _ } ->
-               record_mem t ~line ~banks pc space lane_addrs;
-               progress := true
-             | Refinterp.E_alu _ -> progress := true
-           done
-         end)
-      warps;
-    let live_blocked = ref true in
-    Array.iteri
-      (fun i w ->
-         if (not (Refinterp.is_done w)) && not waiting.(i) then
-           live_blocked := false)
-      warps;
-    if !live_blocked then Array.iteri (fun i _ -> waiting.(i) <- false) warps
-  done;
-  if not (all_done ()) then failwith "Profile: barrier deadlock"
-
 let run ?(line = 128) ?(banks = 32) ?sanitize (l : Launch.t) =
-  let image = Image.prepare l.Launch.kernel in
-  let lctx =
-    { Refinterp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = sanitize
-    }
-  in
+  let lctx = Simt.launch_ctx ?sanitize ~image:(Image.prepare l.Launch.kernel) l in
   let t = { mem_tbl = Hashtbl.create 64; branch_tbl = Hashtbl.create 16 } in
+  let step w =
+    record_branch t w;
+    let pc = Refinterp.pc w in
+    match Refinterp.step w with
+    | Refinterp.E_barrier -> Simt.Barrier
+    | Refinterp.E_exit -> Simt.Exit
+    | Refinterp.E_mem { space; lane_addrs; _ } ->
+      record_mem t ~line ~banks pc space lane_addrs;
+      Simt.Step
+    | Refinterp.E_alu _ -> Simt.Step
+  in
   for ctaid = 0 to l.Launch.num_blocks - 1 do
-    run_block t ~line ~banks lctx ~ctaid ~warp_size:l.Launch.warp_size
+    let _block, warps =
+      Refinterp.make_block lctx ~ctaid ~warp_size:l.Launch.warp_size
+    in
+    Simt.run_block ~is_done:Refinterp.is_done ~warps ~step
   done;
   t
 

@@ -2,21 +2,20 @@
     kept as the semantic oracle for {!Interp}'s predecoded/unboxed
     fast path. The differential property tests step random kernels
     through both in lockstep and require bit-identical register
-    contents, control flow and memory. Not used by the timing
-    simulator. *)
+    contents, control flow and memory. The SIMT control is {!Simt}'s.
+    Not used by the timing simulator. *)
 
-type launch_ctx =
+type launch_ctx = Simt.launch_ctx =
   { image : Image.t
   ; global : Memory.t
   ; params : (string * Value.t) list
   ; block_size : int
   ; num_blocks : int
   ; san : Sancheck.runtime option
-      (** armed sanitizer: shared/local lane accesses are checked
-          against its per-pc mask, and violating lanes suppressed *)
   }
+(** {!Simt}'s launch context. *)
 
-type block_ctx =
+type block_ctx = Simt.block_ctx =
   { launch : launch_ctx
   ; ctaid : int
   ; shared : Memory.t
@@ -50,7 +49,7 @@ val read_reg_values : warp -> Ptx.Reg.t -> Value.t array
 val reg_key : Ptx.Reg.t -> int
 
 val run : ?sanitize:Sancheck.runtime -> Launch.t -> unit
-(** Emulator-style whole-launch execution through the reference
-    semantics, mutating the launch's global memory in place.
+(** Whole-launch execution through the reference semantics under
+    {!Simt.run_block}, mutating the launch's global memory in place.
     [sanitize] arms the hybrid sanitizer; its counters are the
     caller's to inspect afterwards. *)

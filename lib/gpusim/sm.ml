@@ -243,15 +243,7 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     Cache.Dram.create ~latency:cfg.Config.l2_latency
       ~bytes_per_cycle:cfg.Config.icnt_bytes_per_cycle
   in
-  let lctx =
-    { Interp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = None
-    }
-  in
+  let lctx = Simt.launch_ctx ~image l in
   let l1_next ~cycle ~addr =
     let t_icnt = Cache.Dram.request icnt ~cycle ~bytes:cfg.Config.l1_line in
     match Cache.access shared.l2 ~cycle ~addr ~write:false ~write_alloc:true with

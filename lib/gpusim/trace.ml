@@ -5,73 +5,48 @@ type entry =
   ; def_value : Value.t option
   }
 
+(* the log holds [max_steps] entries: stop scheduling the block *)
+exception Full
+
 let warp_trace ?(max_steps = 10_000) ~ctaid ~warp (l : Launch.t) =
-  let image = Image.prepare l.Launch.kernel in
-  let lctx =
-    { Interp.image
-    ; global = l.Launch.memory
-    ; params = l.Launch.params
-    ; block_size = l.Launch.block_size
-    ; num_blocks = l.Launch.num_blocks
-    ; san = None
-    }
-  in
+  if ctaid < 0 || ctaid >= l.Launch.num_blocks then
+    invalid_arg "Trace.warp_trace: no such block";
+  let lctx = Simt.launch_ctx ~image:(Image.prepare l.Launch.kernel) l in
   let _block, warps =
     Interp.make_block lctx ~ctaid ~warp_size:l.Launch.warp_size
   in
-  let warps = Array.of_list warps in
-  if warp < 0 || warp >= Array.length warps then
+  if warp < 0 || warp >= List.length warps then
     invalid_arg "Trace.warp_trace: no such warp";
-  let target = warps.(warp) in
+  let target = List.nth warps warp in
   let log = ref [] in
   let steps = ref 0 in
-  (* round-robin in barrier-sized quanta, mirroring the emulator *)
-  let waiting = Array.make (Array.length warps) false in
-  let all_done () = Array.for_all Interp.is_done warps in
-  let progress = ref true in
-  while (not (all_done ())) && !progress && !steps < max_steps do
-    progress := false;
-    Array.iteri
-      (fun i w ->
-         if (not (Interp.is_done w)) && not waiting.(i) then begin
-           let stop = ref false in
-           while not !stop do
-             let pc = Interp.pc w in
-             let mask = Interp.active_mask w in
-             let instr =
-               if Interp.is_done w then None
-               else Interp.peek w
-             in
-             match instr with
-             | None -> stop := true
-             | Some ins ->
-               let exec = Interp.step w in
-               progress := true;
-               if w == target && !steps < max_steps then begin
-                 incr steps;
-                 let def_value =
-                   match Ptx.Instr.defs ins with
-                   | d :: _ -> Some (Interp.read_reg_values w d).(0)
-                   | [] -> None
-                 in
-                 log := { pc; instr = ins; mask; def_value } :: !log
-               end;
-               (match exec with
-                | Interp.E_barrier ->
-                  waiting.(i) <- true;
-                  stop := true
-                | Interp.E_exit -> stop := true
-                | Interp.E_alu _ | Interp.E_mem _ -> ())
-           done
-         end)
-      warps;
-    let live_blocked = ref true in
-    Array.iteri
-      (fun i w ->
-         if (not (Interp.is_done w)) && not waiting.(i) then live_blocked := false)
-      warps;
-    if !live_blocked then Array.iteri (fun i _ -> waiting.(i) <- false) warps
-  done;
+  let step w =
+    let pending =
+      if w != target then None
+      else begin
+        if !steps >= max_steps then raise Full;
+        let pc = Interp.pc w in
+        let mask = Interp.active_mask w in
+        Option.map (fun instr -> (pc, mask, instr)) (Interp.peek w)
+      end
+    in
+    let exec = Interp.step w in
+    Option.iter
+      (fun (pc, mask, instr) ->
+         incr steps;
+         let def_value =
+           match Ptx.Instr.defs instr with
+           | d :: _ -> Some (Interp.read_reg_values w d).(0)
+           | [] -> None
+         in
+         log := { pc; instr; mask; def_value } :: !log)
+      pending;
+    match exec with
+    | Interp.E_barrier -> Simt.Barrier
+    | Interp.E_exit -> Simt.Exit
+    | Interp.E_alu _ | Interp.E_mem _ -> Simt.Step
+  in
+  (try Simt.run_block ~is_done:Interp.is_done ~warps ~step with Full -> ());
   List.rev !log
 
 let pp_entry fmt e =

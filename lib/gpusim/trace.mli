@@ -13,7 +13,9 @@ type entry =
 val warp_trace : ?max_steps:int -> ctaid:int -> warp:int -> Launch.t -> entry list
 (** Execute block [ctaid] functionally and record warp [warp]'s steps.
     Other warps of the block run too (shared-memory staging and barriers
-    behave normally). [max_steps] (default 10_000) bounds the log. *)
+    behave normally). [max_steps] (default 10_000) bounds the log.
+    @raise Invalid_argument when the launch has no block [ctaid] or the
+    block no warp [warp]. *)
 
 val pp_entry : Format.formatter -> entry -> unit
 val pp : Format.formatter -> entry list -> unit

@@ -1,185 +1,65 @@
-(* Port of Gpusim.Refinterp over the machine ISA. The SIMT control
-   machinery is kept structurally identical (same reconvergence-stack
-   normalisation, same barrier scheduling loop) so that any behavioural
+(* Executor for the machine ISA. The SIMT control — reconvergence
+   stacks, lane memory with its sanitizer probes, barrier scheduling —
+   is Gpusim.Simt's, shared with Gpusim.Refinterp, so any behavioural
    difference between the two executors is attributable to the
-   register-file model, not to the driver. *)
+   register-file model. *)
 
 module V = Gpusim.Value
+module S = Gpusim.Simt
 
-type launch_ctx =
-  { prog : Lower.t
-  ; global : Gpusim.Memory.t
-  ; params : (string * V.t) list
-  ; block_size : int
-  ; num_blocks : int
-  ; san : Gpusim.Sancheck.runtime option
-  }
-
-type block_ctx =
-  { launch : launch_ctx
-  ; ctaid : int
-  ; shared : Gpusim.Memory.t
-  ; nwarps : int
-  }
-
-type stack_entry =
-  { mutable next_pc : int
-  ; reconv_pc : int
-  ; mask : int
-  }
-
-type warp =
-  { block : block_ctx
-  ; wid : int
-  ; base_tid : int
-  ; nlanes : int
-  ; vregs : (int, V.t array) Hashtbl.t  (** vector file: per-lane *)
+type regs =
+  { vregs : (int, V.t array) Hashtbl.t  (** vector file: per-lane *)
   ; pregs : (int, V.t array) Hashtbl.t  (** predicate file: per-lane *)
   ; sregs : (int, V.t) Hashtbl.t  (** scalar file: one copy per warp *)
-  ; mutable stack : stack_entry list
-  ; mutable done_ : bool
   }
 
-let full_mask n = (1 lsl n) - 1
-
-let make_block launch ~ctaid ~warp_size =
-  if launch.block_size <= 0 || launch.block_size mod warp_size <> 0 then
-    invalid_arg "Machine.Exec: block size must be a multiple of warp size";
-  let nwarps = launch.block_size / warp_size in
-  let block = { launch; ctaid; shared = Gpusim.Memory.create (); nwarps } in
-  let warps =
-    List.init nwarps (fun w ->
-      { block
-      ; wid = w
-      ; base_tid = w * warp_size
-      ; nlanes = warp_size
-      ; vregs = Hashtbl.create 64
-      ; pregs = Hashtbl.create 8
-      ; sregs = Hashtbl.create 16
-      ; stack = [ { next_pc = 0; reconv_pc = -1; mask = full_mask warp_size } ]
-      ; done_ = false
-      })
-  in
-  (block, warps)
-
-let is_done w = w.done_
-
-let tos w =
-  match w.stack with
-  | e :: _ -> e
-  | [] -> failwith "Machine.Exec: empty SIMT stack"
-
-let normalize w =
-  let rec loop () =
-    match w.stack with
-    | e :: (_ :: _ as rest) when e.next_pc = e.reconv_pc ->
-      w.stack <- rest;
-      loop ()
-    | _ :: _ | [] -> ()
-  in
-  loop ()
-
 let lane_file w (r : Isa.reg) =
+  let regs = S.regs w in
   let tbl =
     match r.Isa.file with
-    | Isa.Pred -> w.pregs
-    | Isa.Vector | Isa.Scalar -> w.vregs
+    | Isa.Pred -> regs.pregs
+    | Isa.Vector | Isa.Scalar -> regs.vregs
   in
   match Hashtbl.find_opt tbl r.Isa.idx with
   | Some a -> a
   | None ->
-    let a = Array.make w.nlanes V.zero in
+    let a = Array.make (S.nlanes w) V.zero in
     Hashtbl.replace tbl r.Isa.idx a;
     a
 
 let read_reg w (r : Isa.reg) lane =
   match r.Isa.file with
   | Isa.Scalar ->
-    Option.value ~default:V.zero (Hashtbl.find_opt w.sregs r.Isa.idx)
+    Option.value ~default:V.zero (Hashtbl.find_opt (S.regs w).sregs r.Isa.idx)
   | Isa.Vector | Isa.Pred -> (lane_file w r).(lane)
 
 let set_reg w (r : Isa.reg) lane v =
   let v = V.truncate r.Isa.ty v in
   match r.Isa.file with
-  | Isa.Scalar -> Hashtbl.replace w.sregs r.Isa.idx v
+  | Isa.Scalar -> Hashtbl.replace (S.regs w).sregs r.Isa.idx v
   | Isa.Vector | Isa.Pred -> (lane_file w r).(lane) <- v
 
-let global_tid w lane =
-  (w.block.ctaid * w.block.launch.block_size) + w.base_tid + lane
+let launch w = (S.block_of w).S.launch
 
-let eval_special w lane (s : Ptx.Reg.special) =
-  let v =
-    match s with
-    | Ptx.Reg.Tid_x -> w.base_tid + lane
-    | Ptx.Reg.Tid_y -> 0
-    | Ptx.Reg.Ctaid_x -> w.block.ctaid
-    | Ptx.Reg.Ctaid_y -> 0
-    | Ptx.Reg.Ntid_x -> w.block.launch.block_size
-    | Ptx.Reg.Ntid_y -> 1
-    | Ptx.Reg.Nctaid_x -> w.block.launch.num_blocks
-    | Ptx.Reg.Nctaid_y -> 1
-    | Ptx.Reg.Laneid -> lane
-    | Ptx.Reg.Warpid -> w.wid
-  in
-  V.of_int v
-
-let param_value w idx =
-  let prog = w.block.launch.prog in
+let param_value (prog : Lower.t) w idx =
   if idx < 0 || idx >= Array.length prog.Lower.params then
     invalid_arg (Printf.sprintf "Machine.Exec: bad parameter slot %d" idx);
   let name = prog.Lower.params.(idx) in
-  match List.assoc_opt name w.block.launch.params with
+  match List.assoc_opt name (launch w).S.params with
   | Some v -> v
   | None -> invalid_arg (Printf.sprintf "Machine.Exec: unbound parameter %s" name)
 
-let eval w lane (s : Isa.src) =
+let eval prog w lane (s : Isa.src) =
   match s with
   | Isa.Rsrc r -> read_reg w r lane
   | Isa.Imm i -> V.I i
   | Isa.Fimm f -> V.F f
-  | Isa.Spec sp -> eval_special w lane sp
-  | Isa.Param idx -> param_value w idx
-  | Isa.Loc off ->
-    V.I
-      (Gpusim.Image.local_addr w.block.launch.prog.Lower.image
-         ~global_tid:(global_tid w lane) ~sym_offset:off)
+  | Isa.Spec sp -> S.special w lane sp
+  | Isa.Param idx -> param_value prog w idx
+  | Isa.Loc off -> V.I (S.local_addr w lane off)
 
-let addr_of w lane (a : Isa.addr) =
-  Int64.add (V.to_int64 (eval w lane a.Isa.abase)) (Int64.of_int a.Isa.aoffset)
-
-type exec =
-  | E_op
-  | E_barrier
-  | E_exit
-
-(* Sanitizer probes, mirroring {!Gpusim.Refinterp}. Lowering preserves
-   flat instruction indices 1:1, so the PTX-derived mask applies to the
-   machine code unchanged. A violating load yields zero instead of
-   reading; a violating store is dropped. *)
-
-let san_shared w ~pc ~lane ~width a =
-  match w.block.launch.san with
-  | None -> true
-  | Some rt ->
-    Gpusim.Sancheck.check rt ~pc ~lane ~tid:(w.base_tid + lane) ~width ~rel:a
-
-let san_local w ~pc ~lane ~width naive =
-  match w.block.launch.san with
-  | None -> true
-  | Some rt ->
-    let image = w.block.launch.prog.Lower.image in
-    let rel =
-      Int64.sub naive
-        (Int64.add Gpusim.Image.local_base
-           (Int64.of_int
-              (global_tid w lane * image.Gpusim.Image.local_frame_bytes)))
-    in
-    Gpusim.Sancheck.check rt ~pc ~lane ~tid:(w.base_tid + lane) ~width ~rel
-
-let iter_active mask nlanes f =
-  for lane = 0 to nlanes - 1 do
-    if mask land (1 lsl lane) <> 0 then f lane
-  done
+let addr_of prog w lane (a : Isa.addr) =
+  Int64.add (V.to_int64 (eval prog w lane a.Isa.abase)) (Int64.of_int a.Isa.aoffset)
 
 let last_active mask nlanes =
   let r = ref (-1) in
@@ -198,196 +78,93 @@ let last_active mask nlanes =
 let exec_op w mask (d : Isa.reg) compute =
   match d.Isa.file with
   | Isa.Scalar ->
-    let lane = last_active mask w.nlanes in
+    let lane = last_active mask (S.nlanes w) in
     if lane >= 0 then set_reg w d lane (compute lane)
-  | Isa.Vector | Isa.Pred ->
-    iter_active mask w.nlanes (fun l -> set_reg w d l (compute l))
+  | Isa.Vector | Isa.Pred -> S.iter_active w mask (fun l -> set_reg w d l (compute l))
 
-let step w =
-  if w.done_ then invalid_arg "Machine.Exec.step: warp already done";
-  normalize w;
-  let e = tos w in
-  let this_pc = e.next_pc in
-  let prog = w.block.launch.prog in
-  let code = prog.Lower.code in
-  if this_pc >= Array.length code then begin
-    w.done_ <- true;
-    E_exit
-  end
-  else begin
-    let ins = code.(this_pc) in
-    let mask = e.mask in
-    e.next_pc <- this_pc + 1;
-    let result =
-      match ins with
-      | Isa.Mov (ty, d, a) ->
-        exec_op w mask d (fun l -> V.truncate ty (eval w l a));
-        E_op
-      | Isa.Binop (op, ty, d, a, b) ->
-        exec_op w mask d (fun l -> V.binop op ty (eval w l a) (eval w l b));
-        E_op
-      | Isa.Mad (ty, d, a, b, c) ->
-        exec_op w mask d (fun l ->
-          V.mad ty (eval w l a) (eval w l b) (eval w l c));
-        E_op
-      | Isa.Unop (op, ty, d, a) ->
-        exec_op w mask d (fun l -> V.unop op ty (eval w l a));
-        E_op
-      | Isa.Cvt (dt, st, d, a) ->
-        exec_op w mask d (fun l -> V.convert ~dst:dt ~src:st (eval w l a));
-        E_op
-      | Isa.Setp (c, ty, d, a, b) ->
-        exec_op w mask d (fun l ->
-          let r = V.compare_values c ty (eval w l a) (eval w l b) in
-          V.I (if r then 1L else 0L));
-        E_op
-      | Isa.Selp (ty, d, a, b, p) ->
-        exec_op w mask d (fun l ->
-          let pv = read_reg w p l in
-          V.truncate ty (if V.to_bool pv then eval w l a else eval w l b));
-        E_op
-      | Isa.Ld (Ptx.Types.Param, ty, d, a) ->
-        (match a.Isa.abase with
-         | Isa.Param idx ->
-           exec_op w mask d (fun l ->
-             ignore l;
-             V.truncate ty (param_value w idx))
-         | Isa.Rsrc _ | Isa.Imm _ | Isa.Fimm _ | Isa.Spec _ | Isa.Loc _ ->
-           invalid_arg "Machine.Exec: ld.param requires a constant-bank base");
-        E_op
-      | Isa.Ld (Ptx.Types.Const, ty, d, a) ->
-        exec_op w mask d (fun l ->
-          Gpusim.Memory.read w.block.launch.global (addr_of w l a) ty);
-        E_op
-      | Isa.Ld (Ptx.Types.Shared, ty, d, a) ->
-        let width = Ptx.Types.width_bytes ty in
-        exec_op w mask d (fun l ->
-          let ad = addr_of w l a in
-          if san_shared w ~pc:this_pc ~lane:l ~width ad then
-            Gpusim.Memory.read w.block.shared ad ty
-          else V.truncate ty V.zero);
-        E_op
-      | Isa.Ld (((Ptx.Types.Global | Ptx.Types.Local) as sp), ty, d, a) ->
-        let width = Ptx.Types.width_bytes ty in
-        exec_op w mask d (fun l ->
-          let ad = addr_of w l a in
-          match sp with
-          | Ptx.Types.Local ->
-            if san_local w ~pc:this_pc ~lane:l ~width ad then
-              let ad =
-                Gpusim.Image.remap_local prog.Lower.image
-                  ~global_tid:(global_tid w l) ad
-              in
-              Gpusim.Memory.read w.block.launch.global ad ty
-            else V.truncate ty V.zero
-          | Ptx.Types.Global | Ptx.Types.Shared | Ptx.Types.Reg
-          | Ptx.Types.Param | Ptx.Types.Const ->
-            Gpusim.Memory.read w.block.launch.global ad ty);
-        E_op
-      | Isa.Ld ((Ptx.Types.Reg as sp), _, _, _) ->
-        invalid_arg
-          (Printf.sprintf "Machine.Exec: ld.%s unsupported"
-             (Ptx.Types.space_to_string sp))
-      | Isa.St (Ptx.Types.Shared, ty, a, v) ->
-        let width = Ptx.Types.width_bytes ty in
-        iter_active mask w.nlanes (fun l ->
-          let ad = addr_of w l a in
-          if san_shared w ~pc:this_pc ~lane:l ~width ad then
-            Gpusim.Memory.write w.block.shared ad ty (eval w l v));
-        E_op
-      | Isa.St (((Ptx.Types.Global | Ptx.Types.Local) as sp), ty, a, v) ->
-        let width = Ptx.Types.width_bytes ty in
-        iter_active mask w.nlanes (fun l ->
-          let ad = addr_of w l a in
-          match sp with
-          | Ptx.Types.Local ->
-            if san_local w ~pc:this_pc ~lane:l ~width ad then
-              let ad =
-                Gpusim.Image.remap_local prog.Lower.image
-                  ~global_tid:(global_tid w l) ad
-              in
-              Gpusim.Memory.write w.block.launch.global ad ty (eval w l v)
-          | Ptx.Types.Global | Ptx.Types.Shared | Ptx.Types.Reg
-          | Ptx.Types.Param | Ptx.Types.Const ->
-            Gpusim.Memory.write w.block.launch.global ad ty (eval w l v));
-        E_op
-      | Isa.St ((Ptx.Types.Reg | Ptx.Types.Param | Ptx.Types.Const), _, _, _)
-        -> invalid_arg "Machine.Exec: unsupported store space"
-      | Isa.Bra t ->
-        e.next_pc <- t;
-        E_op
-      | Isa.Bra_pred (p, sense, target) ->
-        let taken = ref 0 in
-        iter_active mask w.nlanes (fun lane ->
-          let pv = V.to_bool (read_reg w p lane) in
-          if pv = sense then taken := !taken lor (1 lsl lane));
-        let fall = mask land lnot !taken in
-        if !taken = 0 then () (* next_pc already pc+1 *)
-        else if fall = 0 then e.next_pc <- target
-        else begin
-          let reconv = prog.Lower.reconv.(this_pc) in
-          e.next_pc <- reconv;
-          w.stack <-
-            { next_pc = target; reconv_pc = reconv; mask = !taken }
-            :: { next_pc = this_pc + 1; reconv_pc = reconv; mask = fall }
-            :: w.stack
-        end;
-        E_op
-      | Isa.Bar -> E_barrier
-      | Isa.Exit ->
-        if List.length w.stack > 1 then
-          failwith "Machine.Exec: divergent exit is not supported";
-        w.done_ <- true;
-        E_exit
+let step (prog : Lower.t) w =
+  S.step w prog.Lower.code ~exit:S.Exit (fun ~pc ~mask ins ->
+    let eval = eval prog w and addr_of = addr_of prog w in
+    (* a lane the sanitizer suppresses loads zero and stores nothing *)
+    let lane_mem space ty l a =
+      S.lane_mem w ~pc ~lane:l ~width:(Ptx.Types.width_bytes ty) space (addr_of l a)
     in
-    normalize w;
-    result
-  end
-
-let run_block lctx ~ctaid ~warp_size =
-  let _block, warps = make_block lctx ~ctaid ~warp_size in
-  let warps = Array.of_list warps in
-  let waiting = Array.make (Array.length warps) false in
-  let all_done () = Array.for_all is_done warps in
-  let progress = ref true in
-  while (not (all_done ())) && !progress do
-    progress := false;
-    Array.iteri
-      (fun i w ->
-         if (not (is_done w)) && not waiting.(i) then begin
-           let stop = ref false in
-           while not !stop do
-             match step w with
-             | E_barrier ->
-               waiting.(i) <- true;
-               stop := true;
-               progress := true
-             | E_exit ->
-               stop := true;
-               progress := true
-             | E_op -> progress := true
-           done
-         end)
-      warps;
-    let live_blocked = ref true in
-    Array.iteri
-      (fun i w ->
-         if (not (is_done w)) && not waiting.(i) then live_blocked := false)
-      warps;
-    if !live_blocked then Array.iteri (fun i _ -> waiting.(i) <- false) warps
-  done;
-  if not (all_done ()) then failwith "Machine.Exec: barrier deadlock"
+    match ins with
+    | Isa.Mov (ty, d, a) ->
+      exec_op w mask d (fun l -> V.truncate ty (eval l a));
+      S.Step
+    | Isa.Binop (op, ty, d, a, b) ->
+      exec_op w mask d (fun l -> V.binop op ty (eval l a) (eval l b));
+      S.Step
+    | Isa.Mad (ty, d, a, b, c) ->
+      exec_op w mask d (fun l -> V.mad ty (eval l a) (eval l b) (eval l c));
+      S.Step
+    | Isa.Unop (op, ty, d, a) ->
+      exec_op w mask d (fun l -> V.unop op ty (eval l a));
+      S.Step
+    | Isa.Cvt (dt, st, d, a) ->
+      exec_op w mask d (fun l -> V.convert ~dst:dt ~src:st (eval l a));
+      S.Step
+    | Isa.Setp (c, ty, d, a, b) ->
+      exec_op w mask d (fun l ->
+        let r = V.compare_values c ty (eval l a) (eval l b) in
+        V.I (if r then 1L else 0L));
+      S.Step
+    | Isa.Selp (ty, d, a, b, p) ->
+      exec_op w mask d (fun l ->
+        let pv = read_reg w p l in
+        V.truncate ty (if V.to_bool pv then eval l a else eval l b));
+      S.Step
+    | Isa.Ld (Ptx.Types.Param, ty, d, a) ->
+      (match a.Isa.abase with
+       | Isa.Param idx ->
+         exec_op w mask d (fun _ -> V.truncate ty (param_value prog w idx))
+       | Isa.Rsrc _ | Isa.Imm _ | Isa.Fimm _ | Isa.Spec _ | Isa.Loc _ ->
+         invalid_arg "Machine.Exec: ld.param requires a constant-bank base");
+      S.Step
+    | Isa.Ld (Ptx.Types.Const, ty, d, a) ->
+      exec_op w mask d (fun l ->
+        Gpusim.Memory.read (launch w).S.global (addr_of l a) ty);
+      S.Step
+    | Isa.Ld
+        (((Ptx.Types.Shared | Ptx.Types.Global | Ptx.Types.Local) as sp), ty, d, a) ->
+      exec_op w mask d (fun l ->
+        match lane_mem sp ty l a with
+        | Some (m, ad) -> Gpusim.Memory.read m ad ty
+        | None -> V.truncate ty V.zero);
+      S.Step
+    | Isa.Ld ((Ptx.Types.Reg as sp), _, _, _) ->
+      invalid_arg
+        (Printf.sprintf "Machine.Exec: ld.%s unsupported"
+           (Ptx.Types.space_to_string sp))
+    | Isa.St
+        (((Ptx.Types.Shared | Ptx.Types.Global | Ptx.Types.Local) as sp), ty, a, v) ->
+      S.iter_active w mask (fun l ->
+        match lane_mem sp ty l a with
+        | Some (m, ad) -> Gpusim.Memory.write m ad ty (eval l v)
+        | None -> ());
+      S.Step
+    | Isa.St ((Ptx.Types.Reg | Ptx.Types.Param | Ptx.Types.Const), _, _, _)
+      -> invalid_arg "Machine.Exec: unsupported store space"
+    | Isa.Bra t ->
+      S.jump w t;
+      S.Step
+    | Isa.Bra_pred (p, sense, target) ->
+      S.branch w ~pc ~mask ~target (fun lane -> V.to_bool (read_reg w p lane) = sense);
+      S.Step
+    | Isa.Bar -> S.Barrier
+    | Isa.Exit ->
+      S.exit_warp w;
+      S.Exit)
 
 let run ?sanitize (prog : Lower.t) (l : Gpusim.Launch.t) =
-  let lctx =
-    { prog
-    ; global = l.Gpusim.Launch.memory
-    ; params = l.Gpusim.Launch.params
-    ; block_size = l.Gpusim.Launch.block_size
-    ; num_blocks = l.Gpusim.Launch.num_blocks
-    ; san = sanitize
-    }
+  let lctx = S.launch_ctx ?sanitize ~image:prog.Lower.image l in
+  let regs () =
+    { vregs = Hashtbl.create 64; pregs = Hashtbl.create 8; sregs = Hashtbl.create 16 }
   in
   for ctaid = 0 to l.Gpusim.Launch.num_blocks - 1 do
-    run_block lctx ~ctaid ~warp_size:l.Gpusim.Launch.warp_size
+    let _block, warps =
+      S.make_block lctx ~ctaid ~warp_size:l.Gpusim.Launch.warp_size regs
+    in
+    S.run_block ~is_done:S.is_done ~warps ~step:(step prog)
   done

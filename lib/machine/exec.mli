@@ -1,7 +1,8 @@
 (** Functional executor for lowered machine programs.
 
-    A faithful port of {!Gpusim.Refinterp}'s SIMT machinery (per-warp
-    reconvergence stacks, barrier-scheduled round-robin across warps)
+    It runs on {!Gpusim.Simt}'s SIMT control — the same reconvergence
+    stacks, lane-memory path and barrier-quantum block scheduler as
+    {!Gpusim.Refinterp} — and supplies only the machine ISA's semantics
     over the machine register files:
 
     - {b vector} and {b predicate} registers hold one value per lane;

@@ -359,9 +359,11 @@ let test_divergence_stack_mechanics () =
   done;
   check "divergence observed" true !saw_partial
 
-let barrier_kernel () =
+let barrier_kernel ?(early_exit = false) () =
   (* lane 0 of each warp publishes a value in shared memory; after the
-     barrier every thread of the block reads its warp's slot *)
+     barrier every thread of the block reads its warp's slot. With
+     [early_exit], warp 1 instead stores 200 + wid and returns before
+     the barrier, which warp 0 then waits at alone. *)
   let b = B.create "barrier" in
   let out = B.param b "out" T.U64 in
   let sdata = B.decl_shared b "sdata" T.U32 8 in
@@ -369,6 +371,21 @@ let barrier_kernel () =
   let sbase = B.mov b T.U32 sdata in
   let lane = B.binop b I.And T.U32 (B.reg tid) (B.imm 31) in
   let wid = B.binop b I.Shr T.U32 (B.reg tid) (B.imm 5) in
+  let store_out v =
+    let base = B.ld_param b T.U64 out in
+    let byte = B.mul b T.U32 (B.reg tid) (B.imm 4) in
+    let o = B.cvt b T.U64 T.U32 (B.reg byte) in
+    let addr = B.add b T.U64 (B.reg base) (B.reg o) in
+    B.st b T.Global T.U32 (B.reg addr) 0 (B.reg v)
+  in
+  if early_exit then begin
+    let p1 = B.setp b I.Eq T.U32 (B.reg wid) (B.imm 1) in
+    let stay = B.fresh_label b "Lstay" in
+    B.bra_ifnot b p1 stay;
+    store_out (B.add b T.U32 (B.reg wid) (B.imm 200));
+    B.ret b;
+    B.label b stay
+  end;
   let p0 = B.setp b I.Eq T.U32 (B.reg lane) (B.imm 0) in
   let skip = B.fresh_label b "Lw" in
   B.bra_ifnot b p0 skip;
@@ -380,12 +397,7 @@ let barrier_kernel () =
   B.bar_sync b;
   let rb = B.mul b T.U32 (B.reg wid) (B.imm 4) in
   let ra = B.add b T.U32 (B.reg sbase) (B.reg rb) in
-  let got = B.ld b T.Shared T.U32 (B.reg ra) 0 in
-  let base = B.ld_param b T.U64 out in
-  let byte = B.mul b T.U32 (B.reg tid) (B.imm 4) in
-  let o = B.cvt b T.U64 T.U32 (B.reg byte) in
-  let addr = B.add b T.U64 (B.reg base) (B.reg o) in
-  B.st b T.Global T.U32 (B.reg addr) 0 (B.reg got);
+  store_out (B.ld b T.Shared T.U32 (B.reg ra) 0);
   B.finish b
 
 let test_barrier_communication_emulator () =
@@ -410,6 +422,64 @@ let test_barrier_communication_sm () =
   let out = G.Memory.read_u32_array mem ~base:0L 64 in
   Array.iteri (fun i v -> check_int (Printf.sprintf "t%d" i) (100 + (i / 32)) v) out;
   check_int "blocks completed" 3 st.G.Stats.blocks_completed
+
+(* Every client of the shared block scheduler (Simt.run_block), and
+   Sm's own scheduler, must leave the same memory at a barrier — also
+   when warp 1 exits before the barrier warp 0 waits at, so the barrier
+   is released by the warps still live. *)
+let test_barrier_every_scheduler () =
+  List.iter
+    (fun early_exit ->
+       let name s = Printf.sprintf "%s%s" s (if early_exit then " (early exit)" else "") in
+       let k = barrier_kernel ~early_exit () in
+       let launch () =
+         G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:3 ~tlp_limit:2
+           ~params:[ ("out", G.Value.I 0L) ] (G.Memory.create ())
+       in
+       let run f =
+         let l = launch () in
+         f l;
+         l.G.Launch.memory
+       in
+       let alloc =
+         Regalloc.Allocator.allocate
+           ~scalar:(Machine.Scalarize.predicate ~block_size:64 k)
+           ~scalar_limit:Machine.Backend.default_scalar_limit ~block_size:64
+           ~reg_limit:24 k
+       in
+       let m = Machine.Lower.run alloc in
+       let expected = run G.Emulator.run in
+       let out = G.Memory.read_u32_array expected ~base:0L 64 in
+       Array.iteri
+         (fun i v ->
+            let want = if early_exit && i >= 32 then 201 else 100 + (i / 32) in
+            check_int (name (Printf.sprintf "t%d" i)) want v)
+         out;
+       List.iter
+         (fun (client, f) ->
+            check (name (client ^ " matches Emulator")) true
+              (G.Memory.equal expected (run f)))
+         [ ("Refinterp", fun l -> G.Refinterp.run l)
+         ; ("Profile", fun l -> ignore (G.Profile.run l))
+         ; ("Machine.Exec", Machine.Exec.run m)
+         ; ("Sm", fun l -> ignore (G.Sm.run fermi l))
+         ];
+       (* the traced warp passes the barrier and logs the shared read *)
+       let warp = if early_exit then 0 else 1 in
+       let rec after_barrier = function
+         | { G.Trace.instr = I.Bar_sync; _ } :: rest ->
+           List.exists
+             (fun e ->
+                match e.G.Trace.instr with
+                | I.Ld (T.Shared, _, _, _) -> true
+                | _ -> false)
+             rest
+         | _ :: rest -> after_barrier rest
+         | [] -> false
+       in
+       check (name "trace logs the post-barrier ld.shared") true
+         (after_barrier (G.Trace.warp_trace ~ctaid:0 ~warp (launch ()))))
+    [ false; true ]
 
 (* ---------- coalescing ---------- *)
 
@@ -677,6 +747,23 @@ let test_trace_records_execution () =
   in
   check "prologue in order" true (prologue_ordered entries)
 
+(* GAU's default launch has 8 blocks of 4 warps *)
+let test_trace_rejects_bad_ids () =
+  let app = Workloads.Suite.find "GAU" in
+  let input = Workloads.App.default_input app in
+  let rejects ~ctaid ~warp =
+    match
+      G.Trace.warp_trace ~ctaid ~warp (Workloads.App.launch app ~input ())
+    with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  List.iter
+    (fun (ctaid, warp) ->
+       check (Printf.sprintf "block %d warp %d rejected" ctaid warp) true
+         (rejects ~ctaid ~warp))
+    [ (999, 0); (-1, 0); (input.Workloads.App.num_blocks, 0); (0, 99); (0, -1) ]
+
 let () =
   Alcotest.run "gpusim"
     [ ( "values"
@@ -723,9 +810,14 @@ let () =
         ; Alcotest.test_case "divergence stack" `Quick test_divergence_stack_mechanics
         ; Alcotest.test_case "barrier (emulator)" `Quick test_barrier_communication_emulator
         ; Alcotest.test_case "barrier (timing sim)" `Quick test_barrier_communication_sm
+        ; Alcotest.test_case "barrier (every scheduler)" `Quick
+            test_barrier_every_scheduler
         ] )
     ; ( "trace"
-      , [ Alcotest.test_case "records execution" `Quick test_trace_records_execution ] )
+      , [ Alcotest.test_case "records execution" `Quick test_trace_records_execution
+        ; Alcotest.test_case "rejects bad block/warp ids" `Quick
+            test_trace_rejects_bad_ids
+        ] )
     ; ( "dynamic-tlp"
       , [ Alcotest.test_case "correct under pausing" `Quick test_dynamic_tlp_correct
         ; Alcotest.test_case "helps thrashing kernels" `Slow
