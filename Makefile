@@ -64,11 +64,15 @@ bench-serve:
 serve-smoke:
 	dune exec bench/servebench.exe -- --smoke BENCH_PR10.json
 
-# CI gate for the compile path: CRAT-static plans for all 22 apps, each
-# checked against its committed digest (resource analysis, candidate
-# allocations, chosen allocated kernel text)
+# CI gate for the compile path and the daemon's simulate path: CRAT-static
+# plans for all 22 apps, each checked against its committed digest (resource
+# analysis, candidate allocations, chosen allocated kernel text); then two
+# clients streaming the whole universe into a cold daemon, each client's
+# answers checked against the committed fingerprint and each launch recorded
+# once
 perf-smoke:
 	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
+	dune exec ./perfbench/perf.exe -- --workload serve-cold --seconds 2 --trace 0
 
 # CI gate on the suite fingerprints of earlier reports (~90 s on 2 cores):
 # re-derives BENCH_PR5's fig13-family digest and engine counts, the

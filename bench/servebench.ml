@@ -15,8 +15,7 @@
    bit-identical, proving store answers equal cold simulation. Warm
    cells must answer >= 90% of points without functional execution.
    cold_c4 vs cold_c1 wall-clock is the N-client scaling headline; it is
-   asserted only on multi-core hosts (one domain per concurrent client
-   batch cannot beat serial on a single core) and the core count is
+   asserted only on hosts with a core per client, and the core count is
    recorded in the JSON.
 
      dune exec bench/servebench.exe                    # full suite

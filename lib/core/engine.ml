@@ -2,6 +2,7 @@ type report =
   { jobs : int
   ; sim_runs : int
   ; sim_hits : int
+  ; dedup_hits : int
   ; trace_records : int
   ; trace_replays : int
   ; alloc_runs : int
@@ -16,11 +17,11 @@ type t =
   ; replay : bool
   ; lock : Mutex.t
   ; disk : Store.t option
-      (** persistent write-through layer under all three in-memory
-          stores; answers are bit-identical (Marshal round-trips) *)
-  ; sim_store : (string, Gpusim.Stats.t) Hashtbl.t
-  ; traces : Gpusim.Replay.Store.t
-  ; alloc_store : (string, Regalloc.Allocator.t) Hashtbl.t
+      (** persistent write-through layer under all three memos; answers
+          are bit-identical (Marshal round-trips) *)
+  ; stats : Gpusim.Stats.t Memo.t
+  ; traces : Gpusim.Replay.t Memo.t
+  ; allocs : Regalloc.Allocator.t Memo.t
   ; mutable kernel_digests : (Ptx.Kernel.t * string) list
       (** physical-identity memo: allocations are cached, so the same
           kernel value is digested many times across a sweep *)
@@ -29,6 +30,7 @@ type t =
           one launch record across many (config, tlp) points *)
   ; mutable sim_runs : int
   ; mutable sim_hits : int
+  ; mutable dedup_hits : int
   ; mutable trace_records : int
   ; mutable trace_replays : int
   ; mutable alloc_runs : int
@@ -38,27 +40,22 @@ type t =
   ; mutable batches : int
   }
 
-let create ?(jobs = 1) ?(replay = true) ?trace_budget ?store () =
+let create ?(jobs = 1) ?(replay = true) ?(trace_budget = 1 lsl 25) ?store () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
-  (* traces evicted from the in-memory event budget spill to the
-     persistent store (put is a no-op when the key is already there) *)
-  let on_evict =
-    Option.map
-      (fun d k tr ->
-         Store.put d ~kind:"trace" ~key:k (Gpusim.Replay.to_bytes tr))
-      store
-  in
   { n_jobs = jobs
   ; replay
   ; lock = Mutex.create ()
   ; disk = store
-  ; sim_store = Hashtbl.create 256
-  ; traces = Gpusim.Replay.Store.create ?max_events:trace_budget ?on_evict ()
-  ; alloc_store = Hashtbl.create 64
+  ; stats = Memo.create ?store ~kind:"stats" ()
+  ; traces =
+      Memo.create ~budget:trace_budget ~weight:Gpusim.Replay.events ?store
+        ~kind:"trace" ()
+  ; allocs = Memo.create ?store ~kind:"alloc" ()
   ; kernel_digests = []
   ; launch_keys = []
   ; sim_runs = 0
   ; sim_hits = 0
+  ; dedup_hits = 0
   ; trace_records = 0
   ; trace_replays = 0
   ; alloc_runs = 0
@@ -120,8 +117,9 @@ let sim_key t (l : Gpusim.Launch.t) cfg ~tlp =
     (String.concat "|"
        [ launch_key t l; data_digest cfg; string_of_int tlp ])
 
+(* the readable concat is digested, like every other memo key *)
 let alloc_key t ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel =
-  String.concat "|"
+  digest @@ String.concat "|"
     [ kernel_digest t kernel
     ; (match (strategy : Regalloc.Allocator.strategy) with
        | Regalloc.Allocator.Chaitin_briggs -> "cb"
@@ -132,53 +130,20 @@ let alloc_key t ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel =
     ; string_of_int reg_limit
     ]
 
-(* ---------- persistent store plumbing ---------- *)
-
-let disk_put_value t ~kind ~key v =
-  match t.disk with
-  | None -> ()
-  | Some d -> Store.put_value d ~kind ~key v
-
-let disk_get_stats t key : Gpusim.Stats.t option =
-  match t.disk with
-  | None -> None
-  | Some d -> Store.get_value d ~kind:"stats" ~key
-
-let disk_get_alloc t key : Regalloc.Allocator.t option =
-  match t.disk with
-  | None -> None
-  | Some d -> Store.get_value d ~kind:"alloc" ~key
-
-let disk_put_trace t key tr =
-  match t.disk with
-  | None -> ()
-  | Some d -> Store.put d ~kind:"trace" ~key (Gpusim.Replay.to_bytes tr)
-
-let disk_get_trace t key =
-  match t.disk with
-  | None -> None
-  | Some d ->
-    (match Store.get d ~kind:"trace" ~key with
-     | None -> None
-     | Some s -> Gpusim.Replay.of_bytes s)
-
-let disk_mem_trace t key =
-  match t.disk with
-  | None -> false
-  | Some d -> Store.mem d ~kind:"trace" ~key
-
 (* ---------- domain pool ---------- *)
 
-(* Set on worker domains (and on the main domain while it doubles as a
-   worker): nested engine calls from inside a job run serially instead
-   of spawning a second generation of domains. *)
-let worker_key = Domain.DLS.new_key (fun () -> false)
-let in_worker () = Domain.DLS.get worker_key
+(* Non-zero on worker domains (and on the main domain while it doubles
+   as a worker): nested engine calls from inside a job run serially
+   instead of spawning a second generation of domains. A depth rather
+   than a flag, because daemon connection threads share one domain and
+   may enter and leave [pmap] interleaved. *)
+let worker_key = Domain.DLS.new_key (fun () -> Atomic.make 0)
+let in_worker () = Atomic.get (Domain.DLS.get worker_key) > 0
 
 let as_worker f =
-  let saved = Domain.DLS.get worker_key in
-  Domain.DLS.set worker_key true;
-  Fun.protect ~finally:(fun () -> Domain.DLS.set worker_key saved) f
+  let depth = Domain.DLS.get worker_key in
+  Atomic.incr depth;
+  Fun.protect ~finally:(fun () -> Atomic.decr depth) f
 
 (* Parallel array map: an atomic cursor feeds items to [width] workers
    (the calling domain is one of them). Order of results is by index,
@@ -236,26 +201,7 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
   let key =
     alloc_key t ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel
   in
-  (* the alloc key is a readable concat; the on-disk name is its digest *)
-  let dkey = digest key in
-  let memory_hit = locked t (fun () -> Hashtbl.find_opt t.alloc_store key) in
-  (* with the gate armed, never answer allocations from disk: the gate's
-     audits must run on every allocation this process hands out *)
-  let disk_hit =
-    match memory_hit with
-    | Some _ -> None
-    | None -> if Verify.Gate.enabled () then None else disk_get_alloc t dkey
-  in
-  match (memory_hit, disk_hit) with
-  | Some a, _ ->
-    locked t (fun () -> t.alloc_hits <- t.alloc_hits + 1);
-    a
-  | None, Some a ->
-    locked t (fun () ->
-      t.alloc_hits <- t.alloc_hits + 1;
-      Hashtbl.replace t.alloc_store key a);
-    a
-  | None, None ->
+  let compute () =
     let shared_policy = if shared_spare > 0 then `Spare shared_spare else `Off in
     let scalar, scalar_limit =
       match backend with
@@ -293,23 +239,32 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
         [ Verify.Gate.Machine m; Verify.Gate.Equiv_lower m ]
     end;
     let dt = now () -. t0 in
-    locked t (fun () ->
-      t.alloc_runs <- t.alloc_runs + 1;
-      t.job_wall <- t.job_wall +. dt;
-      Hashtbl.replace t.alloc_store key a);
-    disk_put_value t ~kind:"alloc" ~key:dkey a;
+    locked t (fun () -> t.job_wall <- t.job_wall +. dt);
     a
+  in
+  (* with the gate armed, never answer allocations from disk: the gate's
+     audits must run on every allocation this process hands out *)
+  let a, how =
+    Memo.get_or_compute ~fetch:(not (Verify.Gate.enabled ())) t.allocs key
+      compute
+  in
+  locked t (fun () ->
+    match how with
+    | `Computed -> t.alloc_runs <- t.alloc_runs + 1
+    | `Hit | `Waited -> t.alloc_hits <- t.alloc_hits + 1);
+  a
 
 (* ---------- simulation ---------- *)
 
-(* One deduplicated pending point of a batch. *)
+(* One distinct point of a batch that this call computes. *)
 type point =
   { launch : Gpusim.Launch.t
   ; cfg : Gpusim.Config.t
   ; tlp : int
   ; skey : string
   ; lkey : string
-  ; record : bool  (** this point records the launch's trace (wave 1) *)
+  ; mutable mode : [ `Cold | `Record | `Replay ]
+  ; mutable published : bool  (** its statistics are published *)
   }
 
 (* The engine must not mutate a submitted launch (its memory backs the
@@ -322,35 +277,24 @@ let cold_launch (p : point) =
 
 let exec_cold p = Gpusim.Sm.run p.cfg (cold_launch p)
 
-(* Record while running cold; store the trace only after a successful
+(* Record while running cold; publish the trace only after a successful
    run (a Cycle_limit abort must not leave a truncated trace behind).
-   The persistent store gets the trace too — that is what makes "record
-   each launch once ever" hold across processes. *)
+   Publishing writes it through to the persistent store — that is what
+   makes "record each launch once ever" hold across processes. *)
 let exec_record t p =
   let tr = Gpusim.Replay.create p.launch in
   let st = Gpusim.Sm.run ~record:tr p.cfg (cold_launch p) in
   Gpusim.Replay.finish tr;
-  Gpusim.Replay.Store.add t.traces p.lkey tr;
-  disk_put_trace t p.lkey tr;
+  Memo.publish t.traces p.lkey tr;
   locked t (fun () -> t.trace_records <- t.trace_records + 1);
   st
 
-(* Replay leaves the launch memory untouched, so no copy is needed; a
-   trace missing from the in-memory budget is refetched from the
-   persistent store (re-resident for the rest of the sweep), and only
-   a launch absent from both falls back to a cold run. *)
+(* Replay leaves the launch memory untouched, so no copy is needed. A
+   trace another caller is still recording is waited for; one missing
+   from memory (evicted, or over the budget) is refetched from the
+   persistent store, and only a launch absent from both runs cold. *)
 let exec_replay t p =
-  let resident =
-    match Gpusim.Replay.Store.find t.traces p.lkey with
-    | Some _ as tr -> tr
-    | None ->
-      (match disk_get_trace t p.lkey with
-       | Some tr ->
-         Gpusim.Replay.Store.add t.traces p.lkey tr;
-         Some tr
-       | None -> None)
-  in
-  match resident with
+  match Memo.find t.traces p.lkey with
   | Some tr ->
     let st =
       Gpusim.Sm.run ~replay:tr p.cfg (Gpusim.Launch.with_tlp p.launch p.tlp)
@@ -359,94 +303,117 @@ let exec_replay t p =
     st
   | None -> exec_cold p
 
-let exec t p =
-  if not t.replay then exec_cold p
-  else if p.record then exec_record t p
-  else exec_replay t p
-
-let simulate_batch ?(cache = true) t items =
-  let items = Array.of_list items in
-  let keys =
-    Array.map (fun (l, cfg, tlp) -> sim_key t l cfg ~tlp) items
-  in
-  (* distinct uncached keys, in first-occurrence order *)
+(* The elements of [xs] whose [key] has not occurred before, in order. *)
+let distinct_by key xs =
   let seen = Hashtbl.create 16 in
-  let lkeys_recording = Hashtbl.create 16 in
-  let pending = ref [] in
-  Array.iteri
-    (fun i k ->
-       if not (Hashtbl.mem seen k) then begin
-         Hashtbl.add seen k ();
-         let stored =
-           cache
-           && (locked t (fun () -> Hashtbl.mem t.sim_store k)
-               ||
-               (* persistent layer: statistics computed by an earlier
-                  process answer without any simulation at all *)
-               match disk_get_stats t k with
-               | Some st ->
-                 locked t (fun () -> Hashtbl.replace t.sim_store k st);
-                 true
-               | None -> false)
-         in
-         if not stored then begin
-           let launch, cfg, tlp = items.(i) in
-           let lkey = launch_key t launch in
-           (* first pending point of a launch whose trace is absent from
-              both the resident and the persistent store records it;
-              later points of the same launch replay *)
-           let record =
-             cache && t.replay
-             && (not (Hashtbl.mem lkeys_recording lkey))
-             && (not (Gpusim.Replay.Store.mem t.traces lkey))
-             && not (disk_mem_trace t lkey)
-           in
-           if record then Hashtbl.add lkeys_recording lkey ();
-           pending := { launch; cfg; tlp; skey = k; lkey; record } :: !pending
-         end
-       end)
-    keys;
-  let pending = Array.of_list (List.rev !pending) in
-  let depth = Array.length pending in
+  List.filter
+    (fun x ->
+       let k = key x in
+       (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+    xs
+
+let rec simulate_batch ?(cache = true) t items =
+  let items = Array.of_list items in
+  let keys = Array.map (fun (l, cfg, tlp) -> sim_key t l cfg ~tlp) items in
+  let distinct =
+    distinct_by (Array.get keys) (List.init (Array.length items) Fun.id)
+  in
+  let answers = Hashtbl.create (Array.length items) in
+  let hits = ref (Array.length items - List.length distinct) in
+  let waited = ref 0 in
+  let replay = cache && t.replay in
+  let point i =
+    let launch, cfg, tlp = items.(i) in
+    { launch; cfg; tlp; skey = keys.(i)
+    ; lkey = (if replay then launch_key t launch else "")
+    ; mode = (if replay then `Replay else `Cold)
+    ; published = false }
+  in
+  (* every absent key is claimed at once and tried on disk, where
+     statistics computed by an earlier process answer without any
+     simulation; [~cache:false] claims nothing and runs every distinct
+     point cold *)
+  let todo, awaited =
+    if not cache then (List.map point distinct, [])
+    else
+      List.fold_right2
+        (fun i slot (todo, awaited) ->
+           match slot with
+           | Memo.Ready st ->
+             Hashtbl.replace answers keys.(i) st;
+             incr hits;
+             (todo, awaited)
+           | Memo.Pending -> (todo, i :: awaited)
+           | Memo.Claimed -> (point i :: todo, awaited))
+        distinct
+        (Memo.claim t.stats (List.map (Array.get keys) distinct))
+        ([], [])
+  in
+  let abandon p =
+    if cache && not p.published then begin
+      Memo.abandon t.stats p.skey;
+      if p.mode = `Record then Memo.abandon t.traces p.lkey
+    end
+  in
+  Fun.protect ~finally:(fun () -> List.iter abandon todo) @@ fun () ->
+  (* the first point of each launch whose trace this call claims (absent
+     from memory and disk) records it; every other point replays *)
+  if replay then begin
+    let firsts = distinct_by (fun p -> p.lkey) todo in
+    List.iter2
+      (fun p -> function Memo.Claimed -> p.mode <- `Record | _ -> ())
+      firsts
+      (Memo.claim t.traces (List.map (fun p -> p.lkey) firsts))
+  end;
+  let depth = List.length todo in
   locked t (fun () ->
     t.batches <- t.batches + 1;
     if depth > t.max_queue_depth then t.max_queue_depth <- depth);
+  (* each point is published as soon as it finishes, so other callers
+     waiting on it need not wait for the whole batch *)
+  let run p =
+    let t0 = now () in
+    let st =
+      match p.mode with
+      | `Cold -> exec_cold p
+      | `Record -> exec_record t p
+      | `Replay -> exec_replay t p
+    in
+    let dt = now () -. t0 in
+    locked t (fun () ->
+      t.sim_runs <- t.sim_runs + 1;
+      t.job_wall <- t.job_wall +. dt);
+    if cache then Memo.publish t.stats p.skey st;
+    p.published <- true;
+    st
+  in
   (* two waves: recorders first, so every other point of the same
      launch — possibly on another domain — replays rather than paying
      functional execution again *)
-  let wave which =
-    pmap t
-      (fun p ->
-         let t0 = now () in
-         let st = exec t p in
-         (p.skey, st, now () -. t0))
-      (Array.of_seq
-         (Seq.filter (fun p -> p.record = which) (Array.to_seq pending)))
+  let wave recording =
+    let ps = Array.of_list (List.filter (fun p -> (p.mode = `Record) = recording) todo) in
+    Array.iter2 (fun p st -> Hashtbl.replace answers p.skey st) ps (pmap t run ps)
   in
-  (* the recording wave must fully finish before the replay wave starts
-     (and argument evaluation order would run them backwards) *)
-  let recorded = wave true in
-  let replayed = wave false in
-  let computed = Array.append recorded replayed in
-  let fresh = Hashtbl.create (max 1 depth) in
-  Array.iter
-    (fun (k, st, dt) ->
-       Hashtbl.replace fresh k st;
-       locked t (fun () ->
-         t.sim_runs <- t.sim_runs + 1;
-         t.job_wall <- t.job_wall +. dt;
-         if cache then Hashtbl.replace t.sim_store k st);
-       if cache then disk_put_value t ~kind:"stats" ~key:k st)
-    computed;
+  wave true;
+  wave false;
+  (* keys claimed by another caller are awaited last; one whose owner
+     gave up is recomputed *)
+  List.iter
+    (fun i ->
+       let st =
+         match Memo.find t.stats keys.(i) with
+         | Some st ->
+           incr hits;
+           incr waited;
+           st
+         | None -> List.hd (simulate_batch ~cache t [ items.(i) ])
+       in
+       Hashtbl.replace answers keys.(i) st)
+    awaited;
   locked t (fun () ->
-    t.sim_hits <- t.sim_hits + (Array.length items - depth));
-  Array.to_list
-    (Array.map
-       (fun k ->
-          match Hashtbl.find_opt fresh k with
-          | Some st -> st
-          | None -> locked t (fun () -> Hashtbl.find t.sim_store k))
-       keys)
+    t.sim_hits <- t.sim_hits + !hits;
+    t.dedup_hits <- t.dedup_hits + !waited);
+  Array.to_list (Array.map (Hashtbl.find answers) keys)
 
 let simulate ?cache t l cfg ~tlp =
   match simulate_batch ?cache t [ (l, cfg, tlp) ] with
@@ -463,6 +430,7 @@ let report t =
     { jobs = t.n_jobs
     ; sim_runs = t.sim_runs
     ; sim_hits = t.sim_hits
+    ; dedup_hits = t.dedup_hits
     ; trace_records = t.trace_records
     ; trace_replays = t.trace_replays
     ; alloc_runs = t.alloc_runs
@@ -473,14 +441,15 @@ let report t =
     })
 
 let reset t =
-  Gpusim.Replay.Store.clear t.traces;
+  Memo.clear t.stats;
+  Memo.clear t.traces;
+  Memo.clear t.allocs;
   locked t (fun () ->
-    Hashtbl.reset t.sim_store;
-    Hashtbl.reset t.alloc_store;
     t.kernel_digests <- [];
     t.launch_keys <- [];
     t.sim_runs <- 0;
     t.sim_hits <- 0;
+    t.dedup_hits <- 0;
     t.trace_records <- 0;
     t.trace_replays <- 0;
     t.alloc_runs <- 0;

@@ -1,6 +1,6 @@
-(** The evaluation engine: an explicit, thread-safe, content-addressed
-    store of allocation and simulation results, plus a work-queue
-    scheduler that fans independent jobs across OCaml domains.
+(** The evaluation engine: thread-safe, content-addressed memos of
+    allocation and simulation results, plus a work-queue scheduler that
+    fans independent jobs across OCaml domains.
 
     Every experiment driver evaluates the same (kernel build, config,
     input, TLP) points repeatedly across figures, and the points of one
@@ -11,14 +11,19 @@
     builds can never alias, and re-runnable batches fan out across
     [jobs] domains.
 
+    Statistics, allocations and traces each live in one claim-or-wait
+    {!Memo.t} shared by every caller (batches on any domain, daemon
+    connections): a key another caller is computing is waited for, not
+    computed again.
+
     Trace-driven replay: the dynamic (pc, mask, address) trace of a
-    launch is invariant across timing configurations, so the engine
-    also keeps a {!Gpusim.Replay.Store} keyed by launch only (no
-    config, no TLP). The first simulation of a launch records its trace
-    as a side effect; every later (config, tlp) point of the same
-    launch replays it through the timing layer, skipping functional
-    execution. Replayed statistics are bit-identical to cold runs —
-    replay is a pure caching layer. Disable with [~replay:false].
+    launch is invariant across timing configurations, so the trace memo
+    is keyed by launch only (no config, no TLP). The first simulation of
+    a launch records its trace as a side effect; every later (config,
+    tlp) point of the same launch replays it through the timing layer,
+    skipping functional execution. Replayed statistics are bit-identical
+    to cold runs — replay is a pure caching layer. Disable with
+    [~replay:false].
 
     Determinism: simulations are pure functions of their key, so the
     statistics returned for any job are bit-identical whatever [jobs]
@@ -30,8 +35,11 @@ type t
 (** Observability counters, cumulative since {!create}/{!reset}. *)
 type report =
   { jobs : int  (** configured parallelism *)
-  ; sim_runs : int  (** simulations actually executed (store misses) *)
-  ; sim_hits : int  (** simulations answered from the stats store *)
+  ; sim_runs : int  (** simulations actually executed (memo misses) *)
+  ; sim_hits : int  (** simulations answered from the stats memo *)
+  ; dedup_hits : int
+      (** of [sim_hits], keys answered by waiting on another caller's
+          claim instead of computing them *)
   ; trace_records : int  (** executions that recorded a launch trace *)
   ; trace_replays : int  (** executions driven from a recorded trace *)
   ; alloc_runs : int
@@ -46,22 +54,22 @@ type report =
 
 val create :
   ?jobs:int -> ?replay:bool -> ?trace_budget:int -> ?store:Store.t -> unit -> t
-(** Fresh engine with empty stores. [jobs] (default 1) is the number of
+(** Fresh engine with empty memos. [jobs] (default 1) is the number of
     worker domains batches may fan across; [jobs = 1] never spawns a
     domain, and the effective width is clamped to
     [Domain.recommended_domain_count] (oversubscribing cores only adds
     GC-barrier overhead, and cannot change any answer).
-    [replay] (default true) enables the trace store;
-    [trace_budget] bounds its resident footprint in trace events (see
-    {!Gpusim.Replay.Store.create}).
+    [replay] (default true) enables the trace memo;
+    [trace_budget] (default [2{^25}]) bounds its resident footprint in
+    trace events ({!Gpusim.Replay.events}), evicting oldest-first.
 
     [store] plugs in a persistent content-addressed {!Store.t}: every
     recorded trace, allocation and simulation statistic is written
     through to it (kinds ["trace"]/["alloc"]/["stats"] under the
-    engine's structural keys), in-memory misses fall back to it before
-    paying functional execution, and traces evicted from the in-memory
-    budget spill to it instead of being dropped — so each launch is
-    recorded once ever, across processes. Disk answers are bit-identical
+    engine's structural keys), and claimed in-memory misses fall back to
+    it before paying functional execution — so each launch is recorded
+    once ever, across processes, and a trace evicted from memory is
+    read back rather than recorded again. Disk answers are bit-identical
     to in-process ones (values round-trip through [Marshal]); with the
     verify gate armed, allocations are recomputed rather than read back,
     so gate checks always run.
@@ -74,13 +82,13 @@ val store : t -> Store.t option
 (** The persistent store this engine writes through to, if any. *)
 
 val sim_key : t -> Gpusim.Launch.t -> Gpusim.Config.t -> tlp:int -> string
-(** The content-addressed stats-store key (hex digest) — exposed for
+(** The content-addressed stats-memo key (hex digest) — exposed for
     the key-injectivity tests. Structural: covers the launch (kernel
     image — hence register limit and spill layout — geometry, params,
     initial memory), configuration and TLP. *)
 
 val launch_key : t -> Gpusim.Launch.t -> string
-(** The trace-store key: like {!sim_key} but with no configuration and
+(** The trace-memo key: like {!sim_key} but with no configuration and
     no TLP — all timing points of one launch share it. Memoized on the
     physical launch record; the engine never mutates a submitted
     launch. *)
@@ -110,11 +118,11 @@ val simulate :
   -> Gpusim.Config.t
   -> tlp:int
   -> Gpusim.Stats.t
-(** Simulate one launch point through the stores: answer from the stats
-    store when possible, else replay the launch's recorded trace under
+(** Simulate one launch point through the memos: answer from the stats
+    memo when possible, else replay the launch's recorded trace under
     the given config/TLP, else run cold (recording the trace for next
-    time). [~cache:false] bypasses both stores entirely (always
-    simulates functionally, stores nothing) — used by the
+    time). [~cache:false] bypasses the memos entirely (always simulates
+    functionally, claims, awaits and stores nothing) — used by the
     profiling-overhead experiment to pay the real cost. *)
 
 val cycles :
@@ -131,13 +139,16 @@ val simulate_batch :
   -> (Gpusim.Launch.t * Gpusim.Config.t * int) list
   -> Gpusim.Stats.t list
 (** Evaluate a whole frontier at once: results in submission order
-    (each triple is [(launch, config, tlp)]). Duplicate and
-    already-stored keys are answered from the store; the remaining
-    distinct points fan across up to [jobs] domains in two waves —
-    first one recording run per distinct launch missing a trace, then
-    every other point replaying. Sweep-shaped drivers (fig2, fig13,
-    fig18, ...) should build their full point list and submit it here
-    rather than looping over {!simulate}. *)
+    (each triple is [(launch, config, tlp)]). Duplicate and memoized
+    keys are answered from the memo; the absent ones are claimed in one
+    critical section and tried on disk, then fan across up to [jobs]
+    domains in two waves — one recording run per launch whose trace this
+    call claimed, then every other point replaying — each published as
+    it finishes. Keys another caller claimed are awaited last (and
+    recomputed if it gave up); unpublished claims are abandoned if the
+    batch raises. Sweep-shaped drivers (fig2, fig13, fig18, ...) should
+    build their full point list and submit it here rather than looping
+    over {!simulate}. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** Domain-parallel [List.map] for coarse-grained independent work
@@ -149,7 +160,7 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val report : t -> report
 val reset : t -> unit
-(** Drop all stores (stats, traces, allocations) and zero counters. *)
+(** Drop all memos (stats, traces, allocations) and zero counters. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One-line summary, e.g. for the end of an experiment run. *)

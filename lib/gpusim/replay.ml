@@ -168,68 +168,3 @@ let to_bytes (t : t) = Marshal.to_string t []
 
 let of_bytes s : t option =
   try Some (Marshal.from_string s 0) with Failure _ -> None
-
-(* ---------- trace store ---------- *)
-
-module Store = struct
-  type trace = t
-
-  let weight : trace -> int = events
-
-  type t =
-    { lock : Mutex.t
-    ; tbl : (string, trace) Hashtbl.t
-    ; order : string Queue.t  (* insertion order, for oldest-first eviction *)
-    ; max_events : int
-    ; on_evict : (string -> trace -> unit) option
-    ; mutable total : int
-    }
-
-  let create ?(max_events = 1 lsl 25) ?on_evict () =
-    { lock = Mutex.create ()
-    ; tbl = Hashtbl.create 64
-    ; order = Queue.create ()
-    ; max_events
-    ; on_evict
-    ; total = 0
-    }
-
-  let locked s f =
-    Mutex.lock s.lock;
-    Fun.protect ~finally:(fun () -> Mutex.unlock s.lock) f
-
-  let find s key = locked s (fun () -> Hashtbl.find_opt s.tbl key)
-  let mem s key = locked s (fun () -> Hashtbl.mem s.tbl key)
-  let length s = locked s (fun () -> Hashtbl.length s.tbl)
-  let events s = locked s (fun () -> s.total)
-
-  let evict_one s =
-    match Queue.take_opt s.order with
-    | None -> ()
-    | Some k ->
-      (match Hashtbl.find_opt s.tbl k with
-       | Some tr ->
-         s.total <- s.total - weight tr;
-         Hashtbl.remove s.tbl k;
-         (* spill hook: give the evictee a chance to survive on disk *)
-         (match s.on_evict with Some f -> f k tr | None -> ())
-       | None -> ())
-
-  let add s key tr =
-    let w = weight tr in
-    locked s (fun () ->
-      if w <= s.max_events && not (Hashtbl.mem s.tbl key) then begin
-        while s.total + w > s.max_events && not (Queue.is_empty s.order) do
-          evict_one s
-        done;
-        Hashtbl.replace s.tbl key tr;
-        Queue.push key s.order;
-        s.total <- s.total + w
-      end)
-
-  let clear s =
-    locked s (fun () ->
-      Hashtbl.reset s.tbl;
-      Queue.clear s.order;
-      s.total <- 0)
-end

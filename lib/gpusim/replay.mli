@@ -16,7 +16,7 @@
     Traces are keyed by {!launch_key} — kernel image, geometry,
     parameters and a canonical {!Memory.digest} of the initial memory,
     explicitly NOT the timing {!Config.t} or TLP limit — so one
-    recording serves a whole multi-config sweep ({!Store}). *)
+    recording serves a whole multi-config sweep. *)
 
 type wtrace
 (** One warp's trace: the issued pc sequence with active masks, plus
@@ -37,7 +37,7 @@ val warp_size : t -> int
 
 val events : t -> int
 (** Total recorded footprint: issued instructions plus recorded lane
-    addresses — the unit of the {!Store} budget. *)
+    addresses — the unit of the engine's trace budget. *)
 
 (** {2 Recording} *)
 
@@ -79,7 +79,7 @@ val step : cursor -> Dcode.exec
 val mem_count : cursor -> int
 val mem_addr : cursor -> int -> int64
 
-(** {2 Launch keys and the trace store} *)
+(** {2 Launch keys and persistence} *)
 
 val launch_key : ?kernel_digest:string -> Launch.t -> string
 (** Content key of a launch's dynamic trace: digest over the kernel
@@ -97,25 +97,3 @@ val of_bytes : string -> t option
 (** Unmarshal a {!to_bytes} payload; [None] when the payload does not
     unmarshal. Only feed this checksummed bytes that {!to_bytes} wrote —
     unmarshalling is not type-safe. *)
-
-(** Thread-safe bounded trace store, keyed by {!launch_key}. *)
-module Store : sig
-  type trace = t
-  type t
-
-  val create :
-    ?max_events:int -> ?on_evict:(string -> trace -> unit) -> unit -> t
-  (** [max_events] (default [1 lsl 25]) bounds the summed {!events} of
-      resident traces; inserting past the budget evicts oldest-first. A
-      single trace larger than the whole budget is not stored.
-      [on_evict] observes each eviction (key and trace) before the trace
-      is dropped — the engine uses it to spill evicted traces to the
-      persistent on-disk store instead of losing them. *)
-
-  val find : t -> string -> trace option
-  val add : t -> string -> trace -> unit
-  val mem : t -> string -> bool
-  val length : t -> int
-  val events : t -> int
-  val clear : t -> unit
-end

@@ -1,31 +1,27 @@
-(* The crat daemon: a long-lived server in front of [Crat.Engine].
+(* The crat daemon: a long-lived server in front of [Crat.Engine] —
+   framing plus dispatch.
 
    Concurrency model: the listener accepts on the main thread and gives
-   each connection a systhread (cheap, released around blocking IO);
-   every batch of claimed simulation points is executed on a freshly
-   spawned domain, so concurrent clients get real parallelism while the
-   engine — already thread-safe — dedups structurally identical work
-   through its content-addressed stores.
+   each connection a systhread (cheap, released around blocking IO). A
+   [Simulate] request resolves its points and runs them as one engine
+   batch on the connection's own thread; compute parallelism comes from
+   the engine's [--jobs] fan-out, as in every other subcommand.
 
-   Cross-client dedup: a connection first partitions its points against
-   the session [results] table and the [inflight] set. Points nobody is
-   computing are claimed (entered into [inflight]) and run as one engine
-   batch; points already in flight on another connection are answered by
-   waiting on the condition variable instead of recomputing — that is
-   the [dedup_hits] counter of the stats endpoint. Combined with the
-   engine's persistent store, each launch is recorded once ever: first
-   contact records the trace to disk, every later point of the same
-   launch — same client, another client, or another daemon process
-   reusing the store directory — replays or reads statistics back. *)
+   Cross-client dedup is the engine's claim-or-wait ([Crat.Memo]): a
+   point another connection is computing is waited for instead of
+   recomputed — the [dedup_hits] counter of the stats endpoint — and a
+   launch another connection is recording is replayed once its trace is
+   published. Combined with the engine's persistent store, each launch
+   is recorded once ever: first contact records the trace to disk, every
+   later point of the same launch — same client, another client, or
+   another daemon process reusing the store directory — replays or reads
+   statistics back. *)
 
 type t =
   { engine : Crat.Engine.t
   ; store : Store.t option
   ; sweep : (kind:string -> apps:string list -> (string * bool) option) option
   ; lock : Mutex.t
-  ; cond : Condition.t
-  ; inflight : (string, unit) Hashtbl.t  (* sim keys being computed *)
-  ; results : (string, Gpusim.Stats.t) Hashtbl.t  (* published this session *)
   ; launches : (string * int, Gpusim.Launch.t) Hashtbl.t
       (* one physical launch record per (app, regs): keeps the engine's
          physical-identity key memos hot across requests *)
@@ -39,7 +35,6 @@ type t =
   ; mutable connections : int
   ; mutable requests : int
   ; mutable points : int
-  ; mutable dedup_hits : int
   }
 
 let locked t f =
@@ -99,158 +94,19 @@ let resolve t (p : Protocol.point) =
   in
   (launch, cfg, tlp)
 
-(* ---------- compute / dedup core ---------- *)
-
-(* Run one engine batch on its own domain so concurrent connections
-   parallelise; publish results and release the claims whatever
-   happens. The release + broadcast must run even if publication itself
-   raises — a claim that is never released wedges every other
-   connection waiting on that key in [obtain]. *)
-let compute t triples skeys =
-  let outcome =
-    match
-      Domain.join (Domain.spawn (fun () ->
-        Crat.Engine.simulate_batch t.engine triples))
-    with
-    | stats ->
-      if List.length stats = List.length skeys then Ok stats
-      else
-        Error
-          (Printf.sprintf "engine returned %d results for %d points"
-             (List.length stats) (List.length skeys))
-    | exception e -> Error (Printexc.to_string e)
-  in
-  locked t (fun () ->
-    Fun.protect
-      ~finally:(fun () ->
-        List.iter (fun k -> Hashtbl.remove t.inflight k) skeys;
-        Condition.broadcast t.cond)
-      (fun () ->
-        match outcome with
-        | Ok stats ->
-          List.iter2 (fun k st -> Hashtbl.replace t.results k st) skeys stats
-        | Error _ -> ()));
-  outcome
-
-(* Answer one point whose key somebody else claimed: wait for the
-   publication; if the computing connection died, claim and compute it
-   ourselves. *)
-let rec obtain t triple skey =
-  let action =
-    locked t (fun () ->
-      match Hashtbl.find_opt t.results skey with
-      | Some st -> `Ready st
-      | None ->
-        if Hashtbl.mem t.inflight skey then begin
-          Condition.wait t.cond t.lock;
-          `Retry
-        end
-        else begin
-          Hashtbl.replace t.inflight skey ();
-          `Claimed
-        end)
-  in
-  match action with
-  | `Ready st -> Ok st
-  | `Retry -> obtain t triple skey
-  | `Claimed ->
-    (match compute t [ triple ] [ skey ] with
-     | Ok [ st ] -> Ok st
-     | Ok _ -> Error "engine returned a mismatched batch"
-     | Error e -> Error e)
-
 (* ---------- request handlers ---------- *)
 
 let handle_simulate t oc pts =
   locked t (fun () -> t.points <- t.points + List.length pts);
   let resolved = List.map (resolve t) pts in
-  let skeys =
-    List.map (fun (l, cfg, tlp) -> Crat.Engine.sim_key t.engine l cfg ~tlp) resolved
-  in
-  let indexed = List.mapi (fun i (tr, k) -> (i, tr, k))
-      (List.combine resolved skeys) in
-  (* partition: session-ready / in-flight elsewhere / ours to claim *)
-  let ready, waiting, claimed =
-    locked t (fun () ->
-      let ready = ref [] and waiting = ref [] and claimed = ref [] in
-      List.iter
-        (fun (i, tr, k) ->
-           match Hashtbl.find_opt t.results k with
-           | Some st -> ready := (i, st) :: !ready
-           | None ->
-             if
-               Hashtbl.mem t.inflight k
-               || List.exists (fun (_, _, k') -> k' = k) !claimed
-             then begin
-               t.dedup_hits <- t.dedup_hits + 1;
-               waiting := (i, tr, k) :: !waiting
-             end
-             else begin
-               Hashtbl.replace t.inflight k ();
-               claimed := (i, tr, k) :: !claimed
-             end)
-        indexed;
-      (List.rev !ready, List.rev !waiting, List.rev !claimed))
-  in
-  (* The claims are normally released by [compute]; until it runs, an
-     exception here — e.g. the client hanging up so a ready-result write
-     dies with EPIPE — must release them itself, or every other
-     connection waiting on those keys blocks forever in [obtain]. Once
-     [compute] returns the claims are gone (success or failure), so the
-     cleanup is disarmed to avoid racing a re-claim by another
-     connection. *)
-  let claims = ref (List.map (fun (_, _, k) -> k) claimed) in
-  let release_claims () =
-    match !claims with
-    | [] -> ()
-    | keys ->
-      claims := [];
-      locked t (fun () ->
-        List.iter (fun k -> Hashtbl.remove t.inflight k) keys;
-        Condition.broadcast t.cond)
-  in
-  Fun.protect ~finally:release_claims @@ fun () ->
-  List.iter
-    (fun (i, st) ->
-       Protocol.write_response oc (Protocol.Result { index = i; stats = st }))
-    ready;
-  let batch_error =
-    if claimed = [] then None
-    else begin
-      let triples = List.map (fun (_, tr, _) -> tr) claimed in
-      let keys = List.map (fun (_, _, k) -> k) claimed in
-      let outcome = compute t triples keys in
-      claims := [];
-      match outcome with
-      | Ok stats ->
-        List.iter2
-          (fun (i, _, _) st ->
-             Protocol.write_response oc (Protocol.Result { index = i; stats = st }))
-          claimed stats;
-        None
-      | Error e -> Some e
-    end
-  in
-  match batch_error with
-  | Some e -> Protocol.write_response oc (Protocol.Error e)
-  | None ->
-    let wait_error =
-      List.fold_left
-        (fun err (i, tr, k) ->
-           match err with
-           | Some _ -> err
-           | None ->
-             (match obtain t tr k with
-              | Ok st ->
-                Protocol.write_response oc
-                  (Protocol.Result { index = i; stats = st });
-                None
-              | Error e -> Some e))
-        None waiting
-    in
-    (match wait_error with
-     | Some e -> Protocol.write_response oc (Protocol.Error e)
-     | None -> Protocol.write_response oc Protocol.Done)
+  match Crat.Engine.simulate_batch t.engine resolved with
+  | stats ->
+    List.iteri
+      (fun i st ->
+         Protocol.write_response oc (Protocol.Result { index = i; stats = st }))
+      stats;
+    Protocol.write_response oc Protocol.Done
+  | exception e -> Protocol.write_response oc (Protocol.Error (Printexc.to_string e))
 
 (* Server-side sweeps reuse the CLI's sweep driver (injected by the
    binary hosting the daemon); results are content-addressed in the
@@ -322,7 +178,7 @@ let server_stats t =
     ; connections = t.connections
     ; requests = t.requests
     ; points = t.points
-    ; dedup_hits = t.dedup_hits
+    ; dedup_hits = r.Crat.Engine.dedup_hits
     ; sim_runs = r.Crat.Engine.sim_runs
     ; sim_hits = r.Crat.Engine.sim_hits
     ; trace_records = r.Crat.Engine.trace_records
@@ -386,7 +242,7 @@ let handle_conn t fd =
 (* ---------- lifecycle ---------- *)
 
 let run ?(socket = Protocol.default_socket) ?store_dir ?budget ?(jobs = 1)
-    ?(replay = true) ?trace_budget ?sweep () =
+    ?(replay = true) ?sweep () =
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore
    with Invalid_argument _ -> ());
   (* Never steal the endpoint of a live daemon: probe an existing socket
@@ -413,15 +269,12 @@ let run ?(socket = Protocol.default_socket) ?store_dir ?budget ?(jobs = 1)
   Unix.bind fd (Unix.ADDR_UNIX socket);
   Unix.listen fd 64;
   let store = Option.map (fun d -> Store.open_ ?budget d) store_dir in
-  let engine = Crat.Engine.create ~jobs ~replay ?trace_budget ?store () in
+  let engine = Crat.Engine.create ~jobs ~replay ?store () in
   let t =
     { engine
     ; store
     ; sweep
     ; lock = Mutex.create ()
-    ; cond = Condition.create ()
-    ; inflight = Hashtbl.create 64
-    ; results = Hashtbl.create 256
     ; launches = Hashtbl.create 32
     ; tlps = Hashtbl.create 32
     ; suite_digest = None
@@ -433,7 +286,6 @@ let run ?(socket = Protocol.default_socket) ?store_dir ?budget ?(jobs = 1)
     ; connections = 0
     ; requests = 0
     ; points = 0
-    ; dedup_hits = 0
     }
   in
   let rec accept_loop () =

@@ -1,7 +1,7 @@
 (** The crat daemon: a long-lived server exposing a {!Crat.Engine.t}
     (optionally backed by a persistent {!Store.t}) to concurrent clients
-    over a Unix-domain socket, with cross-client in-flight dedup. See
-    {!Protocol} for the wire format. *)
+    over a Unix-domain socket. Cross-client dedup is the engine's
+    claim-or-wait ({!Crat.Memo}). See {!Protocol} for the wire format. *)
 
 exception Bad_request of string
 (** Raised internally for malformed requests (e.g. an unknown app
@@ -13,7 +13,6 @@ val run :
   -> ?budget:int
   -> ?jobs:int
   -> ?replay:bool
-  -> ?trace_budget:int
   -> ?sweep:(kind:string -> apps:string list -> (string * bool) option)
   -> unit
   -> unit
@@ -21,9 +20,9 @@ val run :
     remove the socket file and close the store. [socket] defaults to
     {!Protocol.default_socket}; [store_dir] (none by default) opens a
     persistent store with [budget] bytes (see {!Store.default_budget});
-    [jobs]/[replay]/[trace_budget] configure the engine (daemon default
-    [jobs = 1]: parallelism comes from one domain per concurrent client
-    batch, not from fan-out inside a batch). [sweep] runs server-side
+    [jobs]/[replay] configure the engine; each request's batch runs on
+    its connection's thread and fans across up to [jobs] domains
+    (default 1). [sweep] runs server-side
     report sweeps — it returns [(report_text, failed)], or [None] for an
     unknown kind; results are cached in the store under the suite's
     kernel fingerprint.

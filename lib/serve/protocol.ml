@@ -40,8 +40,8 @@ type server_stats =
   ; requests : int
   ; points : int  (** simulation points served (including dedup'd ones) *)
   ; dedup_hits : int
-      (** points answered by waiting on an identical in-flight request
-          from another client instead of computing *)
+      (** points answered by waiting on another client's in-flight
+          computation of the same point (the engine's [dedup_hits]) *)
   ; sim_runs : int
   ; sim_hits : int
   ; trace_records : int
@@ -74,6 +74,10 @@ type response =
 
 let max_frame = 256 * 1024 * 1024
 
+(* A whole-suite point list is a few KB; a request header claiming more
+   than this is rejected before anything is allocated for it. *)
+let max_request = 1024 * 1024
+
 exception Protocol_error of string
 
 let write_frame oc (v : 'a) =
@@ -82,16 +86,16 @@ let write_frame oc (v : 'a) =
   output_string oc s;
   flush oc
 
-let read_frame ic : 'a =
+let read_frame ?(limit = max_frame) ic : 'a =
   let n = input_binary_int ic in
-  if n < 0 || n > max_frame then
+  if n < 0 || n > limit then
     raise (Protocol_error (Printf.sprintf "bad frame length %d" n));
   let s = really_input_string ic n in
   try (Marshal.from_string s 0 : 'a)
   with Failure msg -> raise (Protocol_error ("unmarshal: " ^ msg))
 
 let write_request oc (r : request) = write_frame oc r
-let read_request ic : request = read_frame ic
+let read_request ic : request = read_frame ~limit:max_request ic
 let write_response oc (r : response) = write_frame oc r
 let read_response ic : response = read_frame ic
 

@@ -149,7 +149,52 @@ let test_cache_false_bypasses_store () =
   let rep = Crat.Engine.report e in
   check_int "every uncached run simulates" 2 rep.Crat.Engine.sim_runs;
   check_int "uncached runs record no trace" 0 rep.Crat.Engine.trace_records;
-  check "simulation is deterministic anyway" true (s1 = s2)
+  check "simulation is deterministic anyway" true (s1 = s2);
+  (* a trace made resident by a cached run must not turn an uncached
+     run into a replay: ~cache:false always executes functionally *)
+  let _ = Crat.Engine.simulate e l fermi ~tlp:1 in
+  let s3 = Crat.Engine.simulate ~cache:false e l fermi ~tlp:1 in
+  let rep = Crat.Engine.report e in
+  check_int "the cached run recorded the trace" 1 rep.Crat.Engine.trace_records;
+  check_int "the uncached run ignored the resident trace" 0
+    rep.Crat.Engine.trace_replays;
+  check "and still answered the same" true (s3 = s1)
+
+(* ---------- claim-or-wait across callers ---------- *)
+
+(* Two domains submitting the same batch share one computation of each
+   key and one recording of the launch, whatever the interleaving. *)
+let test_concurrent_batches_dedup () =
+  let e = Crat.Engine.create () in
+  let a = small_app "GAU" in
+  let l = launch_of a in
+  let batch = List.map (fun tlp -> (l, fermi, tlp)) [ 1; 2; 3; 4 ] in
+  let d1 = Domain.spawn (fun () -> Crat.Engine.simulate_batch e batch) in
+  let d2 = Domain.spawn (fun () -> Crat.Engine.simulate_batch e batch) in
+  let r1 = Domain.join d1 in
+  let r2 = Domain.join d2 in
+  check "identical answers" true (r1 = r2);
+  let rep = Crat.Engine.report e in
+  check_int "each distinct key simulated once" 4 rep.Crat.Engine.sim_runs;
+  check_int "the other batch's points were hits" 4 rep.Crat.Engine.sim_hits;
+  check_int "the launch recorded once" 1 rep.Crat.Engine.trace_records
+
+(* A batch that raises abandons the claims it did not publish: a later
+   caller asking for one of them computes it instead of waiting on a
+   claim nobody holds. *)
+let test_failed_batch_releases_claims () =
+  let e = Crat.Engine.create () in
+  let a = small_app "GAU" in
+  let good = launch_of a in
+  let bad = { good with Gpusim.Launch.params = [] } in
+  (match Crat.Engine.simulate_batch e [ (bad, fermi, 1); (good, fermi, 1) ] with
+   | _ -> Alcotest.fail "a launch with unbound parameters simulated"
+   | exception Invalid_argument msg ->
+     Alcotest.(check string) "the bad point's error"
+       "Interp: unbound parameter inp" msg);
+  let st = Crat.Engine.simulate e good fermi ~tlp:1 in
+  check "the good point still answers" true
+    (st = Crat.Engine.simulate (Crat.Engine.create ()) good fermi ~tlp:1)
 
 (* ---------- determinism across jobs ---------- *)
 
@@ -266,5 +311,9 @@ let () =
             test_design_space_batch_determinism
         ; Alcotest.test_case "8-domain stress vs serial" `Slow
             test_parallel_stress
+        ; Alcotest.test_case "two domains, one batch: computed once" `Slow
+            test_concurrent_batches_dedup
+        ; Alcotest.test_case "failed batch abandons its claims" `Slow
+            test_failed_batch_releases_claims
         ] )
     ]

@@ -250,6 +250,7 @@ let mk_report ~descr n =
       { Crat.Engine.jobs = 1
       ; sim_runs = n
       ; sim_hits = 0
+      ; dedup_hits = 0
       ; trace_records = 0
       ; trace_replays = 0
       ; alloc_runs = n

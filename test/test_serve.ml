@@ -51,6 +51,24 @@ let test_framing_rejects_garbage () =
   check "garbage frame rejected" true rejected;
   Sys.remove path
 
+(* A header claiming a huge request, then EOF: rejected from the length
+   alone, before a buffer of that size is allocated. *)
+let test_framing_caps_requests () =
+  let path = Filename.temp_file "frame" ".bin" in
+  Out_channel.with_open_bin path (fun oc ->
+    output_binary_int oc (200 * 1024 * 1024));
+  let before = Gc.allocated_bytes () in
+  let rejected =
+    In_channel.with_open_bin path (fun ic ->
+      match (Serve.Protocol.read_request ic : Serve.Protocol.request) with
+      | _ -> false
+      | exception Serve.Protocol.Protocol_error _ -> true)
+  in
+  let allocated = Gc.allocated_bytes () -. before in
+  Sys.remove path;
+  check "oversized request rejected" true rejected;
+  check "nothing allocated for its payload" true (allocated < 1e6)
+
 (* ---------- live daemon ---------- *)
 
 (* Run the daemon on a thread inside the test process; return the
@@ -159,6 +177,53 @@ let test_warm_restart_from_store () =
     (Marshal.to_string cold [] = Marshal.to_string warm []);
   shutdown_daemon socket join
 
+let simulate_ok socket points =
+  with_client socket (fun c ->
+    match Serve.Client.simulate c points with
+    | Error e -> Alcotest.fail e
+    | Ok stats -> stats)
+
+let stats_of socket =
+  with_client socket (fun c ->
+    match Serve.Client.server_stats c with
+    | Error e -> Alcotest.fail e
+    | Ok st -> st)
+
+(* Two clients asking for different points of one launch at the same
+   time: the launch is recorded once and the other point replays it. *)
+let test_concurrent_clients_record_once () =
+  let dir = temp_dir "serve-record" in
+  let socket, join = spawn_daemon dir "r" in
+  let ask tlp =
+    Thread.create
+      (fun () -> ignore (simulate_ok socket [ Serve.Protocol.point ~tlp:(Some tlp) "KMN" ]))
+      ()
+  in
+  List.iter Thread.join [ ask 1; ask 2 ];
+  let stats = stats_of socket in
+  Alcotest.(check int) "launch recorded once" 1 stats.Serve.Protocol.trace_records;
+  Alcotest.(check int) "other point replayed" 1 stats.Serve.Protocol.trace_replays;
+  shutdown_daemon socket join
+
+(* A client that sends a ladder and hangs up at once must not strand the
+   points it claimed: a second client asking for them gets every answer. *)
+let test_vanished_client () =
+  let dir = temp_dir "serve-vanish" in
+  let socket, join = spawn_daemon dir "v" in
+  let ladder =
+    List.map (fun tlp -> Serve.Protocol.point ~tlp:(Some tlp) "KMN") [ 1; 2; 3; 4 ]
+  in
+  with_client socket ignore;  (* the daemon is up *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.connect fd (Unix.ADDR_UNIX socket);
+  let oc = Unix.out_channel_of_descr fd in
+  Serve.Protocol.write_request oc (Serve.Protocol.Simulate ladder);
+  Unix.close fd;
+  let answers = simulate_ok socket ladder in
+  check "every point answered" true (Array.length answers = List.length ladder);
+  check "answers are the ladder's" true (answers = simulate_ok socket ladder);
+  shutdown_daemon socket join
+
 let test_server_side_sweep () =
   let dir = temp_dir "serve-sweep" in
   (* a stub sweep driver standing in for the CLI's Sweep.serve_sweep
@@ -196,6 +261,8 @@ let () =
       , [ Alcotest.test_case "round-trip" `Quick test_framing_roundtrip
         ; Alcotest.test_case "garbage rejected" `Quick
             test_framing_rejects_garbage
+        ; Alcotest.test_case "oversized request rejected" `Quick
+            test_framing_caps_requests
         ] )
     ; ( "daemon"
       , [ Alcotest.test_case "simulate + session dedup" `Slow
@@ -203,5 +270,9 @@ let () =
         ; Alcotest.test_case "warm restart from store" `Slow
             test_warm_restart_from_store
         ; Alcotest.test_case "server-side sweep" `Quick test_server_side_sweep
+        ; Alcotest.test_case "concurrent clients record a launch once" `Slow
+            test_concurrent_clients_record_once
+        ; Alcotest.test_case "vanished client strands no claim" `Slow
+            test_vanished_client
         ] )
     ]
