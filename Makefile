@@ -1,4 +1,4 @@
-.PHONY: all build test verify lint sanitize equiv bench bench-smoke bench-perf bench-backend bench-serve serve-smoke perf-smoke perf-canary clean
+.PHONY: all build test verify lint sanitize equiv bench bench-smoke perf-smoke perf-canary clean
 
 all: build
 
@@ -36,43 +36,34 @@ equiv:
 bench:
 	dune exec bench/main.exe
 
-# cheap smoke check of the parallel evaluation path
+# cheap smoke check of the parallel evaluation path; then the fig13
+# determinism diff: a serial replayed run and a 2-job cold run must print
+# identical results once the timing lines are stripped; then fig13 under
+# the machine register-file backend
+FIG13 = dune exec bench/main.exe -- --only fig13 --fast
+STRIP_TIMING = grep -v '^(\|^total'
+
 bench-smoke:
 	dune exec bench/main.exe -- --only fig1 --jobs 2 --fast
-
-# reduced full sweep with a machine-readable report, for tracking
-# simulator performance over time (see BENCH_PR2.json for a reference),
-# then the fig13-family replay-on/replay-off grid (see BENCH_PR5.json):
-# wall-clock at jobs 1 and 4 with bit-identical Stats fingerprints
-bench-perf:
-	dune exec bench/main.exe -- --fast --json bench-perf.json
-	dune exec bench/replaybench.exe -- BENCH_PR5.json
-
-# fig13 per register-file backend + scalarization statistics
-bench-backend:
-	dune exec bench/backendbench.exe -- BENCH_PR6.json
-
-# daemon + persistent store under N forked clients, full suite, cold vs
-# warm store (see BENCH_PR10.json)
-bench-serve:
-	dune exec bench/servebench.exe -- BENCH_PR10.json
-
-# CI gate for the daemon: 4 concurrent clients over a workload subset,
-# cold store then warm restart; fails unless the warm run answers >= 90%
-# of points without functional execution and every Stats fingerprint is
-# bit-identical across clients and store temperatures
-serve-smoke:
-	dune exec bench/servebench.exe -- --smoke BENCH_PR10.json
+	$(FIG13) --jobs 1 > fig13-jobs1.out
+	$(FIG13) --jobs 2 --no-replay > fig13-jobs2-cold.out
+	$(STRIP_TIMING) fig13-jobs1.out > fig13-jobs1.txt
+	$(STRIP_TIMING) fig13-jobs2-cold.out > fig13-jobs2-cold.txt
+	diff fig13-jobs1.txt fig13-jobs2-cold.txt
+	rm -f fig13-jobs1.out fig13-jobs2-cold.out fig13-jobs1.txt fig13-jobs2-cold.txt
+	$(FIG13) --backend machine
 
 # CI gate for the compile path and the daemon's simulate path: CRAT-static
 # plans for all 22 apps, each checked against its committed digest (resource
 # analysis, candidate allocations, chosen allocated kernel text); then two
 # clients streaming the whole universe into a cold daemon, each client's
 # answers checked against the committed fingerprint and each launch recorded
-# once
+# once; then a daemon restarted on a recorded store, which must answer every
+# point with no simulation and no trace record, with the committed fingerprint
 perf-smoke:
 	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload serve-cold --seconds 2 --trace 0
+	dune exec ./perfbench/perf.exe -- --workload serve-warm --seconds 2 --trace 0
 
 # CI gate on the suite fingerprints of earlier reports (~90 s on 2 cores):
 # re-derives BENCH_PR5's fig13-family digest and engine counts, the

@@ -4,9 +4,11 @@
    default-register kernel and a register-allocated variant with
    local/shared spill code — and prints every Stats.t field in a fixed
    textual format. Two builds of the simulator are semantics-equivalent
-   iff their fingerprints are byte-identical, which is how the
-   predecoded/unboxed fast path is validated against the reference
-   interpreter (see DESIGN.md).
+   iff their fingerprints are byte-identical. Tier-1 pins the same
+   surface: test/test_replay.ml digests its cold statistics and checks
+   the digest against Crat.Engine.model_epoch. When that test fails,
+   diff this tool's output between the two builds to see which configs
+   moved.
 
    Usage: dune exec bench/statdump.exe [-- --blocks N] [--tlp T,T,...] *)
 

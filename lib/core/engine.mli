@@ -7,9 +7,9 @@
     sweep are independent of each other. The engine memoizes each
     simulation under a structural key — a digest of the launch (kernel
     image, geometry, parameters, canonical initial-memory fingerprint),
-    the simulated configuration and the TLP — so two different kernel
-    builds can never alias, and re-runnable batches fan out across
-    [jobs] domains.
+    the simulated configuration, the TLP and the {!model_epoch} — so
+    two different kernel builds can never alias, and re-runnable batches
+    fan out across [jobs] domains.
 
     Statistics, allocations and traces each live in one claim-or-wait
     {!Memo.t} shared by every caller (batches on any domain, daemon
@@ -36,7 +36,8 @@ type t
 type report =
   { jobs : int  (** configured parallelism *)
   ; sim_runs : int  (** simulations actually executed (memo misses) *)
-  ; sim_hits : int  (** simulations answered from the stats memo *)
+  ; sim_hits : int
+      (** points answered from the stats memo, in memory or on disk *)
   ; dedup_hits : int
       (** of [sim_hits], keys answered by waiting on another caller's
           claim instead of computing them *)
@@ -44,12 +45,6 @@ type report =
   ; trace_replays : int  (** executions driven from a recorded trace *)
   ; alloc_runs : int
   ; alloc_hits : int
-  ; job_wall : float
-      (** summed per-job wall-clock seconds (the serial-equivalent cost;
-          under parallel execution this exceeds elapsed time) *)
-  ; max_queue_depth : int
-      (** largest number of uncached jobs queued by one batch *)
-  ; batches : int  (** batch submissions (single runs count as one) *)
   }
 
 val create :
@@ -81,11 +76,19 @@ val replay_enabled : t -> bool
 val store : t -> Store.t option
 (** The persistent store this engine writes through to, if any. *)
 
+val model_epoch : string
+(** Digest of the cold {!Gpusim.Stats.t} over the statdump surface
+    (every workload, default and r20-allocated builds, TLP 1 and 3,
+    2 blocks), pinned by a tier-1 test. Every memo and store key folds
+    it in, so a simulator or allocator change that moves the surface
+    must update it, and updating it orphans every stored answer of the
+    old model. *)
+
 val sim_key : t -> Gpusim.Launch.t -> Gpusim.Config.t -> tlp:int -> string
 (** The content-addressed stats-memo key (hex digest) — exposed for
     the key-injectivity tests. Structural: covers the launch (kernel
     image — hence register limit and spill layout — geometry, params,
-    initial memory), configuration and TLP. *)
+    initial memory), configuration, TLP and {!model_epoch}. *)
 
 val launch_key : t -> Gpusim.Launch.t -> string
 (** The trace-memo key: like {!sim_key} but with no configuration and

@@ -60,6 +60,11 @@ let resolve t (p : Protocol.point) =
   let regs =
     Option.value ~default:app.Workloads.App.default_regs p.Protocol.regs
   in
+  if regs < 1 then raise (Bad_request (Printf.sprintf "regs %d < 1" regs));
+  (match p.Protocol.tlp with
+   | Some tlp when tlp < 1 ->
+     raise (Bad_request (Printf.sprintf "tlp %d < 1" tlp))
+   | _ -> ());
   let cfg = config_of_kepler p.Protocol.kepler in
   let launch =
     match locked t (fun () -> Hashtbl.find_opt t.launches (p.Protocol.abbr, regs)) with
@@ -96,22 +101,26 @@ let resolve t (p : Protocol.point) =
 
 (* ---------- request handlers ---------- *)
 
+(* A point that cannot be resolved (unknown app, a register limit the
+   allocator rejects) or simulated is answered with an [Error] frame; the
+   connection stays open for the next request. *)
 let handle_simulate t oc pts =
   locked t (fun () -> t.points <- t.points + List.length pts);
-  let resolved = List.map (resolve t) pts in
-  match Crat.Engine.simulate_batch t.engine resolved with
+  match Crat.Engine.simulate_batch t.engine (List.map (resolve t) pts) with
   | stats ->
     List.iteri
       (fun i st ->
          Protocol.write_response oc (Protocol.Result { index = i; stats = st }))
       stats;
     Protocol.write_response oc Protocol.Done
+  | exception Bad_request msg -> Protocol.write_response oc (Protocol.Error msg)
   | exception e -> Protocol.write_response oc (Protocol.Error (Printexc.to_string e))
 
 (* Server-side sweeps reuse the CLI's sweep driver (injected by the
    binary hosting the daemon); results are content-addressed in the
-   persistent store under the suite's kernel fingerprint, so a sweep
-   over unchanged kernels is answered without re-verifying anything. *)
+   persistent store under the suite's kernel fingerprint and the
+   engine's model epoch, so a sweep over unchanged kernels and model is
+   answered without re-verifying anything. *)
 let handle_sweep t oc ~kind ~apps =
   match t.sweep with
   | None ->
@@ -137,7 +146,9 @@ let handle_sweep t oc ~kind ~apps =
     in
     let rkey =
       Digest.to_hex
-        (Digest.string (String.concat "," (suite_digest :: kind :: apps)))
+        (Digest.string
+           (String.concat ","
+              (Crat.Engine.model_epoch :: suite_digest :: kind :: apps)))
     in
     let cached : (string * bool) option =
       match t.store with
@@ -228,9 +239,7 @@ let handle_conn t fd =
       match Protocol.read_request ic with
       | req ->
         locked t (fun () -> t.requests <- t.requests + 1);
-        (try handle t oc req
-         with Bad_request msg ->
-           Protocol.write_response oc (Protocol.Error msg));
+        handle t oc req;
         (match req with Protocol.Shutdown -> () | _ -> loop ())
       | exception (End_of_file | Sys_error _) -> ()
       | exception Protocol.Protocol_error _ -> ()

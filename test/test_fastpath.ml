@@ -6,9 +6,7 @@
      register contents (value bits AND float tags) and final memory;
    - the paged {!Gpusim.Memory} against the old Hashtbl store as a
      model, over adversarial address patterns (unaligned, negative,
-     huge) and every scalar type;
-   - the {!Crat.Report} writer truncating stale bytes when a shorter
-     report is rewritten over a longer one. *)
+     huge) and every scalar type. *)
 
 module G = Gpusim
 
@@ -241,65 +239,6 @@ let test_memory_copy_isolated () =
     (Int64.to_int (G.Value.to_int64 (G.Memory.read c 8L Ptx.Types.U32)));
   Alcotest.(check bool) "copies diverge" false (G.Memory.equal m c)
 
-(* ---------- report rewrite truncation ---------- *)
-
-let mk_report ~descr n =
-  { Crat.Report.jobs = 1
-  ; total_wall_s = 1.5
-  ; engine =
-      { Crat.Engine.jobs = 1
-      ; sim_runs = n
-      ; sim_hits = 0
-      ; dedup_hits = 0
-      ; trace_records = 0
-      ; trace_replays = 0
-      ; alloc_runs = n
-      ; alloc_hits = 0
-      ; job_wall = 1.0
-      ; max_queue_depth = 1
-      ; batches = n
-      }
-  ; sanitizer = None
-  ; experiments =
-      List.init n (fun i ->
-        { Crat.Report.id = Printf.sprintf "exp%d" i
-        ; descr
-        ; wall_s = 0.5
-        ; job_wall_s = 0.5
-        ; sim_runs = 1
-        ; sim_hits = 0
-        ; alloc_runs = 1
-        ; alloc_hits = 0
-        ; max_queue_depth = 1
-        ; batches = 1
-        })
-  }
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-let test_report_rewrite_truncates () =
-  let path = Filename.temp_file "crat_report" ".json" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-       let long = mk_report ~descr:"a long description that pads the file" 9 in
-       let short = mk_report ~descr:"short" 1 in
-       Crat.Report.write path long;
-       Crat.Report.write path short;
-       Alcotest.(check string)
-         "file holds exactly the second report"
-         (Crat.Report.to_string short) (read_file path);
-       (* the pre-run probe must also drop stale content *)
-       (match Crat.Report.probe path with
-        | Ok () -> ()
-        | Error msg -> Alcotest.failf "probe failed: %s" msg);
-       Alcotest.(check string) "probe truncates" "" (read_file path))
-
 let () =
   Alcotest.run "fastpath"
     [ ( "differential"
@@ -307,8 +246,4 @@ let () =
           [ prop_lockstep; prop_ref_vs_sm; prop_memory_model ] )
     ; ( "memory"
       , [ Alcotest.test_case "copy isolation" `Quick test_memory_copy_isolated ] )
-    ; ( "report"
-      , [ Alcotest.test_case "rewrite truncates" `Quick
-            test_report_rewrite_truncates
-        ] )
     ]

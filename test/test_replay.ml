@@ -24,37 +24,58 @@ let record_then_replay ?scheduler cfg (l : G.Launch.t) =
 (* ---------- differential sweep (statdump fingerprint surface) ---------- *)
 
 (* The same 88-config surface bench/statdump.ml fingerprints: every
-   workload, default and r20-allocated builds, TLP 1 and 3, 2 blocks. *)
+   workload, default and r20-allocated builds, TLP 1 and 3, 2 blocks.
+   Each entry is (name, cold, replayed), in a fixed order. *)
+let surface =
+  lazy
+    (List.concat_map
+       (fun (app : Workloads.App.t) ->
+          let input =
+            { (Workloads.App.default_input app) with Workloads.App.num_blocks = 2 }
+          in
+          let alloc =
+            Regalloc.Allocator.allocate ~block_size:app.Workloads.App.block_size
+              ~shared_policy:(`Spare 512) ~reg_limit:20
+              (Workloads.App.kernel app)
+          in
+          List.concat_map
+            (fun tlp ->
+               List.map
+                 (fun (variant, kernel) ->
+                    let l =
+                      match kernel with
+                      | None -> Workloads.App.launch app ~tlp ~input ()
+                      | Some k -> Workloads.App.launch app ~kernel:k ~tlp ~input ()
+                    in
+                    let cold, replayed, _ = record_then_replay fermi l in
+                    ( Printf.sprintf "%s/%s/tlp%d" app.Workloads.App.abbr variant tlp
+                    , cold
+                    , replayed ))
+                 [ ("default", None)
+                 ; ("r20", Some alloc.Regalloc.Allocator.kernel)
+                 ])
+            [ 1; 3 ])
+       Workloads.Suite.all)
+
 let test_replay_bit_identical_suite () =
   List.iter
-    (fun (app : Workloads.App.t) ->
-       let input =
-         { (Workloads.App.default_input app) with Workloads.App.num_blocks = 2 }
-       in
-       let alloc =
-         Regalloc.Allocator.allocate ~block_size:app.Workloads.App.block_size
-           ~shared_policy:(`Spare 512) ~reg_limit:20
-           (Workloads.App.kernel app)
-       in
-       List.iter
-         (fun tlp ->
-            List.iter
-              (fun (variant, kernel) ->
-                 let l =
-                   match kernel with
-                   | None -> Workloads.App.launch app ~tlp ~input ()
-                   | Some k -> Workloads.App.launch app ~kernel:k ~tlp ~input ()
-                 in
-                 let cold, replayed, _ = record_then_replay fermi l in
-                 check
-                   (Printf.sprintf "%s/%s/tlp%d bit-identical"
-                      app.Workloads.App.abbr variant tlp)
-                   true (cold = replayed))
-              [ ("default", None)
-              ; ("r20", Some alloc.Regalloc.Allocator.kernel)
-              ])
-         [ 1; 3 ])
-    Workloads.Suite.all
+    (fun (name, cold, replayed) ->
+       check (name ^ " bit-identical") true (cold = replayed))
+    (Lazy.force surface)
+
+(* The model pin: the digest of the surface's cold statistics is the
+   engine's model epoch, which every memo and store key folds in. *)
+let test_model_epoch_pinned () =
+  let cold = List.map (fun (_, cold, _) -> cold) (Lazy.force surface) in
+  check_int "surface size" 88 (List.length cold);
+  let d = Digest.to_hex (Digest.string (Marshal.to_string cold [])) in
+  if d <> Crat.Engine.model_epoch then
+    Alcotest.failf
+      "the statdump surface moved: its digest is %s, but \
+       Crat.Engine.model_epoch is %s. If the simulator or allocator change \
+       is intended, set model_epoch in lib/core/engine.ml to %s; that \
+       orphans every store entry of the old model."
+      d Crat.Engine.model_epoch d
 
 (* the trace is config- and TLP-independent: record once under fermi,
    replay under kepler and at a different TLP; each must equal its own
@@ -219,6 +240,8 @@ let () =
     [ ( "differential"
       , [ Alcotest.test_case "suite sweep bit-identical (22 apps x 2 builds x 2 TLPs)"
             `Slow test_replay_bit_identical_suite
+        ; Alcotest.test_case "model epoch pins the surface" `Slow
+            test_model_epoch_pinned
         ; Alcotest.test_case "trace valid across config and TLP" `Slow
             test_trace_valid_across_config_and_tlp
         ; Alcotest.test_case "replay leaves memory untouched" `Quick

@@ -224,6 +224,26 @@ let test_vanished_client () =
   check "answers are the ladder's" true (answers = simulate_ok socket ladder);
   shutdown_daemon socket join
 
+(* A point the allocator rejects (3 registers) or that is out of range
+   gets an [Error] frame; the same connection then serves a valid point. *)
+let test_unresolvable_point () =
+  let dir = temp_dir "serve-unresolvable" in
+  let socket, join = spawn_daemon dir "u" in
+  with_client socket (fun c ->
+    List.iter
+      (fun (what, p) ->
+         match Serve.Client.simulate c [ p ] with
+         | Ok _ -> Alcotest.failf "%s accepted" what
+         | Error _ -> ())
+      [ ("regs 3", Serve.Protocol.point ~regs:(Some 3) "GAU")
+      ; ("regs 0", Serve.Protocol.point ~regs:(Some 0) "GAU")
+      ; ("tlp 0", Serve.Protocol.point ~tlp:(Some 0) "GAU")
+      ];
+    match Serve.Client.simulate c [ Serve.Protocol.point "GAU" ] with
+    | Ok stats -> check "valid point served after errors" true (Array.length stats = 1)
+    | Error e -> Alcotest.fail ("connection died after an unresolvable point: " ^ e));
+  shutdown_daemon socket join
+
 let test_server_side_sweep () =
   let dir = temp_dir "serve-sweep" in
   (* a stub sweep driver standing in for the CLI's Sweep.serve_sweep
@@ -274,5 +294,7 @@ let () =
             test_concurrent_clients_record_once
         ; Alcotest.test_case "vanished client strands no claim" `Slow
             test_vanished_client
+        ; Alcotest.test_case "unresolvable point answered with Error" `Quick
+            test_unresolvable_point
         ] )
     ]
