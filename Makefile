@@ -1,4 +1,4 @@
-.PHONY: all build test verify lint sanitize equiv bench bench-smoke perf-smoke perf-canary clean
+.PHONY: all build test verify lint sanitize equiv bench bench-smoke perf-smoke sweep-parity perf-canary clean
 
 all: build
 
@@ -64,6 +64,27 @@ perf-smoke:
 	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload serve-cold --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload serve-warm --seconds 2 --trace 0
+
+# CI gate on the daemon's sweep path: a memory-only daemon on a private
+# socket must print for `client --sweep lint` exactly what `lint --all`
+# prints, with the same exit status; the daemon is shut down (or killed,
+# if a step fails) before the diff
+CRAT = ./_build/default/bin/crat_cli.exe
+PARITY_SOCKET = sweep-parity.sock
+
+sweep-parity:
+	dune build bin/crat_cli.exe
+	rm -f $(PARITY_SOCKET)
+	$(CRAT) serve --no-store --socket $(PARITY_SOCKET) > sweep-parity-daemon.log 2>&1 & \
+	  pid=$$!; trap 'kill $$pid 2>/dev/null' EXIT; \
+	  n=0; until $(CRAT) client --socket $(PARITY_SOCKET) --stats > /dev/null 2>&1; do \
+	    n=$$((n + 1)); [ $$n -lt 100 ] || { cat sweep-parity-daemon.log; exit 1; }; sleep 0.1; \
+	  done; \
+	  $(CRAT) client --socket $(PARITY_SOCKET) --sweep lint > sweep-parity-client.txt; c=$$?; \
+	  $(CRAT) lint --all > sweep-parity-cli.txt; l=$$?; \
+	  $(CRAT) client --socket $(PARITY_SOCKET) --shutdown && wait $$pid && \
+	  [ $$c = $$l ] && diff sweep-parity-cli.txt sweep-parity-client.txt
+	rm -f sweep-parity-cli.txt sweep-parity-client.txt sweep-parity-daemon.log
 
 # CI gate on the suite fingerprints of earlier reports (~90 s on 2 cores):
 # re-derives BENCH_PR5's fig13-family digest and engine counts, the

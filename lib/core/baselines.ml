@@ -23,7 +23,7 @@ let resolve_input app = function
 let max_tlp ?backend engine cfg (app : Workloads.App.t) ?input () =
   let input = resolve_input app input in
   let alloc = default_build ?backend engine app in
-  let r = Resource.analyze ?backend cfg app in
+  let r = Engine.resource engine ?backend cfg app in
   let tlp = max 1 r.Resource.max_tlp in
   let launch =
     Workloads.App.launch app ~kernel:alloc.Regalloc.Allocator.kernel ~input ()
@@ -40,7 +40,7 @@ let max_tlp ?backend engine cfg (app : Workloads.App.t) ?input () =
 let opt_tlp ?backend engine cfg (app : Workloads.App.t) ?input () =
   let input = resolve_input app input in
   let alloc = default_build ?backend engine app in
-  let r = Resource.analyze ?backend cfg app in
+  let r = Engine.resource engine ?backend cfg app in
   let pr =
     Opttlp.profile engine cfg app ~input
       ~kernel:alloc.Regalloc.Allocator.kernel

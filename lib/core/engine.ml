@@ -19,9 +19,7 @@ type t =
   ; stats : Gpusim.Stats.t Memo.t
   ; traces : Gpusim.Replay.t Memo.t
   ; allocs : Regalloc.Allocator.t Memo.t
-  ; mutable kernel_digests : (Ptx.Kernel.t * string) list
-      (** physical-identity memo: allocations are cached, so the same
-          kernel value is digested many times across a sweep *)
+  ; resources : Resource.t Memo.t  (** in memory only; see {!resource} *)
   ; mutable launch_keys : (Gpusim.Launch.t * string) list
       (** physical-identity memo for {!launch_key}: sweep drivers reuse
           one launch record across many (config, tlp) points *)
@@ -36,16 +34,17 @@ type t =
 
 let create ?(jobs = 1) ?(replay = true) ?(trace_budget = 1 lsl 25) ?store () =
   if jobs < 1 then invalid_arg "Engine.create: jobs must be >= 1";
+  let persist kind = Option.map (fun d -> (d, kind)) store in
   { n_jobs = jobs
   ; replay
   ; lock = Mutex.create ()
   ; disk = store
-  ; stats = Memo.create ?store ~kind:"stats" ()
+  ; stats = Memo.create ?store:(persist "stats") ()
   ; traces =
-      Memo.create ~budget:trace_budget ~weight:Gpusim.Replay.events ?store
-        ~kind:"trace" ()
-  ; allocs = Memo.create ?store ~kind:"alloc" ()
-  ; kernel_digests = []
+      Memo.create ~budget:trace_budget ~weight:Gpusim.Replay.events
+        ?store:(persist "trace") ()
+  ; allocs = Memo.create ?store:(persist "alloc") ()
+  ; resources = Memo.create ()
   ; launch_keys = []
   ; sim_runs = 0
   ; sim_hits = 0
@@ -68,22 +67,11 @@ let locked t f =
 
 let digest s = Digest.to_hex (Digest.string s)
 
-(* pinned by test_replay; every memo and store key folds it in through
-   [kernel_digest] *)
+(* pinned by test_replay; every simulation and allocation key folds it in
+   through [kernel_digest] *)
 let model_epoch = "5a15d1eb738764ade30cbe7a8f4a446c"
 
-let kernel_digest t k =
-  match locked t (fun () -> List.assq_opt k t.kernel_digests) with
-  | Some d -> d
-  | None ->
-    let d = digest (model_epoch ^ Ptx.Printer.kernel_to_string k) in
-    locked t (fun () ->
-      (* bounded memo; dropping entries only costs a re-digest *)
-      let kept =
-        if List.length t.kernel_digests >= 512 then [] else t.kernel_digests
-      in
-      t.kernel_digests <- (k, d) :: kept);
-    d
+let kernel_digest k = digest (model_epoch ^ Ptx.Printer.kernel_to_string k)
 
 (* Config.t is a pure-data record (ints, strings, variants), so
    marshalling gives a stable structural fingerprint. *)
@@ -98,7 +86,7 @@ let launch_key t (l : Gpusim.Launch.t) =
   match locked t (fun () -> List.assq_opt l t.launch_keys) with
   | Some k -> k
   | None ->
-    let kd = kernel_digest t l.Gpusim.Launch.kernel in
+    let kd = kernel_digest l.Gpusim.Launch.kernel in
     let k = Gpusim.Replay.launch_key ~kernel_digest:kd l in
     locked t (fun () ->
       let kept = if List.length t.launch_keys >= 512 then [] else t.launch_keys in
@@ -111,9 +99,9 @@ let sim_key t (l : Gpusim.Launch.t) cfg ~tlp =
        [ launch_key t l; data_digest cfg; string_of_int tlp ])
 
 (* the readable concat is digested, like every other memo key *)
-let alloc_key t ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel =
+let alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel =
   digest @@ String.concat "|"
-    [ kernel_digest t kernel
+    [ kernel_digest kernel
     ; (match (strategy : Regalloc.Allocator.strategy) with
        | Regalloc.Allocator.Chaitin_briggs -> "cb"
        | Regalloc.Allocator.Linear_scan -> "ls")
@@ -192,7 +180,7 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
   let kernel = Workloads.App.kernel app in
   let block_size = app.Workloads.App.block_size in
   let key =
-    alloc_key t ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel
+    alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel
   in
   let compute () =
     let shared_policy = if shared_spare > 0 then `Spare shared_spare else `Off in
@@ -243,6 +231,17 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
     | `Computed -> t.alloc_runs <- t.alloc_runs + 1
     | `Hit | `Waited -> t.alloc_hits <- t.alloc_hits + 1);
   a
+
+(* ---------- resource analysis ---------- *)
+
+(* App descriptors, configurations and backends are pure data, so the
+   marshalled triple is a structural key. The analysis is not written to
+   the store: no key could name the code that computes it. *)
+let resource t ?(backend = Machine.Backend.Ptx) cfg (app : Workloads.App.t) =
+  fst
+    (Memo.get_or_compute t.resources
+       (data_digest (app, cfg, backend))
+       (fun () -> Resource.analyze ~backend cfg app))
 
 (* ---------- simulation ---------- *)
 
@@ -423,8 +422,8 @@ let reset t =
   Memo.clear t.stats;
   Memo.clear t.traces;
   Memo.clear t.allocs;
+  Memo.clear t.resources;
   locked t (fun () ->
-    t.kernel_digests <- [];
     t.launch_keys <- [];
     t.sim_runs <- 0;
     t.sim_hits <- 0;

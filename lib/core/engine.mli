@@ -11,7 +11,8 @@
     two different kernel builds can never alias, and re-runnable batches
     fan out across [jobs] domains.
 
-    Statistics, allocations and traces each live in one claim-or-wait
+    Statistics, allocations, traces and resource analyses each live in
+    one claim-or-wait
     {!Memo.t} shared by every caller (batches on any domain, daemon
     connections): a key another caller is computing is waited for, not
     computed again.
@@ -79,8 +80,8 @@ val store : t -> Store.t option
 val model_epoch : string
 (** Digest of the cold {!Gpusim.Stats.t} over the statdump surface
     (every workload, default and r20-allocated builds, TLP 1 and 3,
-    2 blocks), pinned by a tier-1 test. Every memo and store key folds
-    it in, so a simulator or allocator change that moves the surface
+    2 blocks), pinned by a tier-1 test. Every simulation and allocation
+    key folds it in, so a simulator or allocator change that moves the surface
     must update it, and updating it orphans every stored answer of the
     old model. *)
 
@@ -113,6 +114,13 @@ val allocate :
     ({!Machine.Scalarize}, {!Machine.Backend.default_scalar_limit}) and,
     when the verify gate is on, lowers the result and runs the V6xx
     machine audit. *)
+
+val resource :
+  t -> ?backend:Machine.Backend.t -> Gpusim.Config.t -> Workloads.App.t -> Resource.t
+(** {!Resource.analyze}, memoized in memory on the app descriptor,
+    configuration and [backend] (default [Ptx]): a sweep that compares
+    several techniques on one kernel and target analyses it once. Never
+    written to the store. *)
 
 val simulate :
   ?cache:bool
@@ -163,7 +171,8 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val report : t -> report
 val reset : t -> unit
-(** Drop all memos (stats, traces, allocations) and zero counters. *)
+(** Drop all memos (stats, traces, allocations, resources) and zero
+    counters. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One-line summary, e.g. for the end of an experiment run. *)

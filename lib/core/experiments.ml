@@ -69,7 +69,7 @@ type fig2_point =
   }
 
 let fig2 engine cfg app =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   let m = Baselines.max_tlp engine cfg app () in
   let base = float_of_int (Baselines.cycles m) in
   let stairs = Design_space.stairs cfg r in
@@ -212,7 +212,7 @@ let reg_sweep (r : Resource.t) cfg =
   collect lo []
 
 let fig6 engine cfg app =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   Engine.map engine
     (fun reg ->
        let a = Engine.allocate engine app ~reg_limit:reg in
@@ -268,7 +268,7 @@ type fig8_row =
   }
 
 let fig8 engine cfg app =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   let input = Workloads.App.default_input app in
   let build ?(policy = `Off) ?(preference = `Cheap_first) ~label reg =
     let tlp = Gpusim.Occupancy.max_tlp cfg (Resource.usage_at r ~regs:reg) in
@@ -327,7 +327,7 @@ let pp_fig8 fmt rows =
 (* ---------- fig 11 ---------- *)
 
 let fig11 engine cfg app =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   let pr = Opttlp.profile engine cfg app ~max_tlp:r.Resource.max_tlp () in
   (Design_space.stairs cfg r, Design_space.prune cfg r ~opt_tlp:pr.Opttlp.opt_tlp)
 
@@ -348,7 +348,7 @@ type fig12_row =
   }
 
 let fig12 engine cfg app =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   Engine.map engine
     (fun reg ->
        let cb = Engine.allocate engine app ~reg_limit:reg in
@@ -610,7 +610,7 @@ type overhead_row =
 let overhead engine cfg apps =
   List.map
     (fun app ->
-       let r = Resource.analyze cfg app in
+       let r = Engine.resource engine cfg app in
        let a = Engine.allocate engine app ~reg_limit:app.Workloads.App.default_regs in
        (* ~cache:false bypasses the store so the profiling cost is
           actually paid here *)
@@ -650,7 +650,7 @@ type tab1_row =
 let tab1 engine cfg apps =
   Engine.map engine
     (fun app ->
-       let r = Resource.analyze cfg app in
+       let r = Engine.resource engine cfg app in
        let p = Opttlp.profile engine cfg app ~max_tlp:r.Resource.max_tlp () in
        let s = Opttlp.estimate_static cfg app ~max_tlp:r.Resource.max_tlp () in
        { abbr = app.Workloads.App.abbr
@@ -717,7 +717,7 @@ type abl_chunk_row =
   }
 
 let ablation_chunk engine cfg (app : Workloads.App.t) ~reg =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   let tlp = Gpusim.Occupancy.max_tlp cfg (Resource.usage_at r ~regs:reg) in
   let spare =
     Gpusim.Occupancy.spare_shared_bytes cfg (Resource.usage_at r ~regs:reg) ~tlp
@@ -812,7 +812,7 @@ type abl_alloc_row =
   }
 
 let ablation_allocator engine cfg (app : Workloads.App.t) ~reg =
-  let r = Resource.analyze cfg app in
+  let r = Engine.resource engine cfg app in
   let tlp = Gpusim.Occupancy.max_tlp cfg (Resource.usage_at r ~regs:reg) in
   let input = Workloads.App.default_input app in
   let builds =

@@ -15,12 +15,11 @@ type 'v t =
   ; order : string Queue.t  (* ready keys, oldest first *)
   ; budget : int
   ; weight : 'v -> int
-  ; store : Store.t option
-  ; kind : string
+  ; store : (Store.t * string) option  (* with the kind it writes under *)
   ; mutable total : int  (* summed weight of ready values *)
   }
 
-let create ?(budget = max_int) ?(weight = fun _ -> 1) ?store ~kind () =
+let create ?(budget = max_int) ?(weight = fun _ -> 1) ?store () =
   { lock = Mutex.create ()
   ; cond = Condition.create ()
   ; tbl = Hashtbl.create 64
@@ -28,7 +27,6 @@ let create ?(budget = max_int) ?(weight = fun _ -> 1) ?store ~kind () =
   ; budget
   ; weight
   ; store
-  ; kind
   ; total = 0
   }
 
@@ -61,19 +59,19 @@ let install t k v w =
 let publish t k v =
   let w = t.weight v in
   locked t (fun () -> install t k v w);
-  Option.iter (fun d -> Store.put_value d ~kind:t.kind ~key:k v) t.store
+  Option.iter (fun (d, kind) -> Store.put_value d ~kind ~key:k v) t.store
 
 (* A store hit is installed without being written back. *)
 let load t k =
   match t.store with
   | None -> None
-  | Some d ->
+  | Some (d, kind) ->
     Option.map
       (fun v ->
          let w = t.weight v in
          locked t (fun () -> install t k v w);
          v)
-      (Store.get_value d ~kind:t.kind ~key:k)
+      (Store.get_value d ~kind ~key:k)
 
 let abandon t k =
   locked t (fun () ->

@@ -7,14 +7,15 @@
     {!abandon} it; a caller that finds it pending waits instead of
     computing it again. Ready values are evicted oldest-first once their
     summed [weight] passes [budget]; a value heavier than the whole
-    budget is never kept. With a {!Store.t}, published values are written
-    through under [kind], and claimed misses are read back from it;
-    store I/O runs outside the lock. *)
+    budget is never kept. With a {!Store.t} and a kind, published values
+    are written through under that kind, and claimed misses are read back
+    from it; store I/O runs outside the lock. Without one the memo lives
+    and dies with the process. *)
 
 type 'v t
 
 val create :
-  ?budget:int -> ?weight:('v -> int) -> ?store:Store.t -> kind:string -> unit -> 'v t
+  ?budget:int -> ?weight:('v -> int) -> ?store:Store.t * string -> unit -> 'v t
 (** [budget] defaults to unbounded, [weight] to [fun _ -> 1]. *)
 
 type 'v slot =

@@ -47,19 +47,6 @@ let probe_kernel space =
   B.st b T.Global T.U32 (B.reg out64) 0 (B.reg v0);
   B.finish b
 
-(* Per-config once-cell: the short [registry_lock] only guards cell
-   lookup/creation, while each cell's own mutex serialises the (slow)
-   probe runs for that config — two domains probing different configs
-   no longer serialise behind one global lock. Not a [Lazy.t]: forcing
-   a lazy concurrently from several domains raises [Lazy.Undefined]. *)
-type cell =
-  { m : Mutex.t
-  ; mutable v : costs option
-  }
-
-let cells : (string, cell) Hashtbl.t = Hashtbl.create 4
-let registry_lock = Mutex.create ()
-
 let run_probe cfg space =
   let reps = 64 in
   let k = probe_kernel space in
@@ -78,31 +65,15 @@ let run_probe cfg space =
   let accesses = 2 * reps in
   float_of_int st.Gpusim.Stats.cycles /. float_of_int accesses
 
-let cell_of key =
-  Mutex.lock registry_lock;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock registry_lock)
-    (fun () ->
-       match Hashtbl.find_opt cells key with
-       | Some c -> c
-       | None ->
-         let c = { m = Mutex.create (); v = None } in
-         Hashtbl.replace cells key c;
-         c)
+(* Keyed on the whole configuration (pure data, so its marshalled bytes
+   are a structural key): a variant that keeps a target's name still gets
+   its own probe. [Memo] rather than a [Lazy.t]: forcing a lazy
+   concurrently from several domains raises [Lazy.Undefined]. *)
+let memo : costs Memo.t = Memo.create ()
 
-let measure cfg =
-  let cell = cell_of cfg.Gpusim.Config.name in
-  Mutex.lock cell.m;
-  Fun.protect
-    ~finally:(fun () -> Mutex.unlock cell.m)
-    (fun () ->
-       match cell.v with
-       | Some c -> c
-       | None ->
-         let c =
-           { cost_local = run_probe cfg T.Local
-           ; cost_shm = run_probe cfg T.Shared
-           }
-         in
-         cell.v <- Some c;
-         c)
+let measure (cfg : Gpusim.Config.t) =
+  fst
+    (Memo.get_or_compute memo
+       (Digest.string (Marshal.to_string cfg []))
+       (fun () ->
+          { cost_local = run_probe cfg T.Local; cost_shm = run_probe cfg T.Shared }))

@@ -11,4 +11,4 @@ type costs =
 val measure : Gpusim.Config.t -> costs
 (** Runs two pointer-free micro-kernels (a local-memory and a
     shared-memory access loop) on one warp and divides cycles by
-    accesses. Memoized per configuration. *)
+    accesses. Memoized per configuration, process-wide. *)

@@ -22,9 +22,8 @@ type plan =
   }
 
 let plan ?(mode = `Profile) ?(backend = Machine.Backend.Ptx)
-    ?(shared_spilling = true) ?(metric = `Weighted_counts)
-    ?profile_input engine cfg app =
-  let resource = Resource.analyze ~backend cfg app in
+    ?(shared_spilling = true) ?profile_input engine cfg app =
+  let resource = Engine.resource engine ~backend cfg app in
   let max_tlp = resource.Resource.max_tlp in
   let opt_tlp =
     match mode with
@@ -51,13 +50,8 @@ let plan ?(mode = `Profile) ?(backend = Machine.Backend.Ptx)
              ~shared_spare:spare
          in
          let tpsc =
-           match metric with
-           | `Static_counts ->
-             Tpsc.tpsc cfg costs ~block_size:resource.Resource.block_size
-               ~tlp:p.Design_space.tlp alloc.Regalloc.Allocator.stats
-           | `Weighted_counts ->
-             Tpsc.tpsc_weighted cfg costs ~block_size:resource.Resource.block_size
-               ~tlp:p.Design_space.tlp alloc
+           Tpsc.tpsc_weighted cfg costs ~block_size:resource.Resource.block_size
+             ~tlp:p.Design_space.tlp alloc
          in
          { point = p; alloc; tpsc; spare_shm = spare })
       points

@@ -33,11 +33,6 @@ val plan :
           files — uniform values stop counting against the per-thread
           budget, widening the feasible (reg, TLP) frontier *)
   -> ?shared_spilling:bool
-  -> ?metric:[ `Static_counts | `Weighted_counts ]
-      (** [`Static_counts] is the paper's TPSC exactly;
-          [`Weighted_counts] (default) weights spill accesses by loop
-          depth, fixing a misprediction of the static formula (see
-          {!Tpsc.tpsc_weighted}) *)
   -> ?profile_input:Workloads.App.input
   -> Engine.t
   -> Gpusim.Config.t
@@ -45,8 +40,10 @@ val plan :
   -> plan
 (** Defaults: [`Profile] mode with shared spilling enabled — the paper's
     full CRAT. [profile_input] is the input used to determine OptTLP
-    (defaults to the app's default input). Allocations and profiling
-    simulations go through [engine]: memoized, and fanned across its
-    domains. *)
+    (defaults to the app's default input). Candidates are ranked by
+    {!Tpsc.tpsc_weighted}, which weights spill accesses by loop depth
+    (the paper's static formula is {!Tpsc.tpsc}). Resource analysis,
+    allocations and profiling simulations go through [engine]: memoized,
+    and fanned across its domains. *)
 
 val pp_plan : Format.formatter -> plan -> unit

@@ -10,14 +10,6 @@ type trace =
   ; reuse_ratio : float
   }
 
-let latency_of (c : Gpusim.Config.t) = function
-  | Ptx.Instr.Alu | Ptx.Instr.Ctrl -> c.Gpusim.Config.alu_latency
-  | Ptx.Instr.Alu_heavy -> c.Gpusim.Config.alu_heavy_latency
-  | Ptx.Instr.Sfu -> c.Gpusim.Config.sfu_latency
-  | Ptx.Instr.Mem_const_param -> c.Gpusim.Config.const_latency
-  | Ptx.Instr.Mem_global | Ptx.Instr.Mem_local | Ptx.Instr.Mem_shared
-  | Ptx.Instr.Barrier -> c.Gpusim.Config.alu_latency
-
 let trace (cfg : Gpusim.Config.t) app input =
   let kernel = Workloads.App.kernel app in
   let image = Gpusim.Image.prepare kernel in
@@ -47,7 +39,7 @@ let trace (cfg : Gpusim.Config.t) app input =
   while (not (Gpusim.Interp.is_done w)) && !budget > 0 do
     decr budget;
     match Gpusim.Interp.step w with
-    | Gpusim.Interp.E_alu cls -> cur := !cur + latency_of cfg cls
+    | Gpusim.Interp.E_alu cls -> cur := !cur + Gpusim.Config.latency cfg cls
     | Gpusim.Interp.E_barrier -> cur := !cur + cfg.Gpusim.Config.alu_latency
     | Gpusim.Interp.E_exit -> ()
     | Gpusim.Interp.E_mem { space = Ptx.Types.Shared; _ } ->

@@ -23,5 +23,5 @@ val tpsc_weighted :
     (an estimate of dynamic frequency) from the allocation result. The
     paper's static counts can prefer a high-TLP candidate whose extra
     spills sit inside hot loops; weighting fixes the misprediction we
-    observed on DTC. This is the optimizer's default; the paper's static
-    formula is kept as [`Static_counts]. *)
+    observed on DTC. {!Optimizer.plan} ranks candidates by it; the
+    paper's static formula is kept as {!tpsc}. *)

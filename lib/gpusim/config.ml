@@ -78,6 +78,14 @@ let kepler =
 let registers_per_sm c = c.regfile_bytes_per_sm / 4
 let min_reg c = registers_per_sm c / c.max_threads_per_sm
 
+let latency c = function
+  | Ptx.Instr.Alu | Ptx.Instr.Ctrl -> c.alu_latency
+  | Ptx.Instr.Alu_heavy -> c.alu_heavy_latency
+  | Ptx.Instr.Sfu -> c.sfu_latency
+  | Ptx.Instr.Mem_const_param -> c.const_latency
+  | Ptx.Instr.Mem_global | Ptx.Instr.Mem_local | Ptx.Instr.Mem_shared
+  | Ptx.Instr.Barrier -> c.alu_latency
+
 let pp fmt c =
   Format.fprintf fmt "%s@." c.name;
   Format.fprintf fmt "  SM           : %d SMs, %d warp size, %d schedulers (GTO)@."

@@ -48,5 +48,10 @@ val min_reg : t -> int
 (** The paper's MinReg: [NumRegister / MaxThreads] — allocating fewer
     registers per thread than this cannot raise the TLP. *)
 
+val latency : t -> Ptx.Instr.op_class -> int
+(** Result latency of a non-memory issue class, shared by the timing
+    model and the static segment analysis. Memory classes (whose latency
+    the memory hierarchy decides) and barriers get the ALU latency. *)
+
 val pp : Format.formatter -> t -> unit
 (** Table 2-style rendering. *)

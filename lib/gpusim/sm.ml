@@ -74,15 +74,6 @@ type blocked =
 
 let infinity_cycle = max_int / 2
 
-let latency_of (c : Config.t) = function
-  | Ptx.Instr.Alu -> c.Config.alu_latency
-  | Ptx.Instr.Alu_heavy -> c.Config.alu_heavy_latency
-  | Ptx.Instr.Sfu -> c.Config.sfu_latency
-  | Ptx.Instr.Mem_const_param -> c.Config.const_latency
-  | Ptx.Instr.Ctrl -> c.Config.alu_latency
-  | Ptx.Instr.Mem_global | Ptx.Instr.Mem_local | Ptx.Instr.Mem_shared
-  | Ptx.Instr.Barrier -> c.Config.alu_latency
-
 let lsu_capacity = 64
 let lsu_headroom = 8
 
@@ -479,7 +470,7 @@ let issue sm ws =
      | Ptx.Instr.Mem_const_param | Ptx.Instr.Mem_global | Ptx.Instr.Mem_local
      | Ptx.Instr.Mem_shared | Ptx.Instr.Barrier ->
        st.Stats.alu_instrs <- st.Stats.alu_instrs + 1);
-    let ready = sm.now + latency_of cfg cls in
+    let ready = sm.now + Config.latency cfg cls in
     for i = 0 to Array.length defs - 1 do
       set_pending ws defs.(i) ready
     done

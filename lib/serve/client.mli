@@ -18,8 +18,11 @@ val simulate_iter :
   -> Protocol.point list
   -> f:(int -> Gpusim.Stats.t -> unit)
   -> (int, string) result
-(** Stream the batch: [f index stats] per completed point (completion
-    order, [index] is the request position); returns the result count. *)
+(** Run the batch and call [f index stats] per [Result] frame as it is
+    read ([index] is the request position); returns the result count.
+    The daemon writes the frames only once the whole batch is simulated,
+    in request order, so no result arrives before the slowest point is
+    done. *)
 
 val simulate :
   t -> Protocol.point list -> (Gpusim.Stats.t array, string) result

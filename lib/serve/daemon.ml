@@ -22,11 +22,9 @@ type t =
   ; store : Store.t option
   ; sweep : (kind:string -> apps:string list -> (string * bool) option) option
   ; lock : Mutex.t
-  ; launches : (string * int, Gpusim.Launch.t) Hashtbl.t
-      (* one physical launch record per (app, regs): keeps the engine's
-         physical-identity key memos hot across requests *)
-  ; tlps : (string * int * bool, int) Hashtbl.t  (* occupancy default *)
-  ; mutable suite_digest : string option
+  ; records : Gpusim.Launch.t Crat.Memo.t
+      (* one physical launch record per "abbr|regs": keeps the engine's
+         physical-identity launch-key memo hot across requests *)
   ; mutable listen_fd : Unix.file_descr option
   ; socket_path : string
   ; started : float
@@ -52,9 +50,10 @@ let find_app abbr =
   try Workloads.Suite.find abbr
   with Not_found -> raise (Bad_request (Printf.sprintf "unknown app %S" abbr))
 
-(* (launch, config, tlp) of one protocol point. Allocation goes through
-   the engine (memoized + persistent); the launch record is memoized so
-   repeated requests share one physical record. *)
+(* (launch, config, tlp) of one protocol point. Allocation and the
+   default TLP's resource analysis go through the engine's memos; the
+   launch record is memoized so repeated requests share one physical
+   record. *)
 let resolve t (p : Protocol.point) =
   let app = find_app p.Protocol.abbr in
   let regs =
@@ -66,36 +65,20 @@ let resolve t (p : Protocol.point) =
      raise (Bad_request (Printf.sprintf "tlp %d < 1" tlp))
    | _ -> ());
   let cfg = config_of_kepler p.Protocol.kepler in
-  let launch =
-    match locked t (fun () -> Hashtbl.find_opt t.launches (p.Protocol.abbr, regs)) with
-    | Some l -> l
-    | None ->
-      let a = Crat.Engine.allocate t.engine app ~reg_limit:regs in
-      let input = Workloads.App.default_input app in
-      let l =
-        Workloads.App.launch app ~kernel:a.Regalloc.Allocator.kernel ~input ()
-      in
-      locked t (fun () ->
-        match Hashtbl.find_opt t.launches (p.Protocol.abbr, regs) with
-        | Some l' -> l'  (* keep the first physical record *)
-        | None ->
-          Hashtbl.replace t.launches (p.Protocol.abbr, regs) l;
-          l)
+  let launch, _ =
+    Crat.Memo.get_or_compute t.records
+      (Printf.sprintf "%s|%d" p.Protocol.abbr regs)
+      (fun () ->
+         let a = Crat.Engine.allocate t.engine app ~reg_limit:regs in
+         Workloads.App.launch app ~kernel:a.Regalloc.Allocator.kernel
+           ~input:(Workloads.App.default_input app) ())
   in
   let tlp =
     match p.Protocol.tlp with
     | Some tlp -> tlp
     | None ->
-      let key = (p.Protocol.abbr, regs, p.Protocol.kepler) in
-      (match locked t (fun () -> Hashtbl.find_opt t.tlps key) with
-       | Some tlp -> tlp
-       | None ->
-         let r = Crat.Resource.analyze cfg app in
-         let tlp =
-           max 1 (Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage_at r ~regs))
-         in
-         locked t (fun () -> Hashtbl.replace t.tlps key tlp);
-         tlp)
+      let r = Crat.Engine.resource t.engine cfg app in
+      max 1 (Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage_at r ~regs))
   in
   (launch, cfg, tlp)
 
@@ -117,62 +100,18 @@ let handle_simulate t oc pts =
   | exception e -> Protocol.write_response oc (Protocol.Error (Printexc.to_string e))
 
 (* Server-side sweeps reuse the CLI's sweep driver (injected by the
-   binary hosting the daemon); results are content-addressed in the
-   persistent store under the suite's kernel fingerprint and the
-   engine's model epoch, so a sweep over unchanged kernels and model is
-   answered without re-verifying anything. *)
+   binary hosting the daemon) and run uncached on the connection's
+   thread, like [Simulate]: no key could name the checkers' code, so a
+   cached report could outlive the code that wrote it. *)
 let handle_sweep t oc ~kind ~apps =
-  match t.sweep with
-  | None ->
-    Protocol.write_response oc
-      (Protocol.Error "this daemon has no sweep driver")
-  | Some sweep ->
-    let suite_digest =
-      match locked t (fun () -> t.suite_digest) with
-      | Some d -> d
-      | None ->
-        let d =
-          Digest.to_hex
-            (Digest.string
-               (String.concat "|"
-                  (List.map
-                     (fun (a : Workloads.App.t) ->
-                        Digest.string
-                          (Ptx.Printer.kernel_to_string (Workloads.App.kernel a)))
-                     Workloads.Suite.all)))
-        in
-        locked t (fun () -> t.suite_digest <- Some d);
-        d
-    in
-    let rkey =
-      Digest.to_hex
-        (Digest.string
-           (String.concat ","
-              (Crat.Engine.model_epoch :: suite_digest :: kind :: apps)))
-    in
-    let cached : (string * bool) option =
-      match t.store with
-      | Some d -> Store.get_value d ~kind:"report" ~key:rkey
-      | None -> None
-    in
-    (match cached with
-     | Some (text, failed) ->
-       Protocol.write_response oc (Protocol.Sweep_result { text; failed })
-     | None ->
-       let outcome =
-         try Ok (Domain.join (Domain.spawn (fun () -> sweep ~kind ~apps)))
-         with e -> Error (Printexc.to_string e)
-       in
-       (match outcome with
-        | Ok (Some (text, failed)) ->
-          (match t.store with
-           | Some d -> Store.put_value d ~kind:"report" ~key:rkey (text, failed)
-           | None -> ());
-          Protocol.write_response oc (Protocol.Sweep_result { text; failed })
-        | Ok None ->
-          Protocol.write_response oc
-            (Protocol.Error (Printf.sprintf "unknown sweep kind %S" kind))
-        | Error e -> Protocol.write_response oc (Protocol.Error e)))
+  Protocol.write_response oc
+    (match t.sweep with
+     | None -> Protocol.Error "this daemon has no sweep driver"
+     | Some sweep ->
+       (match sweep ~kind ~apps with
+        | Some (text, failed) -> Protocol.Sweep_result { text; failed }
+        | None -> Protocol.Error (Printf.sprintf "unknown sweep kind %S" kind)
+        | exception e -> Protocol.Error (Printexc.to_string e)))
 
 let server_stats t =
   let r = Crat.Engine.report t.engine in
@@ -284,9 +223,7 @@ let run ?(socket = Protocol.default_socket) ?store_dir ?budget ?(jobs = 1)
     ; store
     ; sweep
     ; lock = Mutex.create ()
-    ; launches = Hashtbl.create 32
-    ; tlps = Hashtbl.create 32
-    ; suite_digest = None
+    ; records = Crat.Memo.create ()
     ; listen_fd = Some fd
     ; socket_path = socket
     ; started = Unix.gettimeofday ()

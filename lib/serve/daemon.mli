@@ -24,7 +24,7 @@ val run :
     its connection's thread and fans across up to [jobs] domains
     (default 1). [sweep] runs server-side
     report sweeps — it returns [(report_text, failed)], or [None] for an
-    unknown kind; results are cached in the store under the suite's
-    kernel fingerprint.
+    unknown kind; it runs on the connection's thread for every request,
+    and its reports are never cached.
     @raise Failure if another daemon already answers on [socket] (a
     stale socket file left by a killed daemon is swept and reused). *)

@@ -6,9 +6,10 @@
 
    Conversation shape: the client writes one request frame, then reads
    response frames until [Done] (or one terminal [Sweep_result] /
-   [Stats_result] / [Error]). [Simulate] responses stream: one [Result]
-   frame per point, in completion order (the [index] field maps a result
-   back to its request position), then [Done]. *)
+   [Stats_result] / [Error]). A [Simulate] request is answered with one
+   [Result] frame per point, then [Done]; the daemon writes them only
+   after the whole batch has been simulated, in request order ([index]
+   is the point's request position). *)
 
 (* One simulation point over the built-in workload suite. [regs]
    defaults to the app's nvcc-like default register count, [tlp] to the

@@ -22,7 +22,6 @@ type entry =
   ; ekey : string
   ; size : int  (** whole file size: header + payload *)
   ; mutable atime : int
-  ; mutable pins : int
   }
 
 type stats =
@@ -113,7 +112,7 @@ let save_manifest t =
 (* The manifest is advisory (sizes + LRU recency; the directory scan at
    open is the ground truth), so it need not be rewritten — O(entries)
    of disk I/O — on every put. Persist it every so many index changes;
-   {!sync}, {!gc} and {!close} always save. *)
+   {!close} always saves. *)
 let manifest_save_interval = 32
 
 (* caller holds the lock *)
@@ -160,8 +159,7 @@ let scan t recency =
                            (Hashtbl.find_opt recency (kind, key))
                        in
                        Hashtbl.replace t.index (kind, key)
-                         { ekind = kind; ekey = key; size = st_size; atime
-                         ; pins = 0 };
+                         { ekind = kind; ekey = key; size = st_size; atime };
                        t.total <- t.total + st_size;
                        if atime >= t.clock then t.clock <- atime + 1
                      | _ | (exception Unix.Unix_error _) -> ())
@@ -197,13 +195,12 @@ let open_ ?(budget = default_budget) root =
   scan t (load_manifest (manifest_path t));
   t
 
-let dir t = t.root
 let budget t = t.budget
 let bytes t = locked t (fun () -> t.total)
 
 (* ---------- read path ---------- *)
 
-(* Read and verify one entry file; caller holds the lock (or a pin). *)
+(* Read and verify one entry file. *)
 let read_verified path =
   match
     In_channel.with_open_bin path (fun ic ->
@@ -232,52 +229,34 @@ let drop_entry t e =
   try Sys.remove (entry_path t ~kind:e.ekind ~key:e.ekey)
   with Sys_error _ -> ()
 
-let find_locked t ~kind ~key =
+(* caller holds the lock: refresh the entry's recency, or count a miss *)
+let touch t ~kind ~key =
   match Hashtbl.find_opt t.index (kind, key) with
   | None ->
     t.misses <- t.misses + 1;
-    None
+    false
   | Some e ->
     e.atime <- t.clock;
     t.clock <- t.clock + 1;
-    Some e
+    true
 
-let get_general t ~kind ~key ~pin f =
+let get t ~kind ~key =
   check_name "kind" kind;
   check_name "key" key;
-  let entry =
-    locked t (fun () ->
-      check_open t;
-      match find_locked t ~kind ~key with
-      | None -> None
-      | Some e ->
-        if pin then e.pins <- e.pins + 1;
-        Some e)
-  in
-  match entry with
-  | None -> None
-  | Some e ->
-    let unpin () =
-      if pin then locked t (fun () -> e.pins <- e.pins - 1)
-    in
-    Fun.protect ~finally:unpin (fun () ->
-      match read_verified (entry_path t ~kind ~key) with
-      | Some payload ->
-        locked t (fun () -> t.hits <- t.hits + 1);
-        Some (f payload)
-      | None ->
-        (* checksum or length mismatch: disk-level corruption. Drop the
-           entry so the key reads as a clean miss from now on. *)
-        locked t (fun () ->
-          t.corrupt <- t.corrupt + 1;
-          t.misses <- t.misses + 1;
-          match Hashtbl.find_opt t.index (kind, key) with
-          | Some e' when e'.pins <= (if pin then 1 else 0) -> drop_entry t e'
-          | _ -> ());
-        None)
-
-let get t ~kind ~key = get_general t ~kind ~key ~pin:false Fun.id
-let with_entry t ~kind ~key f = get_general t ~kind ~key ~pin:true f
+  if not (locked t (fun () -> check_open t; touch t ~kind ~key)) then None
+  else
+    match read_verified (entry_path t ~kind ~key) with
+    | Some payload ->
+      locked t (fun () -> t.hits <- t.hits + 1);
+      Some payload
+    | None ->
+      (* checksum or length mismatch: disk-level corruption. Drop the
+         entry so the key reads as a clean miss from now on. *)
+      locked t (fun () ->
+        t.corrupt <- t.corrupt + 1;
+        t.misses <- t.misses + 1;
+        Option.iter (drop_entry t) (Hashtbl.find_opt t.index (kind, key)));
+      None
 
 let mem t ~kind ~key =
   check_name "kind" kind;
@@ -286,18 +265,18 @@ let mem t ~kind ~key =
     check_open t;
     Hashtbl.mem t.index (kind, key))
 
-(* ---------- write path, GC ---------- *)
+(* ---------- write path ---------- *)
 
 (* caller holds the lock *)
 let enforce_budget t =
   if t.total > t.budget then begin
     let victims =
-      Hashtbl.fold (fun _ e acc -> if e.pins = 0 then e :: acc else acc) t.index []
+      Hashtbl.fold (fun _ e acc -> e :: acc) t.index []
       |> List.sort (fun a b -> compare a.atime b.atime)
     in
     let rec go = function
       | _ when t.total <= t.budget -> ()
-      | [] -> ()  (* everything left is pinned by an in-progress read *)
+      | [] -> ()
       | e :: rest ->
         drop_entry t e;
         t.evictions <- t.evictions + 1;
@@ -362,7 +341,6 @@ let put t ~kind ~key payload =
            ; ekey = key
            ; size
            ; atime = t.clock
-           ; pins = 0
            };
          t.total <- t.total + size);
       t.clock <- t.clock + 1;
@@ -380,12 +358,6 @@ let delete t ~kind ~key =
     match Hashtbl.find_opt t.index (kind, key) with
     | Some e -> drop_entry t e
     | None -> ())
-
-let gc t =
-  locked t (fun () ->
-    check_open t;
-    enforce_budget t;
-    save_manifest t)
 
 (* ---------- typed helpers ---------- *)
 
@@ -409,11 +381,6 @@ let stats t =
     ; evictions = t.evictions
     ; corrupt = t.corrupt
     })
-
-let sync t =
-  locked t (fun () ->
-    check_open t;
-    save_manifest t)
 
 let close t =
   locked t (fun () ->

@@ -1,11 +1,11 @@
 (** Crash-safe, content-addressed on-disk store.
 
-    The engine's caches (launch traces, allocations, statistics, sweep
-    reports) are keyed by structural content digests, but until now they
-    died with the process. This module gives those keys a durable home:
-    a directory of immutable entries addressed by [(kind, key)], where
-    [kind] namespaces the value family (["trace"], ["stats"], ["alloc"],
-    ["report"]) and [key] is the engine's existing hex digest.
+    The engine's memos (launch traces, allocations, statistics) are
+    keyed by structural content digests; this module gives those keys a
+    durable home across processes: a directory of immutable entries
+    addressed by [(kind, key)], where [kind] namespaces the value family
+    (["trace"], ["stats"], ["alloc"]) and [key] is the engine's hex
+    digest.
 
     Durability discipline:
     - Writes are atomic: an entry is streamed to [tmp/] inside the store
@@ -22,8 +22,9 @@
       recency, never data.
 
     Budget: the summed on-disk entry bytes are bounded by a byte budget;
-    inserting past it evicts least-recently-used entries first. An entry
-    pinned by an in-progress {!with_entry} read is never evicted.
+    inserting past it evicts least-recently-used entries first. Reads do
+    not pin entries: an entry evicted (its file unlinked) while {!get}
+    reads it either reads whole or reads as absent.
 
     All operations are thread-safe (one internal mutex). One process
     owns a store directory at a time; concurrent opens of the same
@@ -49,10 +50,9 @@ val open_ : ?budget:int -> string -> t
 (** Open (creating if needed) the store rooted at a directory: remove
     stale temp files, scan the entries on disk, and fold in the
     manifest's recency data. [budget] (default {!default_budget}) is the
-    byte budget enforced by {!put}/{!gc}.
+    byte budget enforced by {!put}.
     @raise Sys_error when the directory cannot be created. *)
 
-val dir : t -> string
 val budget : t -> int
 val bytes : t -> int
 
@@ -70,16 +70,7 @@ val get : t -> kind:string -> key:string -> string option
 
 val mem : t -> kind:string -> key:string -> bool
 
-val with_entry : t -> kind:string -> key:string -> (string -> 'a) -> 'a option
-(** Like {!get}, but the entry is pinned for the duration of the
-    callback: concurrent {!put}/{!gc} budget enforcement will not evict
-    it (or delete its file) until the callback returns. *)
-
 val delete : t -> kind:string -> key:string -> unit
-
-val gc : t -> unit
-(** Evict least-recently-used unpinned entries until the byte budget
-    holds, then persist the manifest. *)
 
 val put_value : t -> kind:string -> key:string -> 'a -> unit
 (** [put] of [Marshal.to_string v]. The value must be closure-free. *)
@@ -92,12 +83,10 @@ val get_value : t -> kind:string -> key:string -> 'a option
     [None] when absent or when unmarshalling fails. *)
 
 val stats : t -> stats
-val sync : t -> unit
-(** Persist the manifest now. {!gc} and {!close} always persist it;
-    {!put} persists it every few dozen insertions (it is advisory —
-    sizes and LRU recency — so rewriting it on every put would only
-    serialize the write-through hot path behind O(entries) disk I/O). *)
 
 val close : t -> unit
-(** [sync] and drop the in-memory index; further use raises
-    [Invalid_argument]. *)
+(** Persist the manifest and drop the in-memory index; further use
+    raises [Invalid_argument]. {!put} persists the manifest only every
+    few dozen insertions (it is advisory — sizes and LRU recency — so
+    rewriting it on every put would only serialize the write-through hot
+    path behind O(entries) disk I/O). *)

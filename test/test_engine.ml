@@ -279,6 +279,36 @@ let test_reset () =
   check "store cleared too: simulation re-runs" true
     ((Crat.Engine.report e).Crat.Engine.sim_runs > 0)
 
+(* [Engine.resource] analyses each (app descriptor, config, backend)
+   once: a repeat answers the memoized value, which is structurally the
+   direct analysis on both backends and both targets. The key is the
+   descriptor, not the abbreviation: a resized block is analysed anew. *)
+let test_resource_memo () =
+  let e = Crat.Engine.create () in
+  List.iter
+    (fun abbr ->
+       let a = Workloads.Suite.find abbr in
+       List.iter
+         (fun (cfg : Gpusim.Config.t) ->
+            List.iter
+              (fun backend ->
+                 let what =
+                   Printf.sprintf "%s %s %s" abbr cfg.Gpusim.Config.name
+                     (Machine.Backend.to_string backend)
+                 in
+                 let r = Crat.Engine.resource e ~backend cfg a in
+                 check (what ^ ": repeat answers the memoized value") true
+                   (Crat.Engine.resource e ~backend cfg a == r);
+                 check (what ^ ": equals Resource.analyze") true
+                   (r = Crat.Resource.analyze ~backend cfg a))
+              [ Machine.Backend.Ptx; Machine.Backend.Machine ])
+         [ fermi; Gpusim.Config.kepler ])
+    [ "GAU"; "KMN"; "BFS"; "CFD" ];
+  let a = Workloads.Suite.find "GAU" in
+  let wide = { a with Workloads.App.block_size = 2 * a.Workloads.App.block_size } in
+  check_int "resized block analysed anew" wide.Workloads.App.block_size
+    (Crat.Engine.resource e fermi wide).Crat.Resource.block_size
+
 let test_create_validates () =
   check "jobs=0 rejected" true
     (try
@@ -302,6 +332,8 @@ let () =
         ; Alcotest.test_case "cache:false bypasses" `Slow
             test_cache_false_bypasses_store
         ; Alcotest.test_case "reset" `Slow test_reset
+        ; Alcotest.test_case "resource memo equals Resource.analyze" `Slow
+            test_resource_memo
         ; Alcotest.test_case "create validates jobs" `Quick test_create_validates
         ] )
     ; ( "parallel"

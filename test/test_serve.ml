@@ -244,35 +244,59 @@ let test_unresolvable_point () =
     | Error e -> Alcotest.fail ("connection died after an unresolvable point: " ^ e));
   shutdown_daemon socket join
 
+let sweep_ok c ~kind ~apps =
+  match Serve.Client.sweep c ~kind ~apps with
+  | Ok r -> r
+  | Error e -> Alcotest.fail e
+
+(* a stub sweep driver standing in for the CLI's Sweep.serve_sweep (bin
+   modules are not linkable from the test tree): [verify] prefixes the
+   app list with [tag] and counts its runs *)
+let stub_sweep ?(calls = ref 0) tag ~kind ~apps =
+  match kind with
+  | "verify" ->
+    incr calls;
+    Some (Printf.sprintf "%s: %s" tag (String.concat "," apps), false)
+  | _ -> None
+
 let test_server_side_sweep () =
   let dir = temp_dir "serve-sweep" in
-  (* a stub sweep driver standing in for the CLI's Sweep.serve_sweep
-     (bin modules are not linkable from the test tree) *)
   let calls = ref 0 in
-  let sweep ~kind ~apps =
-    match kind with
-    | "verify" ->
-      incr calls;
-      Some (Printf.sprintf "verify ok: %s" (String.concat "," apps), false)
-    | _ -> None
-  in
   let store_dir = Filename.concat dir "store" in
-  let socket, join = spawn_daemon ~store_dir ~sweep dir "s" in
+  let socket, join =
+    spawn_daemon ~store_dir ~sweep:(stub_sweep ~calls "verify ok") dir "s"
+  in
   with_client socket (fun c ->
-    (match Serve.Client.sweep c ~kind:"verify" ~apps:[ "BFS" ] with
-     | Ok (text, failed) ->
-       check "sweep text delivered" true (text = "verify ok: BFS");
-       check "sweep passed" false failed
-     | Error e -> Alcotest.fail e);
-    (* identical sweep again: served from the store, driver not re-run *)
-    (match Serve.Client.sweep c ~kind:"verify" ~apps:[ "BFS" ] with
-     | Ok (text, _) -> check "cached sweep identical" true (text = "verify ok: BFS")
-     | Error e -> Alcotest.fail e);
-    check "sweep driver ran once" true (!calls = 1);
+    let text, failed = sweep_ok c ~kind:"verify" ~apps:[ "BFS" ] in
+    check "sweep text delivered" true (text = "verify ok: BFS");
+    check "sweep passed" false failed;
+    (* sweeps are never cached: the driver runs again, with the same
+       answer *)
+    let again, _ = sweep_ok c ~kind:"verify" ~apps:[ "BFS" ] in
+    check "repeat sweep identical" true (again = text);
+    Alcotest.(check int) "sweep driver ran per request" 2 !calls;
     match Serve.Client.sweep c ~kind:"bogus" ~apps:[] with
     | Ok _ -> Alcotest.fail "bogus sweep kind accepted"
     | Error _ -> ());
   shutdown_daemon socket join
+
+(* A daemon restarted on the same store with a changed sweep driver (a
+   checker fixed between releases) must answer with the new driver's
+   text, not a report the old one left behind. *)
+let test_sweep_after_driver_change () =
+  let dir = temp_dir "serve-sweep-change" in
+  let store_dir = Filename.concat dir "store" in
+  let sweep_once tag name =
+    let socket, join = spawn_daemon ~store_dir ~sweep:(stub_sweep tag) dir name in
+    let text, _ =
+      with_client socket (fun c -> sweep_ok c ~kind:"verify" ~apps:[ "BFS" ])
+    in
+    shutdown_daemon socket join;
+    text
+  in
+  Alcotest.(check string) "old driver's text" "old: BFS" (sweep_once "old" "a");
+  Alcotest.(check string) "restarted daemon answers the new text" "new: BFS"
+    (sweep_once "new" "b")
 
 let () =
   Random.self_init ();
@@ -290,6 +314,8 @@ let () =
         ; Alcotest.test_case "warm restart from store" `Slow
             test_warm_restart_from_store
         ; Alcotest.test_case "server-side sweep" `Quick test_server_side_sweep
+        ; Alcotest.test_case "sweep answers a changed driver's text" `Quick
+            test_sweep_after_driver_change
         ; Alcotest.test_case "concurrent clients record a launch once" `Slow
             test_concurrent_clients_record_once
         ; Alcotest.test_case "vanished client strands no claim" `Slow

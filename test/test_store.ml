@@ -1,7 +1,6 @@
 (* Durability tests for the persistent content-addressed store:
    crash-safe writes (a writer killed mid-write never corrupts the
-   store), budget-driven LRU eviction that respects pinned readers, and
-   bit-identical round-trips through the engine's disk layer. *)
+   store), budget-driven LRU eviction, and bit-identical round-trips through the engine's disk layer. *)
 
 let check = Alcotest.(check bool)
 
@@ -142,34 +141,6 @@ let test_gc_respects_budget () =
     (Store.mem s ~kind:"trace" ~key:(key_of oldest));
   Store.close s
 
-(* An entry pinned by an in-progress [with_entry] read must survive a
-   budget overflow that would otherwise evict it as LRU. *)
-let test_pinned_entry_not_evicted () =
-  let dir = temp_dir "store-pin" in
-  let payload = String.make 1024 'q' in
-  let s = Store.open_ ~budget:(4 * 1100) dir in
-  Store.put s ~kind:"trace" ~key:"pinned" payload;
-  let observed =
-    Store.with_entry s ~kind:"trace" ~key:"pinned" (fun data ->
-      (* make "pinned" the LRU victim-to-be while it is being read *)
-      for i = 0 to 15 do
-        Store.put s ~kind:"trace" ~key:(key_of i) payload
-      done;
-      check "pinned entry still present mid-read" true
-        (Store.mem s ~kind:"trace" ~key:"pinned");
-      data)
-  in
-  Alcotest.(check (option string)) "pinned read saw intact data"
-    (Some payload) observed;
-  (* unpinned now: the next overflow may evict it *)
-  for i = 16 to 23 do
-    Store.put s ~kind:"trace" ~key:(key_of i) payload
-  done;
-  check "unpinned entry eventually evictable" false
-    (Store.mem s ~kind:"trace" ~key:"pinned");
-  check "budget holds" true (Store.bytes s <= Store.budget s);
-  Store.close s
-
 (* ---------- engine round-trip ---------- *)
 
 (* Record through one engine into a store; reopen the store under a
@@ -269,8 +240,6 @@ let () =
     ; ( "budget"
       , [ Alcotest.test_case "gc respects byte budget" `Quick
             test_gc_respects_budget
-        ; Alcotest.test_case "pinned entries never evicted" `Quick
-            test_pinned_entry_not_evicted
         ] )
     ; ( "engine"
       , [ Alcotest.test_case "cross-process round-trip bit-identical" `Slow
