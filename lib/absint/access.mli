@@ -1,9 +1,9 @@
 (** Per-access memory classification and branch uniformity.
 
-    The segment bound mirrors {!Gpusim.Sm.coalesce} (distinct L1-line
-    indices over the warp's lane base addresses); the bank-conflict
-    degree mirrors {!Gpusim.Sm.bank_conflict_degree} (max distinct
-    4-byte words mapping to one bank). Every bound is a worst-case over
+    The segment bound mirrors {!Gpusim.Coalescer.segments} (distinct
+    L1-line indices over the warp's lane base addresses); the
+    bank-conflict degree mirrors {!Gpusim.Coalescer.bank_degree} (max
+    distinct 4-byte words mapping to one bank). Every bound is a worst-case over
     base alignment, so a dynamic counter can never exceed it. *)
 
 type mem_class =

@@ -266,8 +266,9 @@ let cold_launch (p : point) =
 
 let exec_cold p = Gpusim.Sm.run p.cfg (cold_launch p)
 
-(* Record while running cold; publish the trace only after a successful
-   run (a Cycle_limit abort must not leave a truncated trace behind).
+(* A cold run records its trace in its functional pass before timing
+   it; keep the trace, and publish it only after a successful run (a
+   Cycle_limit abort must not leave a truncated trace behind).
    Publishing writes it through to the persistent store — that is what
    makes "record each launch once ever" hold across processes. *)
 let exec_record t p =

@@ -25,6 +25,10 @@ let trace (cfg : Gpusim.Config.t) app input =
     | [] -> invalid_arg "Segments.trace: empty block"
   in
   let line = cfg.Gpusim.Config.l1_line in
+  let sc =
+    Gpusim.Coalescer.create ~lanes:cfg.Gpusim.Config.warp_size ~line
+      ~banks:cfg.Gpusim.Config.shared_banks
+  in
   let lines = Hashtbl.create 256 in
   let segments = ref [] in
   let cur = ref 0 in
@@ -45,14 +49,14 @@ let trace (cfg : Gpusim.Config.t) app input =
     | Gpusim.Interp.E_mem { space = Ptx.Types.Shared; _ } ->
       cur := !cur + cfg.Gpusim.Config.shared_latency
     | Gpusim.Interp.E_mem _ ->
-      let line64 = Int64.of_int line in
-      let segs = ref [] in
+      Gpusim.Coalescer.reset sc;
       for i = 0 to Gpusim.Interp.mem_count w - 1 do
-        let ln = Int64.div (Gpusim.Interp.mem_addr w i) line64 in
-        if not (List.mem ln !segs) then segs := ln :: !segs
+        Gpusim.Coalescer.add sc (Gpusim.Interp.mem_addr w i)
       done;
-      List.iter (fun ln -> Hashtbl.replace lines ln ()) !segs;
-      let n = List.length !segs in
+      let n = Gpusim.Coalescer.segments sc in
+      for j = 0 to n - 1 do
+        Hashtbl.replace lines (Gpusim.Coalescer.segment sc j) ()
+      done;
       total_refs := !total_refs + n;
       flush ();
       segments := Mem n :: !segments

@@ -1,0 +1,71 @@
+(* Lane addresses are kept as bit patterns in a float array (unboxed
+   stores) and reduced on demand into an int scratch: line indices for
+   coalescing, word indices for bank conflicts. *)
+
+type t =
+  { line : int64
+  ; banks : int
+  ; addrs : float array
+  ; mutable n : int
+  ; buf : int array  (* distinct line or word indices *)
+  ; bank_counts : int array  (* per signed-mod bank class *)
+  }
+
+let create ~lanes ~line ~banks =
+  { line = Int64.of_int line
+  ; banks
+  ; addrs = Array.make lanes 0.0
+  ; n = 0
+  ; buf = Array.make lanes 0
+  ; bank_counts = Array.make ((2 * banks) + 1) 0
+  }
+
+let reset t = t.n <- 0
+
+let add t a =
+  t.addrs.(t.n) <- Int64.float_of_bits a;
+  t.n <- t.n + 1
+
+let addr t i = Int64.bits_of_float (Array.unsafe_get t.addrs i)
+
+(* The distinct values of [addr / div] over the lanes, ascending, in
+   [buf] (insertion sort, then an in-place dedupe); returns how many. *)
+let distinct t div =
+  let n = t.n in
+  let buf = t.buf in
+  for i = 0 to n - 1 do
+    buf.(i) <- Int64.to_int (Int64.div (addr t i) div)
+  done;
+  for i = 1 to n - 1 do
+    let x = buf.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && buf.(!j) > x do
+      buf.(!j + 1) <- buf.(!j);
+      decr j
+    done;
+    buf.(!j + 1) <- x
+  done;
+  let m = ref 0 in
+  for i = 0 to n - 1 do
+    if !m = 0 || buf.(i) <> buf.(!m - 1) then begin
+      buf.(!m) <- buf.(i);
+      incr m
+    end
+  done;
+  !m
+
+let segments t = distinct t t.line
+let segment t i = t.buf.(i)
+
+let bank_degree t =
+  let m = distinct t 4L in
+  let banks = t.banks in
+  Array.fill t.bank_counts 0 (Array.length t.bank_counts) 0;
+  let degree = ref 1 in
+  for j = 0 to m - 1 do
+    let k = (t.buf.(j) mod banks) + banks in
+    let c = t.bank_counts.(k) + 1 in
+    t.bank_counts.(k) <- c;
+    if c > !degree then degree := c
+  done;
+  !degree

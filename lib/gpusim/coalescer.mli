@@ -1,0 +1,29 @@
+(** The one definition of a warp access's memory cost, shared by the
+    timing model ({!Sm}), the profiler ({!Profile}) and the static
+    segmenter ([Crat.Segments]): the L1-line segments its lane
+    addresses coalesce into, and its shared-memory bank-conflict
+    degree. A scratch is allocated once; nothing after that allocates. *)
+
+type t
+
+val create : lanes:int -> line:int -> banks:int -> t
+(** Scratch for up to [lanes] lane addresses, [line]-byte L1 lines and
+    [banks] 4-byte shared-memory banks. *)
+
+val reset : t -> unit
+(** Start a new access. *)
+
+val add : t -> int64 -> unit
+(** The next lane's byte address. *)
+
+val segments : t -> int
+(** Number of distinct L1-line indices; they are left ascending for
+    {!segment}. *)
+
+val segment : t -> int -> int
+(** The [i]-th distinct line index of the last {!segments}. *)
+
+val bank_degree : t -> int
+(** Most distinct 4-byte words falling in one bank (same-word lanes
+    broadcast), at least 1. A word's bank is its signed remainder, so
+    negative words form classes of their own. *)

@@ -118,6 +118,14 @@ type exec =
   | E_barrier
   | E_exit
 
+(* branch-free SWAR popcount over OCaml's 63-bit ints: pairwise, then
+   nibble-wise sums, then one multiply gathers the byte counts *)
+let popcount m =
+  let m = m - ((m lsr 1) land 0x1555555555555555) in
+  let m = (m land 0x3333333333333333) + ((m lsr 2) land 0x3333333333333333) in
+  let m = (m + (m lsr 4)) land 0x0F0F0F0F0F0F0F0F in
+  (m * 0x0101010101010101) lsr 56 land 0x7F
+
 type t =
   { code : dinstr array
   ; exec_of : exec array (* preallocated per-pc step outcome *)

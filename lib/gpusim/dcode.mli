@@ -102,6 +102,9 @@ type exec =
   | E_barrier
   | E_exit
 
+val popcount : int -> int
+(** Number of set bits — the active lanes of a mask. Branch-free SWAR. *)
+
 type t = private
   { code : dinstr array
   ; exec_of : exec array  (** preallocated per-pc step outcome *)

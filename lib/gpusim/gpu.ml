@@ -7,9 +7,13 @@ type result =
 
 exception Cycle_limit of result
 
-let run ?sms ?(max_cycles = 40_000_000) ?scheduler ?record ?replay
-    (cfg : Config.t) (l : Launch.t) =
+let run ?sms ?(max_cycles = 40_000_000) ?scheduler (cfg : Config.t)
+    (l : Launch.t) =
   let n_sms = Option.value ~default:cfg.Config.num_sms sms in
+  let trace = Replay.create l in
+  Emulator.run ~record:trace
+    ~max_warp_instrs:((max_cycles + 1) * cfg.Config.num_schedulers * n_sms)
+    l;
   let shared = Sm.make_shared cfg in
   let next = ref 0 in
   let next_block () =
@@ -21,10 +25,9 @@ let run ?sms ?(max_cycles = 40_000_000) ?scheduler ?record ?replay
     end
   in
   (* block ids are dispensed globally, so each block lands on exactly
-     one SM and a shared trace records (or replays) each exactly once *)
+     one SM and replays its part of the one trace exactly once *)
   let units =
-    Array.init n_sms (fun _ ->
-      Sm.create ?scheduler ?record ?replay cfg shared ~next_block l)
+    Array.init n_sms (fun _ -> Sm.create ?scheduler cfg shared ~next_block trace l)
   in
   let cycle = ref 0 in
   let mk_result () =

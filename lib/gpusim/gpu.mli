@@ -7,8 +7,10 @@
     that shared-bandwidth contention, not SM count, bounds throughput
     for memory-bound kernels.
 
-    The per-cycle driver is allocation-free (flat running flags, no
-    per-cycle closures), matching {!Sm}'s scratch-buffer discipline. *)
+    The launch is executed functionally once, through {!Emulator.run},
+    and every SM replays its blocks from that one trace. The per-cycle
+    driver is allocation-free (flat running flags, no per-cycle
+    closures), matching {!Sm}'s scratch-buffer discipline. *)
 
 type result =
   { per_sm : Stats.t array
@@ -23,18 +25,16 @@ val run :
   ?sms:int
   -> ?max_cycles:int
   -> ?scheduler:[ `Gto | `Lrr ]
-  -> ?record:Replay.t
-      (** capture the launch's dynamic trace while executing (block ids
-          are global, so one shared trace covers all SMs) *)
-  -> ?replay:Replay.t
-      (** drive every SM from this recorded trace instead of executing
-          functionally *)
   -> Config.t
   -> Launch.t
   -> result
-(** Simulate [sms] SMs (default: the configuration's [num_sms]). Blocks
-    are dispatched globally in id order as slots free up; the launch's
-    [tlp_limit] bounds concurrent blocks per SM. *)
+(** Simulate [sms] SMs (default: the configuration's [num_sms]),
+    mutating the launch's global memory. Blocks are dispatched globally
+    in id order as slots free up; the launch's [tlp_limit] bounds
+    concurrent blocks per SM. As in {!Sm.run}, a kernel that never
+    exits still ends in {!Cycle_limit}.
+    @raise Cycle_limit when [max_cycles] (default 40_000_000) elapses.
+    @raise Failure on barrier deadlock or divergent return. *)
 
 val aggregate_ipc : result -> float
 (** Total warp instructions per cycle across all SMs. *)

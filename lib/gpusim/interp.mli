@@ -14,9 +14,9 @@
     {!Refinterp} (the original boxed interpreter), with differential
     property tests keeping the two in lockstep agreement.
 
-    The same interpreter drives both the cycle-accurate simulator
-    ({!Sm}) and the reference emulator ({!Emulator}) used by the
-    semantics-preservation property tests. *)
+    {!Emulator} drives it: that functional pass records the traces
+    the cycle-level simulator ({!Sm}) replays, and serves as the
+    oracle of the semantics-preservation property tests. *)
 
 type launch_ctx = Simt.launch_ctx =
   { image : Image.t
@@ -91,8 +91,3 @@ val popcount : int -> int
 
 val read_reg_values : warp -> Ptx.Reg.t -> Value.t array
 (** Current per-lane values of a register (testing/debugging). *)
-
-val reg_key : Ptx.Reg.t -> int
-(** Physical-slot key: width class and id, ignoring the scalar type —
-    two allocated registers with the same colour share a slot. Used by
-    the timing layer's scoreboard. *)

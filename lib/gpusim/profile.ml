@@ -31,43 +31,17 @@ let branch_stat t pc =
     Hashtbl.add t.branch_tbl pc s;
     s
 
-(* distinct L1-line indices over the lane base addresses, as
-   {!Sm.coalesce} counts them *)
-let segments ~line lane_addrs =
-  let line = Int64.of_int line in
-  let lines =
-    List.sort_uniq Int64.compare
-      (List.map (fun (_, a) -> Int64.div a line) lane_addrs)
-  in
-  List.length lines
-
-(* max distinct 4-byte words mapping to one bank, as
-   {!Sm.bank_conflict_degree}; the bank of a word is its signed
-   remainder, kept distinct from the positive classes by offsetting *)
-let bank_degree ~banks lane_addrs =
-  let words =
-    List.sort_uniq Int64.compare
-      (List.map (fun (_, a) -> Int64.div a 4L) lane_addrs)
-  in
-  let counts = Hashtbl.create 16 in
-  let degree = ref 1 in
-  List.iter
-    (fun w ->
-       let bank = Int64.to_int (Int64.rem w (Int64.of_int banks)) + banks in
-       let c = 1 + Option.value ~default:0 (Hashtbl.find_opt counts bank) in
-       Hashtbl.replace counts bank c;
-       if c > !degree then degree := c)
-    words;
-  if words = [] then 1 else !degree
-
-let record_mem t ~line ~banks pc (space : Ptx.Types.space) lane_addrs =
+(* the access's cost, counted exactly as the timing model counts it *)
+let record_mem t sc pc (space : Ptx.Types.space) lane_addrs =
   let s = mem_stat t pc space in
   s.m_execs <- s.m_execs + 1;
+  Coalescer.reset sc;
+  List.iter (fun (_, a) -> Coalescer.add sc a) lane_addrs;
   match space with
   | Ptx.Types.Global | Ptx.Types.Local ->
-    s.max_segments <- max s.max_segments (segments ~line lane_addrs)
+    s.max_segments <- max s.max_segments (Coalescer.segments sc)
   | Ptx.Types.Shared ->
-    s.max_bank_degree <- max s.max_bank_degree (bank_degree ~banks lane_addrs)
+    s.max_bank_degree <- max s.max_bank_degree (Coalescer.bank_degree sc)
   | _ -> ()
 
 (* A conditional branch splits the warp when both the taken and the
@@ -94,6 +68,7 @@ let record_branch t w =
 let run ?(line = 128) ?(banks = 32) ?sanitize (l : Launch.t) =
   let lctx = Simt.launch_ctx ?sanitize ~image:(Image.prepare l.Launch.kernel) l in
   let t = { mem_tbl = Hashtbl.create 64; branch_tbl = Hashtbl.create 16 } in
+  let sc = Coalescer.create ~lanes:l.Launch.warp_size ~line ~banks in
   let step w =
     record_branch t w;
     let pc = Refinterp.pc w in
@@ -101,7 +76,7 @@ let run ?(line = 128) ?(banks = 32) ?sanitize (l : Launch.t) =
     | Refinterp.E_barrier -> Simt.Barrier
     | Refinterp.E_exit -> Simt.Exit
     | Refinterp.E_mem { space; lane_addrs; _ } ->
-      record_mem t ~line ~banks pc space lane_addrs;
+      record_mem t sc pc space lane_addrs;
       Simt.Step
     | Refinterp.E_alu _ -> Simt.Step
   in

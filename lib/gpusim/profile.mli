@@ -6,9 +6,9 @@
 
     - memory accesses: execution count, the maximum number of distinct
       L1-line segments a single warp access touched (global and local
-      spaces, post local-interleave — exactly what {!Sm.coalesce}
-      counts), and the maximum shared-memory bank-conflict degree
-      (mirroring {!Sm.bank_conflict_degree});
+      spaces, post local-interleave), and the maximum shared-memory
+      bank-conflict degree — both counted by {!Coalescer}, as the
+      timing model ({!Sm}) counts them;
     - conditional branches: execution count and how many executions
       actually split the warp.
 

@@ -114,14 +114,6 @@ let warp_id c = c.tr.wid
 let fetch c = if is_done c then -1 else Array.unsafe_get c.tr.pcs c.i
 let active_mask c = Array.unsafe_get c.tr.masks c.i
 
-(* branch-free SWAR popcount, as Interp.popcount (duplicated so replay
-   has no interpreter dependency at all) *)
-let popcount x =
-  let x = x - ((x lsr 1) land 0x5555555555555555) in
-  let x = (x land 0x3333333333333333) + ((x lsr 2) land 0x3333333333333333) in
-  let x = (x + (x lsr 4)) land 0x0F0F0F0F0F0F0F0F in
-  (x * 0x0101010101010101) lsr 56
-
 let step c =
   let pc = Array.unsafe_get c.tr.pcs c.i in
   let mask = Array.unsafe_get c.tr.masks c.i in
@@ -129,7 +121,7 @@ let step c =
   let exec = Array.unsafe_get c.code.Dcode.exec_of pc in
   (match exec with
    | Dcode.E_mem _ ->
-     let n = popcount mask in
+     let n = Dcode.popcount mask in
      c.cur_addr_off <- c.ai;
      c.cur_addr_n <- n;
      c.ai <- c.ai + n

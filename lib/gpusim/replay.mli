@@ -1,5 +1,6 @@
-(** Trace-driven replay: record a launch's dynamic trace once, replay it
-    through the timing layer arbitrarily many times.
+(** Dynamic traces: the input of the timing model. A launch is
+    executed functionally once and its trace replayed through the
+    timing layer arbitrarily many times.
 
     The timing pipeline ({!Sm}'s scoreboard, LSU, coalescer, caches and
     bank-conflict model) consumes only three things per issued warp
@@ -8,10 +9,9 @@
     addresses. All three are invariant across timing configurations for
     a fixed launch (kernel image, geometry, parameters, initial
     memory): this is the trace-mode decoupling of GPGPU-Sim/Accel-Sim.
-    A recording run captures them per warp in flat growable arrays; a
-    {!cursor} then feeds them back to the timing layer, skipping
-    {!Dcode} operand evaluation and register-file writes entirely, and
-    a replayed run's {!Stats.t} is bit-identical to a cold one.
+    {!Emulator.run} records them per warp in flat growable arrays; a
+    {!cursor} then feeds them to the timing layer, which never
+    evaluates an operand or writes a register.
 
     Traces are keyed by {!launch_key} — kernel image, geometry,
     parameters and a canonical {!Memory.digest} of the initial memory,
@@ -27,8 +27,8 @@ type t
     the prepared kernel image. *)
 
 val create : Launch.t -> t
-(** Empty trace for a launch (prepares the kernel image once; replayed
-    runs reuse it and skip {!Image.prepare} too). *)
+(** Empty trace for a launch. It prepares the kernel image once; the
+    recording pass and every replay reuse it. *)
 
 val image : t -> Image.t
 val block_size : t -> int
@@ -39,7 +39,9 @@ val events : t -> int
 (** Total recorded footprint: issued instructions plus recorded lane
     addresses — the unit of the engine's trace budget. *)
 
-(** {2 Recording} *)
+(** {2 Recording}
+
+    The writer is {!Emulator.run}'s [?record]. *)
 
 val wtrace : t -> ctaid:int -> wid:int -> wtrace
 (** The warp's trace buffer. Recording appends; a warp is recorded at
@@ -59,9 +61,10 @@ val finish : t -> unit
 (** {2 Replay} *)
 
 type cursor
-(** A replay front-end over one warp's trace, presenting the same
-    stepping surface {!Sm} consumes from a live {!Interp.warp}:
-    {!fetch}/{!active_mask}/{!step}/{!mem_count}/{!mem_addr}. *)
+(** A read position in one warp's trace: the stepping surface {!Sm}
+    consumes, {!fetch}/{!active_mask}/{!step}/{!mem_count}/{!mem_addr}.
+    A cursor is done once its trace is exhausted; a warp whose trace
+    was cut short therefore never exits. *)
 
 val cursor : t -> ctaid:int -> wid:int -> cursor
 val is_done : cursor -> bool

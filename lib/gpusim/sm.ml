@@ -1,43 +1,8 @@
 exception Cycle_limit of Stats.t
 
-(* The instruction front-end: either a live functional interpreter warp
-   or a replay cursor over a previously recorded trace. The timing
-   machinery below consumes only the surface both share — next pc,
-   active mask, step outcome and resolved lane addresses — so replay
-   produces bit-identical statistics while skipping operand evaluation
-   and register-file writes entirely. *)
-type front =
-  | Live of Interp.warp
-  | Cur of Replay.cursor
-
-let f_done = function
-  | Live w -> Interp.is_done w
-  | Cur c -> Replay.is_done c
-
-let f_fetch = function
-  | Live w -> Interp.fetch w
-  | Cur c -> Replay.fetch c
-
-let f_mask = function
-  | Live w -> Interp.active_mask w
-  | Cur c -> Replay.active_mask c
-
-let f_wid = function
-  | Live w -> Interp.warp_id w
-  | Cur c -> Replay.warp_id c
-
-let f_step = function
-  | Live w -> Interp.step w
-  | Cur c -> Replay.step c
-
-let f_mem_count = function
-  | Live w -> Interp.mem_count w
-  | Cur c -> Replay.mem_count c
-
-let f_mem_addr f i =
-  match f with
-  | Live w -> Interp.mem_addr w i
-  | Cur c -> Replay.mem_addr c i
+(* Every warp slot reads its instructions from a {!Replay} cursor: the
+   timing machinery below sees only the pc, the active mask, the step
+   outcome and the lane addresses of each issued instruction. *)
 
 (* an in-flight load: registers become ready when all segments return *)
 type pending_load =
@@ -48,12 +13,10 @@ type pending_load =
   }
 
 and wstate =
-  { w : front
-  ; tr : Replay.wtrace option  (** recording sink, when capturing a trace *)
+  { w : Replay.cursor
   ; sb : int array  (** scoreboard: register slot -> ready cycle *)
   ; mutable waiting_barrier : bool
   ; bstate : bstate
-  ; age : int  (** global age for oldest-first ordering *)
   }
 
 and bstate =
@@ -62,7 +25,6 @@ and bstate =
   ; mutable warps : wstate list
   ; mutable paused : bool
       (** dynamic throttling: a paused block's warps are not scheduled *)
-  ; seq : int
   }
 
 type blocked =
@@ -105,11 +67,6 @@ let shared_l2_stats m = Cache.stats m.l2
 
 (* ---------- SM state ---------- *)
 
-type mode =
-  | M_live
-  | M_record of Replay.t
-  | M_replay of Replay.t
-
 (* The LSU segment queue is a ring of parallel arrays (addresses as bit
    patterns in a float array; write/write_alloc/bypass packed into flag
    bits) so the steady state pushes and pops without allocating. The
@@ -118,9 +75,8 @@ type mode =
 type t =
   { cfg : Config.t
   ; st : Stats.t
-  ; lctx : Interp.launch_ctx
+  ; trace : Replay.t
   ; code : Dcode.t
-  ; mode : mode
   ; nwarps : int  (* warps per block *)
   ; shared : shared_memsys
   ; l1 : Cache.t
@@ -139,12 +95,9 @@ type t =
   ; mutable lsu_load : pending_load option array
   ; mutable lsu_head : int
   ; mutable lsu_len : int
-  ; seg_buf : int array  (* coalescing scratch: line indices *)
-  ; word_buf : int array  (* bank-conflict scratch: distinct words *)
-  ; bank_counts : int array  (* per signed-mod bank class *)
+  ; lanes : Coalescer.t  (* the issuing access's lane addresses *)
   ; mutable active_blocks : int
   ; mutable dispenser_dry : bool
-  ; mutable age_counter : int
   ; mutable now : int
   ; greedy : wstate option array
   }
@@ -157,40 +110,21 @@ let launch_block sm =
       sm.active_blocks <- sm.active_blocks + 1;
       sm.st.Stats.max_concurrent_blocks <-
         max sm.st.Stats.max_concurrent_blocks sm.active_blocks;
-      let fronts =
-        match sm.mode with
-        | M_live | M_record _ ->
-          let _bctx, warps =
-            Interp.make_block sm.lctx ~ctaid ~warp_size:sm.cfg.Config.warp_size
-          in
-          List.map (fun w -> Live w) warps
-        | M_replay tr ->
-          List.init sm.nwarps (fun wid -> Cur (Replay.cursor tr ~ctaid ~wid))
-      in
       let bs =
-        { live_warps = List.length fronts
+        { live_warps = sm.nwarps
         ; at_barrier = 0
         ; warps = []
         ; paused = false
-        ; seq = ctaid
         }
       in
       let nslots = max 1 (Dcode.num_slots sm.code) in
       bs.warps <-
-        List.mapi
-          (fun wid w ->
-             sm.age_counter <- sm.age_counter + 1;
-             { w
-             ; tr =
-                 (match sm.mode with
-                  | M_record tr -> Some (Replay.wtrace tr ~ctaid ~wid)
-                  | M_live | M_replay _ -> None)
-             ; sb = Array.make nslots 0
-             ; waiting_barrier = false
-             ; bstate = bs
-             ; age = sm.age_counter
-             })
-          fronts;
+        List.init sm.nwarps (fun wid ->
+          { w = Replay.cursor sm.trace ~ctaid ~wid
+          ; sb = Array.make nslots 0
+          ; waiting_barrier = false
+          ; bstate = bs
+          });
       sm.live_blocks <- sm.live_blocks @ [ bs ];
       sm.pools_dirty <- true
   end
@@ -202,39 +136,30 @@ let rebuild_pools sm =
       (fun bs -> if bs.paused then [] else bs.warps)
       sm.live_blocks
   in
-  let alive = List.filter (fun ws -> not (f_done ws.w)) all in
+  let alive = List.filter (fun ws -> not (Replay.is_done ws.w)) all in
   for s = 0 to total - 1 do
     sm.pools.(s) <-
-      Array.of_list (List.filter (fun ws -> f_wid ws.w mod total = s) alive)
+      Array.of_list (List.filter (fun ws -> Replay.warp_id ws.w mod total = s) alive)
   done;
   (* blocks are appended in launch order and warps in wid order, so the
      pools are already oldest-first *)
   sm.pools_dirty <- false
 
 let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
-    ?record ?replay (cfg : Config.t) shared ~next_block (l : Launch.t) =
+    (cfg : Config.t) shared ~next_block trace (l : Launch.t) =
   if l.Launch.warp_size <> cfg.Config.warp_size then
     invalid_arg "Sm.create: launch warp_size differs from the configuration's";
-  let mode, image =
-    match (record, replay) with
-    | Some _, Some _ -> invalid_arg "Sm.create: record and replay are exclusive"
-    | Some tr, None -> (M_record tr, Replay.image tr)
-    | None, Some tr ->
-      if
-        Replay.block_size tr <> l.Launch.block_size
-        || Replay.num_blocks tr <> l.Launch.num_blocks
-        || Replay.warp_size tr <> l.Launch.warp_size
-      then invalid_arg "Sm.create: replay trace does not match the launch";
-      (M_replay tr, Replay.image tr)
-    | None, None -> (M_live, Image.prepare l.Launch.kernel)
-  in
+  if
+    Replay.block_size trace <> l.Launch.block_size
+    || Replay.num_blocks trace <> l.Launch.num_blocks
+    || Replay.warp_size trace <> l.Launch.warp_size
+  then invalid_arg "Sm.create: trace does not match the launch";
   (* each SM owns its interconnect port; the L2 and DRAM behind it are
      shared between SMs *)
   let icnt =
     Cache.Dram.create ~latency:cfg.Config.l2_latency
       ~bytes_per_cycle:cfg.Config.icnt_bytes_per_cycle
   in
-  let lctx = Simt.launch_ctx ~image l in
   let l1_next ~cycle ~addr =
     let t_icnt = Cache.Dram.request icnt ~cycle ~bytes:cfg.Config.l1_line in
     match Cache.access shared.l2 ~cycle ~addr ~write:false ~write_alloc:true with
@@ -251,9 +176,8 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
   let sm =
     { cfg
     ; st = Stats.create ()
-    ; lctx
-    ; code = image.Image.code
-    ; mode
+    ; trace
+    ; code = (Replay.image trace).Image.code
     ; nwarps = l.Launch.block_size / l.Launch.warp_size
     ; shared
     ; l1
@@ -272,12 +196,11 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     ; lsu_load = Array.make lsu_cap None
     ; lsu_head = 0
     ; lsu_len = 0
-    ; seg_buf = Array.make cfg.Config.warp_size 0
-    ; word_buf = Array.make cfg.Config.warp_size 0
-    ; bank_counts = Array.make ((2 * cfg.Config.shared_banks) + 1) 0
+    ; lanes =
+        Coalescer.create ~lanes:cfg.Config.warp_size ~line:cfg.Config.l1_line
+          ~banks:cfg.Config.shared_banks
     ; active_blocks = 0
     ; dispenser_dry = false
-    ; age_counter = 0
     ; now = 0
     ; greedy = Array.make cfg.Config.num_schedulers None
     }
@@ -343,46 +266,17 @@ let sb_ready sm ws pc =
 let set_pending ws slot ready = ws.sb.(slot) <- ready
 
 let status sm ws : blocked =
-  if f_done ws.w then Done
+  if Replay.is_done ws.w then Done
   else if ws.waiting_barrier then Barrier
   else begin
-    let pc = f_fetch ws.w in
-    if pc < 0 then Done
-    else if not (sb_ready sm ws pc) then Scoreboard
+    let pc = Replay.fetch ws.w in
+    if not (sb_ready sm ws pc) then Scoreboard
     else if
       Array.unsafe_get sm.code.Dcode.is_gl_mem pc
       && sm.lsu_len + lsu_headroom > lsu_capacity
     then Mem_queue
     else Ready
   end
-
-(* Coalescing: the warp's recorded lane addresses, reduced to the sorted
-   set of distinct L1-line indices (in [seg_buf]; ascending, as the
-   reference [List.sort_uniq] produced). Returns the segment count. *)
-let coalesce sm (w : front) =
-  let line = Int64.of_int sm.cfg.Config.l1_line in
-  let n = f_mem_count w in
-  let buf = sm.seg_buf in
-  for i = 0 to n - 1 do
-    buf.(i) <- Int64.to_int (Int64.div (f_mem_addr w i) line)
-  done;
-  for i = 1 to n - 1 do
-    let x = buf.(i) in
-    let j = ref (i - 1) in
-    while !j >= 0 && buf.(!j) > x do
-      buf.(!j + 1) <- buf.(!j);
-      decr j
-    done;
-    buf.(!j + 1) <- x
-  done;
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    if !m = 0 || buf.(i) <> buf.(!m - 1) then begin
-      buf.(!m) <- buf.(i);
-      incr m
-    end
-  done;
-  !m
 
 let release_barrier bs =
   if bs.at_barrier = bs.live_warps && bs.live_warps > 0 then begin
@@ -408,62 +302,25 @@ let finish_warp sm ws =
   end
   else release_barrier bs
 
-(* Bank conflicts: lanes hitting the same bank with different word
-   addresses serialise into multiple passes (same-word accesses
-   broadcast for free). Degree = max distinct words on one bank — the
-   bank of a word is its signed remainder, so counts index
-   [bank + shared_banks] to keep negative classes distinct, as the
-   reference Hashtbl keying did. *)
-let bank_conflict_degree sm (w : front) =
-  let n = f_mem_count w in
-  let words = sm.word_buf in
-  let m = ref 0 in
-  for i = 0 to n - 1 do
-    let word = Int64.to_int (Int64.div (f_mem_addr w i) 4L) in
-    let dup = ref false in
-    for j = 0 to !m - 1 do
-      if words.(j) = word then dup := true
-    done;
-    if not !dup then begin
-      words.(!m) <- word;
-      incr m
-    end
+(* Load the lane addresses of the access the warp just stepped over. *)
+let load_lanes sm ws =
+  let sc = sm.lanes in
+  Coalescer.reset sc;
+  for i = 0 to Replay.mem_count ws.w - 1 do
+    Coalescer.add sc (Replay.mem_addr ws.w i)
   done;
-  let banks = sm.cfg.Config.shared_banks in
-  Array.fill sm.bank_counts 0 (Array.length sm.bank_counts) 0;
-  let degree = ref 1 in
-  for j = 0 to !m - 1 do
-    let k = (words.(j) mod banks) + banks in
-    let c = sm.bank_counts.(k) + 1 in
-    sm.bank_counts.(k) <- c;
-    if c > !degree then degree := c
-  done;
-  !degree
+  sc
 
 let issue sm ws =
   let st = sm.st in
   let cfg = sm.cfg in
-  let mask = f_mask ws.w in
-  let lanes = Interp.popcount mask in
-  let pc = f_fetch ws.w in
-  let defs = sm.code.Dcode.defs.(pc) in
-  let exec = f_step ws.w in
-  (* recording appends to flat arrays only — it cannot perturb timing *)
-  (match ws.tr with
-   | Some tr ->
-     Replay.record tr ~pc ~mask;
-     (match (exec, ws.w) with
-      | Interp.E_mem _, Live w ->
-        let n = Interp.mem_count w in
-        for i = 0 to n - 1 do
-          Replay.record_addr tr (Interp.mem_addr w i)
-        done
-      | _ -> ())
-   | None -> ());
+  let lanes = Dcode.popcount (Replay.active_mask ws.w) in
+  let defs = sm.code.Dcode.defs.(Replay.fetch ws.w) in
+  let exec = Replay.step ws.w in
   st.Stats.warp_instrs <- st.Stats.warp_instrs + 1;
   st.Stats.thread_instrs <- st.Stats.thread_instrs + lanes;
   match exec with
-  | Interp.E_alu cls ->
+  | Dcode.E_alu cls ->
     (match cls with
      | Ptx.Instr.Sfu -> st.Stats.sfu_instrs <- st.Stats.sfu_instrs + 1
      | Ptx.Instr.Alu | Ptx.Instr.Alu_heavy | Ptx.Instr.Ctrl
@@ -474,9 +331,10 @@ let issue sm ws =
     for i = 0 to Array.length defs - 1 do
       set_pending ws defs.(i) ready
     done
-  | Interp.E_mem { space = Ptx.Types.Shared; write; _ } ->
-    let n = f_mem_count ws.w in
-    let degree = bank_conflict_degree sm ws.w in
+  | Dcode.E_mem { space = Ptx.Types.Shared; write; _ } ->
+    let sc = load_lanes sm ws in
+    let n = Replay.mem_count ws.w in
+    let degree = Coalescer.bank_degree sc in
     st.Stats.shared_bank_conflicts <-
       st.Stats.shared_bank_conflicts + (degree - 1);
     if write then st.Stats.shared_store_lanes <- st.Stats.shared_store_lanes + n
@@ -487,22 +345,23 @@ let issue sm ws =
         set_pending ws defs.(i) ready
       done
     end
-  | Interp.E_mem { space; write; _ } ->
+  | Dcode.E_mem { space; write; _ } ->
     let local = Ptx.Types.equal_space space Ptx.Types.Local in
-    let n = f_mem_count ws.w in
+    let sc = load_lanes sm ws in
+    let n = Replay.mem_count ws.w in
     (match (local, write) with
      | true, true -> st.Stats.local_store_lanes <- st.Stats.local_store_lanes + n
      | true, false -> st.Stats.local_load_lanes <- st.Stats.local_load_lanes + n
      | false, true -> st.Stats.global_store_lanes <- st.Stats.global_store_lanes + n
      | false, false -> st.Stats.global_load_lanes <- st.Stats.global_load_lanes + n);
-    let nsegs = coalesce sm ws.w in
+    let nsegs = Coalescer.segments sc in
     if local then st.Stats.local_segments <- st.Stats.local_segments + nsegs
     else st.Stats.global_segments <- st.Stats.global_segments + nsegs;
     let bypass = sm.bypass_global && not local in
     let line = Int64.of_int cfg.Config.l1_line in
     if write then
       for i = 0 to nsegs - 1 do
-        let a = Int64.mul (Int64.of_int sm.seg_buf.(i)) line in
+        let a = Int64.mul (Int64.of_int (Coalescer.segment sc i)) line in
         lsu_push sm a ~write:true ~write_alloc:local ~bypass None
       done
     else begin
@@ -511,16 +370,16 @@ let issue sm ws =
         set_pending ws defs.(i) infinity_cycle
       done;
       for i = 0 to nsegs - 1 do
-        let a = Int64.mul (Int64.of_int sm.seg_buf.(i)) line in
+        let a = Int64.mul (Int64.of_int (Coalescer.segment sc i)) line in
         lsu_push sm a ~write:false ~write_alloc:true ~bypass pl
       done
     end
-  | Interp.E_barrier ->
+  | Dcode.E_barrier ->
     ws.waiting_barrier <- true;
     let bs = ws.bstate in
     bs.at_barrier <- bs.at_barrier + 1;
     release_barrier bs
-  | Interp.E_exit -> finish_warp sm ws
+  | Dcode.E_exit -> finish_warp sm ws
 
 let service_lsu sm =
   let ports = ref sm.cfg.Config.l1_ports in
@@ -573,7 +432,7 @@ let schedulers_issue sm =
         | `Gto ->
           let g_ok =
             match sm.greedy.(s) with
-            | Some g when (not (f_done g.w)) && ready g -> Some g
+            | Some g when (not (Replay.is_done g.w)) && ready g -> Some g
             | Some _ | None -> None
           in
           (match g_ok with
@@ -663,8 +522,6 @@ let step sm =
   schedulers_issue sm;
   sm.now <- sm.now + 1
 
-let stats sm = sm.st
-
 let copy_cache_stats (src : Cache.stats) (dst : Cache.stats) =
   dst.Cache.reads <- src.Cache.reads;
   dst.Cache.read_hits <- src.Cache.read_hits;
@@ -683,6 +540,19 @@ let finalize sm =
 
 let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
     ?record ?replay (cfg : Config.t) (l : Launch.t) =
+  let trace =
+    match (record, replay) with
+    | Some _, Some _ -> invalid_arg "Sm.run: record and replay are exclusive"
+    | None, Some tr -> tr
+    | record, None ->
+      let tr = match record with Some tr -> tr | None -> Replay.create l in
+      (* more instructions than [max_cycles] can issue: the replay
+         below is bound to hit the limit, so stop recording *)
+      Emulator.run ~record:tr
+        ~max_warp_instrs:((max_cycles + 1) * cfg.Config.num_schedulers)
+        l;
+      tr
+  in
   let shared = make_shared cfg in
   let next = ref 0 in
   let next_block () =
@@ -694,8 +564,7 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
     end
   in
   let sm =
-    create ?scheduler ?dynamic_tlp ?bypass_global ?record ?replay cfg shared
-      ~next_block l
+    create ?scheduler ?dynamic_tlp ?bypass_global cfg shared ~next_block trace l
   in
   while busy sm do
     if sm.now > max_cycles then begin

@@ -14,19 +14,21 @@
     - block-level barriers and a block dispatcher that refills freed
       slots, mirroring the paper's thread-block-level throttling.
 
-    The instruction front-end is pluggable: a live {!Interp} warp
-    (functional execution), optionally capturing a {!Replay} trace as a
-    side effect ([?record]), or a replay cursor over a previously
-    recorded trace ([?replay]) that feeds the timing pipeline the same
-    (pc, mask, addresses) stream while skipping operand evaluation and
-    register-file writes — replayed statistics are bit-identical to a
-    cold run's.
+    [Sm] only times: every warp slot reads a {!Replay} cursor. A cold
+    {!run} first records the launch's trace through {!Emulator.run},
+    then replays it, so cold and replayed statistics are bit-identical.
+    That functional pass follows {!Simt.run_block}'s barrier-quantum
+    order, not the timing schedule (the same trace for the race-free
+    kernels modelled), so a barrier deadlock raises [Failure], as
+    {!Emulator.run} does, instead of running on to {!Cycle_limit}.
 
     The stepping API ({!create}/{!step}) lets {!Gpu} advance several SMs
     against one shared memory hierarchy; {!run} is the single-SM
     convenience wrapper used throughout the experiments. *)
 
 exception Cycle_limit of Stats.t
+(** The statistics at the limit. When the functional pass was cut
+    short, they time the recorded prefix. *)
 
 (** The levels behind the per-SM L1: shared between SMs in a multi-SM
     simulation. *)
@@ -50,32 +52,23 @@ val create :
           straight to the interconnect/L2); local spill traffic still
           caches. An extension hook: the paper notes CRAT composes with
           cache-bypassing techniques *)
-  -> ?record:Replay.t
-      (** capture the dynamic trace into this (empty) trace while
-          executing functionally; exclusive with [?replay] *)
-  -> ?replay:Replay.t
-      (** drive the timing pipeline from this recorded trace instead of
-          executing functionally; the launch's geometry must match the
-          trace's, and global memory is left untouched *)
   -> Config.t
   -> shared_memsys
   -> next_block:(unit -> int option)
       (** global block dispenser: called whenever a slot frees; [None]
           when the grid is exhausted *)
+  -> Replay.t  (** the launch's trace; global memory is never touched *)
   -> Launch.t
   -> t
-(** [launch.num_blocks] is only used for the kernel's [%nctaid]; block
-    ids come from [next_block]. The launch's [warp_size] must equal the
-    configuration's. *)
+(** Block ids come from [next_block], the TLP limit from the launch,
+    whose geometry must match the trace's and whose [warp_size] must
+    equal the configuration's. *)
 
 val step : t -> unit
 (** Advance one cycle. *)
 
 val busy : t -> bool
 (** Blocks resident or still obtainable from the dispenser. *)
-
-val stats : t -> Stats.t
-(** Live statistics (cycles updated on {!finalize}). *)
 
 val finalize : t -> Stats.t
 (** Stamp cycle count and copy L1/L2 statistics into the result. *)
@@ -92,5 +85,11 @@ val run :
   -> Stats.t
 (** Single-SM convenience: private memory hierarchy, sequential block
     ids [0 .. num_blocks-1]; the launch's [tlp_limit] bounds concurrent
-    blocks.
-    @raise Cycle_limit when [max_cycles] (default 40_000_000) elapses. *)
+    blocks. With [replay], that finished trace is timed and global
+    memory is left untouched. Otherwise the launch first executes
+    functionally (mutating its memory) into [record] — an empty trace
+    for the launch, or a fresh one — which is then timed. The pass stops
+    once it has recorded more warp instructions than [max_cycles] can
+    issue, so a kernel that never exits still ends in {!Cycle_limit}.
+    @raise Cycle_limit when [max_cycles] (default 40_000_000) elapses.
+    @raise Failure on barrier deadlock or divergent return. *)

@@ -618,6 +618,29 @@ let test_cycle_limit_raised () =
     Alcotest.fail "must raise Cycle_limit"
   with G.Sm.Cycle_limit _ -> ()
 
+(* A kernel that never exits: the functional pass in front of the
+   timing model must stop on its own, and both drivers must report the
+   cycle limit rather than hang. *)
+let test_cycle_limit_on_endless_kernel () =
+  let b = B.create "spin" in
+  let r = B.mov b T.U32 (B.imm 0) in
+  B.label b "spin";
+  B.acc_binop b I.Add T.U32 r (B.imm 1);
+  B.bra b "spin";
+  B.ret b;
+  let launch () =
+    G.Launch.make ~kernel:(B.finish b) ~block_size:64 ~num_blocks:2 ~tlp_limit:2
+      (G.Memory.create ())
+  in
+  (match G.Sm.run ~max_cycles:1000 fermi (launch ()) with
+   | _ -> Alcotest.fail "Sm.run must raise Cycle_limit"
+   | exception G.Sm.Cycle_limit st ->
+     check_int "Sm stopped at the limit" 1001 st.G.Stats.cycles);
+  match G.Gpu.run ~sms:2 ~max_cycles:1000 fermi (launch ()) with
+  | _ -> Alcotest.fail "Gpu.run must raise Cycle_limit"
+  | exception G.Gpu.Cycle_limit r ->
+    check_int "Gpu stopped at the limit" 1001 r.G.Gpu.total_cycles
+
 let prop_emulator_vs_sm =
   QCheck.Test.make ~count:15 ~name:"timing sim output equals emulator output"
     Testsupport.Gen.arbitrary_kernel (fun k ->
@@ -836,6 +859,8 @@ let () =
             test_sm_more_tlp_not_slower_for_insensitive
         ; Alcotest.test_case "GTO vs LRR" `Quick test_sm_gto_vs_lrr
         ; Alcotest.test_case "cycle limit" `Quick test_cycle_limit_raised
+        ; Alcotest.test_case "endless kernel hits the cycle limit" `Quick
+            test_cycle_limit_on_endless_kernel
         ]
         @ List.map QCheck_alcotest.to_alcotest [ prop_emulator_vs_sm ] )
     ]

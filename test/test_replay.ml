@@ -1,5 +1,6 @@
-(* Trace-driven replay: replayed statistics must be bit-identical to a
-   cold run's across the full statdump fingerprint surface, and the
+(* Trace-driven timing: the trace that the functional pass records
+   must be exactly what the reference interpreter executes, the
+   statistics of the statdump fingerprint surface are pinned, and the
    trace store must key launches correctly. *)
 
 module G = Gpusim
@@ -8,24 +9,71 @@ let fermi = G.Config.fermi
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 
-(* record under one run, replay under the same point, compare every
-   Stats.t field structurally (Stats.t is pure data, so (=) is
-   bit-identity) *)
-let record_then_replay ?scheduler cfg (l : G.Launch.t) =
-  let tr = G.Replay.create l in
-  let cold =
-    G.Sm.run ?scheduler ~record:tr cfg
-      { l with G.Launch.memory = G.Memory.copy l.G.Launch.memory }
-  in
-  G.Replay.finish tr;
-  let replayed = G.Sm.run ?scheduler ~replay:tr cfg l in
-  (cold, replayed, tr)
+let with_memory_copy (l : G.Launch.t) =
+  { l with G.Launch.memory = G.Memory.copy l.G.Launch.memory }
 
-(* ---------- differential sweep (statdump fingerprint surface) ---------- *)
+(* Per block, per warp: the (pc, active mask, lane addresses) of every
+   instruction the warp issues. *)
+type steps = (int * int * int64 list) list array array
+
+(* the reference: Refinterp under Simt.run_block, on a memory copy *)
+let refinterp_steps (l : G.Launch.t) : steps =
+  let lctx =
+    G.Simt.launch_ctx ~image:(G.Image.prepare l.G.Launch.kernel)
+      (with_memory_copy l)
+  in
+  Array.init l.G.Launch.num_blocks (fun ctaid ->
+    let _, warps =
+      G.Refinterp.make_block lctx ~ctaid ~warp_size:l.G.Launch.warp_size
+    in
+    let log = Array.make (List.length warps) [] in
+    G.Simt.run_block ~is_done:G.Refinterp.is_done ~warps ~step:(fun w ->
+      (* [peek] settles the pc first; [None] past the end of the code *)
+      let issues = G.Refinterp.peek w <> None in
+      let pc = G.Refinterp.pc w and mask = G.Refinterp.active_mask w in
+      let exec = G.Refinterp.step w in
+      let addrs =
+        match exec with
+        | G.Refinterp.E_mem { lane_addrs; _ } -> List.map snd lane_addrs
+        | G.Refinterp.E_alu _ | G.Refinterp.E_barrier | G.Refinterp.E_exit -> []
+      in
+      let wid = G.Refinterp.warp_id w in
+      if issues then log.(wid) <- (pc, mask, addrs) :: log.(wid);
+      match exec with
+      | G.Refinterp.E_barrier -> G.Simt.Barrier
+      | G.Refinterp.E_exit -> G.Simt.Exit
+      | G.Refinterp.E_alu _ | G.Refinterp.E_mem _ -> G.Simt.Step);
+    Array.map List.rev log)
+
+(* the recorder: Emulator.run ~record, read back through cursors *)
+let recorded_steps (l : G.Launch.t) : steps =
+  let tr = G.Replay.create l in
+  G.Emulator.run ~record:tr (with_memory_copy l);
+  let nwarps = l.G.Launch.block_size / l.G.Launch.warp_size in
+  Array.init l.G.Launch.num_blocks (fun ctaid ->
+    Array.init nwarps (fun wid ->
+      let c = G.Replay.cursor tr ~ctaid ~wid in
+      let rec go acc =
+        if G.Replay.is_done c then List.rev acc
+        else begin
+          let pc = G.Replay.fetch c and mask = G.Replay.active_mask c in
+          let addrs =
+            match G.Replay.step c with
+            | G.Dcode.E_mem _ -> List.init (G.Replay.mem_count c) (G.Replay.mem_addr c)
+            | G.Dcode.E_alu _ | G.Dcode.E_barrier | G.Dcode.E_exit -> []
+          in
+          go ((pc, mask, addrs) :: acc)
+        end
+      in
+      go []))
+
+let trace_matches_refinterp l = recorded_steps l = refinterp_steps l
+
+(* ---------- the statdump fingerprint surface ---------- *)
 
 (* The same 88-config surface bench/statdump.ml fingerprints: every
    workload, default and r20-allocated builds, TLP 1 and 3, 2 blocks.
-   Each entry is (name, cold, replayed), in a fixed order. *)
+   Each entry is (name, launch, statistics), in a fixed order. *)
 let surface =
   lazy
     (List.concat_map
@@ -47,26 +95,27 @@ let surface =
                       | None -> Workloads.App.launch app ~tlp ~input ()
                       | Some k -> Workloads.App.launch app ~kernel:k ~tlp ~input ()
                     in
-                    let cold, replayed, _ = record_then_replay fermi l in
                     ( Printf.sprintf "%s/%s/tlp%d" app.Workloads.App.abbr variant tlp
-                    , cold
-                    , replayed ))
+                    , l
+                    , G.Sm.run fermi (with_memory_copy l) ))
                  [ ("default", None)
                  ; ("r20", Some alloc.Regalloc.Allocator.kernel)
                  ])
             [ 1; 3 ])
        Workloads.Suite.all)
 
-let test_replay_bit_identical_suite () =
+(* A trace does not depend on the TLP, so each build is checked once. *)
+let test_suite_traces_match_refinterp () =
   List.iter
-    (fun (name, cold, replayed) ->
-       check (name ^ " bit-identical") true (cold = replayed))
+    (fun (name, l, _) ->
+       if l.G.Launch.tlp_limit = 1 then
+         check (name ^ " trace matches Refinterp") true (trace_matches_refinterp l))
     (Lazy.force surface)
 
 (* The model pin: the digest of the surface's cold statistics is the
    engine's model epoch, which every memo and store key folds in. *)
 let test_model_epoch_pinned () =
-  let cold = List.map (fun (_, cold, _) -> cold) (Lazy.force surface) in
+  let cold = List.map (fun (_, _, st) -> st) (Lazy.force surface) in
   check_int "surface size" 88 (List.length cold);
   let d = Digest.to_hex (Digest.string (Marshal.to_string cold [])) in
   if d <> Crat.Engine.model_epoch then
@@ -87,17 +136,12 @@ let test_trace_valid_across_config_and_tlp () =
   in
   let l = Workloads.App.launch app ~tlp:1 ~input () in
   let tr = G.Replay.create l in
-  let _ =
-    G.Sm.run ~record:tr fermi
-      { l with G.Launch.memory = G.Memory.copy l.G.Launch.memory }
-  in
+  let _ = G.Sm.run ~record:tr fermi (with_memory_copy l) in
   G.Replay.finish tr;
   List.iter
     (fun (name, cfg, tlp) ->
        let lt = G.Launch.with_tlp l tlp in
-       let cold =
-         G.Sm.run cfg { lt with G.Launch.memory = G.Memory.copy lt.G.Launch.memory }
-       in
+       let cold = G.Sm.run cfg (with_memory_copy lt) in
        let replayed = G.Sm.run ~replay:tr cfg lt in
        check (name ^ " matches its cold run") true (cold = replayed))
     [ ("fermi tlp3", fermi, 3)
@@ -113,15 +157,17 @@ let test_replay_leaves_memory_untouched () =
   in
   let l = Workloads.App.launch app ~tlp:2 ~input () in
   let before = G.Memory.copy l.G.Launch.memory in
-  let _, _, tr = record_then_replay fermi l in
-  ignore tr;
+  let tr = G.Replay.create l in
+  let _ = G.Sm.run ~record:tr fermi (with_memory_copy l) in
+  G.Replay.finish tr;
+  let _ = G.Sm.run ~replay:tr fermi l in
   check "initial memory preserved through record+replay" true
     (G.Memory.equal before l.G.Launch.memory)
 
-(* QCheck: random kernels through the same record/replay differential,
-   reusing the fastpath harness generator *)
-let prop_replay_random_kernels =
-  QCheck.Test.make ~count:25 ~name:"replay bit-identical on random kernels"
+(* QCheck: random kernels through the same recorder-vs-reference
+   check, reusing the fastpath harness generator *)
+let prop_trace_random_kernels =
+  QCheck.Test.make ~count:25 ~name:"recorded trace matches Refinterp on random kernels"
     Testsupport.Gen.arbitrary_kernel (fun k ->
       let mem = G.Memory.create () in
       G.Memory.write_f32_array mem ~base:0x1000_0000L
@@ -135,8 +181,7 @@ let prop_replay_random_kernels =
             ]
           mem
       in
-      let cold, replayed, _ = record_then_replay fermi l in
-      cold = replayed)
+      trace_matches_refinterp l)
 
 (* ---------- launch keys ---------- *)
 
@@ -238,15 +283,15 @@ let test_store_budget_eviction () =
 let () =
   Alcotest.run "replay"
     [ ( "differential"
-      , [ Alcotest.test_case "suite sweep bit-identical (22 apps x 2 builds x 2 TLPs)"
-            `Slow test_replay_bit_identical_suite
+      , [ Alcotest.test_case "suite traces match Refinterp (22 apps x 2 builds)"
+            `Slow test_suite_traces_match_refinterp
         ; Alcotest.test_case "model epoch pins the surface" `Slow
             test_model_epoch_pinned
         ; Alcotest.test_case "trace valid across config and TLP" `Slow
             test_trace_valid_across_config_and_tlp
         ; Alcotest.test_case "replay leaves memory untouched" `Quick
             test_replay_leaves_memory_untouched
-        ; QCheck_alcotest.to_alcotest prop_replay_random_kernels
+        ; QCheck_alcotest.to_alcotest prop_trace_random_kernels
         ] )
     ; ( "keys"
       , [ Alcotest.test_case "launch key discrimination" `Quick
