@@ -10,9 +10,13 @@
    diff this tool's output between the two builds to see which configs
    moved.
 
-   Usage: dune exec bench/statdump.exe [-- --blocks N] [--tlp T,T,...] *)
+   [--variants] prints instead the variant surface (dynamic TLP, LRR,
+   L1 bypass, Kepler, a cycle-limit payload, two SMs), whose digest
+   test/test_replay.ml pins too. Both surfaces are defined in
+   test/support/surface.ml.
 
-let fermi = Gpusim.Config.fermi
+   Usage: dune exec bench/statdump.exe [-- --blocks N] [--tlp T,T,...]
+          dune exec bench/statdump.exe -- --variants *)
 
 let pp_stats name (st : Gpusim.Stats.t) =
   Printf.printf
@@ -35,34 +39,10 @@ let pp_stats name (st : Gpusim.Stats.t) =
     st.l2.Gpusim.Cache.writebacks st.l2.Gpusim.Cache.fills st.dram_bytes
     st.blocks_completed st.max_concurrent_blocks st.sfu_instrs st.alu_instrs
 
-let fingerprint ~blocks ~tlps (app : Workloads.App.t) =
-  let input =
-    { (Workloads.App.default_input app) with Workloads.App.num_blocks = blocks }
-  in
-  List.iter
-    (fun tlp ->
-       let launch = Workloads.App.launch app ~tlp ~input () in
-       let st = Gpusim.Sm.run fermi launch in
-       pp_stats (Printf.sprintf "%s/default/tlp%d" app.Workloads.App.abbr tlp) st;
-       (* allocated kernel with a tight register budget: exercises the
-          local-spill (and, with spare shared, shared-spill) paths *)
-       let alloc =
-         Regalloc.Allocator.allocate
-           ~block_size:app.Workloads.App.block_size
-           ~shared_policy:(`Spare 512) ~reg_limit:20
-           (Workloads.App.kernel app)
-       in
-       let launch =
-         Workloads.App.launch app ~kernel:alloc.Regalloc.Allocator.kernel ~tlp
-           ~input ()
-       in
-       let st = Gpusim.Sm.run fermi launch in
-       pp_stats (Printf.sprintf "%s/r20/tlp%d" app.Workloads.App.abbr tlp) st)
-    tlps
-
 let () =
   let blocks = ref 2 in
   let tlps = ref [ 1; 3 ] in
+  let variants = ref false in
   let spec =
     [ ("--blocks", Arg.Set_int blocks, "N blocks per workload (default 2)")
     ; ( "--tlp"
@@ -70,9 +50,20 @@ let () =
           (fun s ->
              tlps := List.map int_of_string (String.split_on_char ',' s))
       , "T,T TLP limits to sweep (default 1,3)" )
+    ; ( "--variants"
+      , Arg.Set variants
+      , " print the variant surface and its digest (ignores --blocks and --tlp)" )
     ]
   in
-  Arg.parse spec (fun _ -> ()) "bench/statdump.exe [--blocks N] [--tlp T,T]";
-  List.iter
-    (fun app -> fingerprint ~blocks:!blocks ~tlps:!tlps app)
-    Workloads.Suite.all
+  Arg.parse spec (fun _ -> ())
+    "bench/statdump.exe [--blocks N] [--tlp T,T] | --variants";
+  let module S = Testsupport.Surface in
+  if !variants then begin
+    let entries = S.variants () in
+    List.iter (fun (name, st) -> pp_stats name st) entries;
+    Printf.printf "digest %s\n" (S.digest entries)
+  end
+  else
+    List.iter
+      (fun (name, _, st) -> pp_stats name st)
+      (S.statdump ~blocks:!blocks ~tlps:!tlps ())

@@ -1,0 +1,90 @@
+module G = Gpusim
+
+let with_memory_copy (l : G.Launch.t) =
+  { l with G.Launch.memory = G.Memory.copy l.G.Launch.memory }
+
+let record (l : G.Launch.t) =
+  let tr = G.Replay.create l in
+  G.Emulator.run ~record:tr (with_memory_copy l);
+  G.Replay.finish tr;
+  tr
+
+let r20 (app : Workloads.App.t) =
+  (Regalloc.Allocator.allocate ~block_size:app.Workloads.App.block_size
+     ~shared_policy:(`Spare 512) ~reg_limit:20 (Workloads.App.kernel app))
+    .Regalloc.Allocator.kernel
+
+let input (app : Workloads.App.t) ~blocks =
+  { (Workloads.App.default_input app) with Workloads.App.num_blocks = blocks }
+
+let statdump ?(blocks = 2) ?(tlps = [ 1; 3 ]) () =
+  List.concat_map
+    (fun (app : Workloads.App.t) ->
+       let input = input app ~blocks in
+       let alloc = r20 app in
+       List.concat_map
+         (fun tlp ->
+            List.map
+              (fun (build, kernel) ->
+                 let l = Workloads.App.launch app ?kernel ~tlp ~input () in
+                 ( Printf.sprintf "%s/%s/tlp%d" app.Workloads.App.abbr build tlp
+                 , l
+                 , G.Sm.run G.Config.fermi (with_memory_copy l) ))
+              [ ("default", None); ("r20", Some alloc) ])
+         tlps)
+    Workloads.Suite.all
+
+let limit_cycles = 1500
+
+(* The runs of one build, each named by its variant and TLP. Sm runs
+   replay the build's trace; the Gpu run records its own. *)
+let variant_runs ~full tr (l : G.Launch.t) =
+  let sm ?max_cycles ?scheduler ?bypass_global ?dynamic_tlp cfg tlp =
+    let lt = G.Launch.with_tlp l tlp in
+    let st =
+      try G.Sm.run ?max_cycles ?scheduler ?bypass_global ?dynamic_tlp ~replay:tr cfg lt
+      with G.Sm.Cycle_limit st -> st
+    in
+    [ st ]
+  in
+  let fermi = G.Config.fermi in
+  let always =
+    [ ("dyn/tlp2", fun () -> sm ~dynamic_tlp:true fermi 2)
+    ; ("dyn/tlp5", fun () -> sm ~dynamic_tlp:true fermi 5)
+    ; ("bypass/tlp3", fun () -> sm ~bypass_global:true fermi 3)
+    ]
+  in
+  let rest =
+    [ ("lrr/tlp1", fun () -> sm ~scheduler:`Lrr fermi 1)
+    ; ("lrr/tlp3", fun () -> sm ~scheduler:`Lrr fermi 3)
+    ; ("kepler/tlp2", fun () -> sm G.Config.kepler 2)
+    ; ("limit/tlp3", fun () -> sm ~max_cycles:limit_cycles fermi 3)
+    ; ( "gpu2/tlp2"
+      , fun () ->
+          let r = G.Gpu.run ~sms:2 fermi (with_memory_copy (G.Launch.with_tlp l 2)) in
+          Array.to_list r.G.Gpu.per_sm )
+    ]
+  in
+  List.concat_map
+    (fun (name, run) -> List.mapi (fun i st -> (name, i, st)) (run ()))
+    (if full then always @ rest else always)
+
+let variants () =
+  List.concat_map
+    (fun (app : Workloads.App.t) ->
+       let input = input app ~blocks:6 in
+       List.concat_map
+         (fun (build, kernel, full) ->
+            let l = Workloads.App.launch app ?kernel ~input () in
+            List.map
+              (fun (variant, sm, st) ->
+                 ( Printf.sprintf "%s/%s/%s/sm%d" app.Workloads.App.abbr build variant sm
+                 , st ))
+              (variant_runs ~full (record l) l))
+         [ ("default", None, true)
+         ; ("r20", Some (r20 app), false)
+         ])
+    Workloads.Suite.all
+
+let digest entries =
+  Digest.to_hex (Digest.string (Marshal.to_string (List.map snd entries) []))
