@@ -24,7 +24,20 @@
 
     The stepping API ({!create}/{!step}) lets {!Gpu} advance several SMs
     against one shared memory hierarchy; {!run} is the single-SM
-    convenience wrapper used throughout the experiments. *)
+    convenience wrapper used throughout the experiments.
+
+    Per-cycle cost. Each warp caches its wake time: the latest
+    scoreboard release over the registers its next instruction uses
+    and defines. The invariant is that it always equals that maximum,
+    so it is refreshed exactly where either side changes: after an
+    issue (which sets the issued instruction's defs and steps the
+    cursor) and when a load's last segment returns. A warp's status is
+    then O(1), and each scheduler finds its warp and its stall reason
+    in one pass over its pool. {!step} advances exactly one cycle;
+    {!run} may also jump over cycles in which nothing can change (no
+    issue, an empty LSU, no pool rebuild or controller window due),
+    charging each scheduler's stall reason for the whole span, with
+    results identical to stepping them one by one. *)
 
 exception Cycle_limit of Stats.t
 (** The statistics at the limit. When the functional pass was cut
@@ -65,7 +78,7 @@ val create :
     equal the configuration's. *)
 
 val step : t -> unit
-(** Advance one cycle. *)
+(** Advance exactly one cycle. *)
 
 val busy : t -> bool
 (** Blocks resident or still obtainable from the dispenser. *)
