@@ -695,6 +695,17 @@ let test_dynamic_tlp_helps_thrashing () =
   in
   check "throttling helps the thrashing kernel" true (run true < run false)
 
+(* A paused block's warps are not scheduled, its greedy warp included:
+   under GTO, KMN at TLP 5 pauses blocks, and a paused greedy warp that
+   kept issuing ran it for 158,095 cycles instead of 144,934. *)
+let test_dynamic_tlp_pauses_greedy_warp () =
+  let app = Workloads.Suite.find "KMN" in
+  let input = Workloads.App.default_input app in
+  let st =
+    G.Sm.run ~dynamic_tlp:true fermi (Workloads.App.launch app ~tlp:5 ~input ())
+  in
+  check_int "KMN tlp5 dynamic cycles" 144_934 st.G.Stats.cycles
+
 (* ---------- multi-SM ---------- *)
 
 let test_gpu_multi_sm_correct () =
@@ -845,6 +856,8 @@ let () =
       , [ Alcotest.test_case "correct under pausing" `Quick test_dynamic_tlp_correct
         ; Alcotest.test_case "helps thrashing kernels" `Slow
             test_dynamic_tlp_helps_thrashing
+        ; Alcotest.test_case "paused block's greedy warp waits" `Quick
+            test_dynamic_tlp_pauses_greedy_warp
         ] )
     ; ( "multi-sm"
       , [ Alcotest.test_case "correct across SMs" `Quick test_gpu_multi_sm_correct
