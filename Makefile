@@ -53,7 +53,9 @@ bench-smoke:
 	rm -f fig13-jobs1.out fig13-jobs2-cold.out fig13-jobs1.txt fig13-jobs2-cold.txt
 	$(FIG13) --backend machine
 
-# CI gate for the compile path and the daemon's simulate path: CRAT-static
+# CI gate for the sweep, the compile path and the daemon's simulate path: the
+# fig13-family sweep slice, its pass checked against the committed
+# fingerprint (so every simulator change is gated on every push); CRAT-static
 # plans for all 22 apps, each checked against its committed digest (resource
 # analysis, candidate allocations, chosen allocated kernel text); then two
 # clients streaming the whole universe into a cold daemon, each client's
@@ -61,6 +63,7 @@ bench-smoke:
 # once; then a daemon restarted on a recorded store, which must answer every
 # point with no simulation and no trace record, with the committed fingerprint
 perf-smoke:
+	dune exec ./perfbench/perf.exe -- --workload sweep --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload serve-cold --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload serve-warm --seconds 2 --trace 0
