@@ -57,8 +57,8 @@ let classify_delta ~dmin ~dmax ~width ~lo ~hi ~uniform =
   else if dmin >= hi || dmax + width <= lo || uniform then Oob
   else Unknown
 
-let classify_shared ~bs ~nb ~shared_bytes ~offsets ~sizes ~strides (av : Dom.v)
-    ~width =
+let classify_shared ~bs ~nb ~shared_bytes ~offsets ~sizes ~spill_stride
+    (av : Dom.v) ~width =
   let itv = av.Dom.itv in
   let seg = Gpusim.Sancheck.Segment { lo = 0; hi = shared_bytes } in
   let sym =
@@ -71,8 +71,8 @@ let classify_shared ~bs ~nb ~shared_bytes ~offsets ~sizes ~strides (av : Dom.v)
     let off_s = List.assoc s offsets in
     let size_s = List.assoc s sizes in
     let a = av.Dom.aff in
-    match List.assoc_opt s strides with
-    | Some ps when ps > 0 ->
+    match spill_stride with
+    | Some ps when s = Regalloc.Spill.shared_stack_sym ->
       (* TLP-dependent spill region: the segment is the executing
          thread's own sub-stack *)
       let pt = Gpusim.Sancheck.Per_thread { base = off_s; stride = ps } in
@@ -244,7 +244,7 @@ let classify_param (k : Kernel.t) (addr : Instr.address) ~width =
   | Instr.Osym _ ->
     (Oob, None, "ld.param base is not a parameter")
 
-let analyze ?(private_strides = []) an =
+let analyze an =
   let flow = Analysis.flow an in
   let k = flow.Cfg.Flow.kernel in
   let bs = Analysis.block_size an in
@@ -273,7 +273,7 @@ let analyze ?(private_strides = []) an =
         match space with
         | Types.Shared ->
           classify_shared ~bs ~nb ~shared_bytes ~offsets:shared_offsets
-            ~sizes:shared_sizes ~strides:private_strides
+            ~sizes:shared_sizes ~spill_stride:(Analysis.spill_stride an)
             (Analysis.address_at an i addr)
             ~width
         | Types.Local ->

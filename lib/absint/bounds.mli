@@ -4,11 +4,11 @@
     Classifies every shared, local and param access of an analysed
     kernel against the exact segment extents of {!Gpusim.Image}'s
     loader layout — shared symbols, the per-thread local frame, the
-    parameter bank, and (through [private_strides]) the TLP-dependent
-    per-thread sub-stacks of the shared spill region — using the
-    reduced product the analysis already carries: an access is proven
-    by its affine-in-tid/ctaid form swept over the realized thread and
-    block ids, or by its interval, whichever is sharper.
+    parameter bank, and (through {!Analysis.spill_stride}) the
+    TLP-dependent per-thread sub-stacks of the shared spill region —
+    using the reduced product the analysis already carries: an access
+    is proven by its affine-in-tid/ctaid form swept over the realized
+    thread and block ids, or by its interval, whichever is sharper.
 
     Global and const accesses are out of scope: their extent is the
     paged global memory itself, which has no static bound here.
@@ -43,11 +43,10 @@ type t =
   ; num_instrs : int
   }
 
-val analyze : ?private_strides:(string * int) list -> Analysis.t -> t
-(** [private_strides] names shared symbols with per-thread sub-stack
-    semantics (the allocator's [SpillShm]) and their per-thread byte
-    stride: accesses are then held to the executing thread's own
-    sub-stack, not just the symbol extent. *)
+val analyze : Analysis.t -> t
+(** When the kernel carries the allocator's shared spill sub-stack
+    ({!Analysis.spill_stride}), accesses to it are held to the executing
+    thread's own sub-stack, not just the symbol extent. *)
 
 val counts : t -> int * int * int
 (** [(safe, oob, unknown)] over the in-scope accesses. *)

@@ -74,14 +74,7 @@ let make_side ?block_size ?num_blocks (k : Kernel.t) =
     | Some b -> b
     | None -> 0
   in
-  let shared_stride =
-    match
-      Regalloc.Spill.shared_stride_of_kernel
-        ~block_size:(A.block_size an) k
-    with
-    | Some (_, stride) -> stride
-    | None -> 0
-  in
+  let shared_stride = Option.value ~default:0 (A.spill_stride an) in
   let spill =
     if local_bytes > 0 || shared_stride > 0 then
       Some { local_bytes; shared_stride }

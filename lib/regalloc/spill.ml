@@ -80,7 +80,7 @@ let shared_stride_of_kernel ~block_size (k : Ptx.Kernel.t) =
          then begin
            let bytes = Ptx.Kernel.decl_bytes d in
            if bytes mod block_size = 0 && bytes / block_size > 0 then
-             Some (shared_stack_sym, bytes / block_size)
+             Some (bytes / block_size)
            else None
          end
          else None)

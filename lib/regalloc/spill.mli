@@ -48,15 +48,14 @@ val local_stack_sym : string
 
 val shared_stack_sym : string
 (** Name of the block-wide shared spill-stack symbol ([SpillShm]);
-    address analyses (lib/verify) recognise the per-thread sub-stack
-    addressing pattern through it. *)
+    {!Absint.Analysis} recognises the per-thread sub-stack addressing
+    pattern through it. *)
 
-val shared_stride_of_kernel :
-  block_size:int -> Ptx.Kernel.t -> (string * int) option
-(** [(shared_stack_sym, bytes_per_thread)] when the kernel carries an
-    allocator-emitted shared spill stack sized for [block_size] threads;
-    the sanitizer holds accesses through it to the executing thread's
-    own sub-stack. *)
+val shared_stride_of_kernel : block_size:int -> Ptx.Kernel.t -> int option
+(** The per-thread byte stride of the allocator-emitted shared spill
+    stack, when the kernel carries one sized for [block_size] threads.
+    {!Absint.Analysis.spill_stride} is the one reader; the verifier, the
+    sanitizer and translation validation take the stride from there. *)
 
 val apply : block_size:int -> Ptx.Kernel.t -> spec -> Ptx.Kernel.t * stats
 (** Rewrite the kernel: every use of a spilled register loads it into a

@@ -1,11 +1,12 @@
 module D = Diagnostic
 
-let check (flow : Cfg.Flow.t) div =
+let check an =
+  let flow = Absint.Analysis.flow an in
   let kernel = flow.Cfg.Flow.kernel.Ptx.Kernel.name in
   let diags = ref [] in
   Cfg.Flow.iter_instrs flow (fun i ins ->
     let b = flow.Cfg.Flow.block_of_instr.(i) in
-    if Divergence.divergent_block div b then
+    if Absint.Analysis.divergent_block an b then
       match ins with
       | Ptx.Instr.Bar_sync ->
         diags :=

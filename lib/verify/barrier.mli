@@ -1,7 +1,8 @@
 (** Checker 3: barrier divergence. [bar.sync] waits for every thread of
     the block, so executing one under divergent control flow (a block
-    control dependent on a thread-varying branch) deadlocks the block —
-    reported as V301. [ret] under divergent control flow (unsupported by
-    the reference interpreter's reconvergence stack) is warned as V302. *)
+    {!Absint.Analysis.divergent_block} claims may run with a partial
+    warp) deadlocks the block — reported as V301. [ret] under divergent
+    control flow (unsupported by the reference interpreter's
+    reconvergence stack) is warned as V302. *)
 
-val check : Cfg.Flow.t -> Divergence.t -> Diagnostic.t list
+val check : Absint.Analysis.t -> Diagnostic.t list

@@ -4,11 +4,8 @@ let check_kernel ?(block_size = 128) (k : Ptx.Kernel.t) =
     match Cfg.Flow.of_kernel k with
     | exception Invalid_argument _ -> []
     | flow ->
-      let analysis = Absint.Analysis.run ~block_size flow in
-      let div = Divergence.compute ~block_size ~analysis flow in
-      Uninit.check flow
-      @ Barrier.check flow div
-      @ Races.check ~block_size ~analysis flow div
+      let an = Absint.Analysis.run ~block_size flow in
+      Uninit.check flow @ Barrier.check an @ Races.check an
   in
   Diagnostic.sort (tds @ more)
 

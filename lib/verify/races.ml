@@ -114,26 +114,13 @@ let no_barrier_between flow i j =
   in
   loop (i + 1)
 
-let check ~block_size ?analysis (flow : Cfg.Flow.t) div =
-  let k = flow.Cfg.Flow.kernel in
-  let kernel = k.Kernel.name in
-  let bs = min block_size 4096 in
-  let an =
-    match analysis with
-    | Some a -> a
-    | None -> Absint.Analysis.run ~block_size flow
-  in
-  (* per-thread stride of the Algorithm-1 shared spill sub-stack *)
-  let spill_stride =
-    List.find_map
-      (fun d ->
-         if d.Kernel.dname = Regalloc.Spill.shared_stack_sym then
-           let bytes = Kernel.decl_bytes d in
-           if block_size > 0 && bytes mod block_size = 0 then
-             Some (bytes / block_size)
-           else None
-         else None)
-      k.Kernel.decls
+let check an =
+  let flow = Absint.Analysis.flow an in
+  let kernel = flow.Cfg.Flow.kernel.Kernel.name in
+  let bs = min (Absint.Analysis.block_size an) 4096 in
+  let divergent_block = Absint.Analysis.divergent_block an in
+  let divergent_operand i op =
+    not (Absint.Analysis.operand_at an i op).Dom.uni
   in
   let accesses = ref [] in
   Cfg.Flow.iter_instrs flow (fun i ins ->
@@ -143,12 +130,12 @@ let check ~block_size ?analysis (flow : Cfg.Flow.t) div =
       let form = (Absint.Analysis.address_at an i addr).Dom.aff in
       let addr_div =
         if form.Dom.exact then form.Dom.tid <> 0
-        else Divergence.divergent_operand div ~at:i addr.Instr.base
+        else divergent_operand i addr.Instr.base
       in
       let store, value_div =
         match ins with
         | Instr.St (_, _, _, v) ->
-          (true, Divergence.divergent_operand div ~at:i v)
+          (true, divergent_operand i v)
         | _ -> (false, false)
       in
       accesses :=
@@ -174,8 +161,8 @@ let check ~block_size ?analysis (flow : Cfg.Flow.t) div =
     (* V402: resolved spill-region accesses must follow the private
        per-thread pattern stride*tid + slot with the slot inside the
        per-thread stride *)
-    (match spill_stride with
-     | Some stride when stride > 0 ->
+    (match Absint.Analysis.spill_stride an with
+     | Some stride ->
        List.iter
          (fun a ->
             if in_spill a then begin
@@ -196,7 +183,7 @@ let check ~block_size ?analysis (flow : Cfg.Flow.t) div =
                   :: !diags
             end)
          accesses
-     | Some _ | None -> ());
+     | None -> ());
     (* an ordered barrier-free path from access [a] to access [b] *)
     let path_free a b =
       (a.blk = b.blk && a.idx < b.idx && no_barrier_between flow a.idx b.idx)
@@ -220,8 +207,7 @@ let check ~block_size ?analysis (flow : Cfg.Flow.t) div =
         (ordered a b && path_free a b)
         || (ordered b a && path_free b a)
         || ((not (ordered a b)) && (not (ordered b a))
-            && (Divergence.divergent_block div a.blk
-                || Divergence.divergent_block div b.blk))
+            && (divergent_block a.blk || divergent_block b.blk))
       in
       if unsynced && may_overlap bs a b then begin
         let s, o = if a.store then (a, b) else (b, a) in
@@ -235,7 +221,7 @@ let check ~block_size ?analysis (flow : Cfg.Flow.t) div =
         if a.store then begin
           if a.form.Dom.exact then begin
             if a.form.Dom.tid = 0 then begin
-              if a.value_div && not (Divergence.divergent_block div a.blk) then
+              if a.value_div && not (divergent_block a.blk) then
                 diags :=
                   D.error ~instr:a.idx ~block:a.blk ~kernel ~code:"V401"
                     "whole block stores divergent values to a single shared \

@@ -41,11 +41,7 @@ let diag_of_access ~kernel (a : Bounds.access) =
 let of_analysis an =
   let k = (A.flow an).Cfg.Flow.kernel in
   let kernel = k.Ptx.Kernel.name in
-  let private_strides =
-    Option.to_list
-      (Regalloc.Spill.shared_stride_of_kernel ~block_size:(A.block_size an) k)
-  in
-  let bounds = Bounds.analyze ~private_strides an in
+  let bounds = Bounds.analyze an in
   let safe, oob, residual = Bounds.counts bounds in
   let discharge = { total = safe + oob + residual; safe; oob; residual } in
   let diags =

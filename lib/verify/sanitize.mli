@@ -2,8 +2,8 @@
     diagnostics.
 
     Runs {!Absint.Bounds} over a kernel — recognising the allocator's
-    shared spill stack through {!Regalloc.Spill.shared_stride_of_kernel}
-    so spill traffic is held to per-thread sub-stacks — and renders the
+    shared spill stack through {!Absint.Analysis.spill_stride} so spill
+    traffic is held to per-thread sub-stacks — and renders the
     verdicts:
 
     - {b S401} (error): a shared access provably escapes its segment or
