@@ -151,29 +151,25 @@ let sanitize_app fmt o (app : Workloads.App.t) =
   let abbr = app.Workloads.App.abbr in
   let bad = ref false in
   let total = ref 0 and safe = ref 0 in
-  let stages =
-    match Crat.Sanitize.stages ?regs:o.regs ~spare:o.spare app with
-    | stages -> stages
-    | exception Failure msg ->
-      print_error fmt abbr "post-alloc" msg;
-      bad := true;
-      []
-  in
   List.iter
     (fun (sr : Crat.Sanitize.stage_report) ->
-       let r = sr.Crat.Sanitize.report in
-       let d = r.Verify.Sanitize.discharge in
-       total := !total + d.Verify.Sanitize.total;
-       safe := !safe + d.Verify.Sanitize.safe;
-       Format.fprintf fmt
-         "%-5s %-10s %3d access(es): %3d safe, %d oob, %d residual (%.1f%% proven)@."
-         abbr sr.Crat.Sanitize.stage d.Verify.Sanitize.total
-         d.Verify.Sanitize.safe d.Verify.Sanitize.oob
-         d.Verify.Sanitize.residual
-         (Verify.Sanitize.proven_pct d);
-       print_diags fmt r.Verify.Sanitize.diags;
-       if Verify.Diagnostic.has_errors r.Verify.Sanitize.diags then bad := true)
-    stages;
+       match sr.Crat.Sanitize.report with
+       | Error msg ->
+         print_error fmt abbr sr.Crat.Sanitize.stage msg;
+         bad := true
+       | Ok r ->
+         let d = r.Verify.Sanitize.discharge in
+         total := !total + d.Verify.Sanitize.total;
+         safe := !safe + d.Verify.Sanitize.safe;
+         Format.fprintf fmt
+           "%-5s %-10s %3d access(es): %3d safe, %d oob, %d residual (%.1f%% proven)@."
+           abbr sr.Crat.Sanitize.stage d.Verify.Sanitize.total
+           d.Verify.Sanitize.safe d.Verify.Sanitize.oob
+           d.Verify.Sanitize.residual
+           (Verify.Sanitize.proven_pct d);
+         print_diags fmt r.Verify.Sanitize.diags;
+         if Verify.Diagnostic.has_errors r.Verify.Sanitize.diags then bad := true)
+    (Crat.Sanitize.stages ?regs:o.regs ~spare:o.spare app);
   if o.validate then begin
     let dyn = Crat.Sanitize.validate ~cfg:(config_of_kepler o.kepler) app in
     let c = dyn.Crat.Sanitize.counters in

@@ -4,26 +4,31 @@ module Sancheck = Gpusim.Sancheck
 
 type stage_report =
   { stage : string
-  ; report : San.report
+  ; report : (San.report, string) result
   }
 
 let stage_names = [ "pre-opt"; "post-opt"; "post-alloc" ]
 
+(* The two unallocated stages are analysed first, so the allocator's
+   rejection of the register limit only takes the post-alloc report. *)
 let stages ?regs ?(spare = 0) (app : App.t) =
   let block_size = app.App.block_size in
   let regs = Option.value ~default:app.App.default_regs regs in
   let shared_policy = if spare > 0 then `Spare spare else `Off in
   let k = App.kernel app in
+  let pre = San.sanitize_kernel ~block_size k in
   let k', _ = Ptxopt.Pipeline.run ~block_size k in
-  let a =
-    Regalloc.Allocator.allocate ~shared_policy ~block_size ~reg_limit:regs k
+  let post = San.sanitize_kernel ~block_size k' in
+  let alloc =
+    match
+      Regalloc.Allocator.allocate ~shared_policy ~block_size ~reg_limit:regs k
+    with
+    | a -> Ok (San.sanitize_kernel ~block_size a.Regalloc.Allocator.kernel)
+    | exception Failure msg -> Error msg
   in
-  [ { stage = "pre-opt"; report = San.sanitize_kernel ~block_size k }
-  ; { stage = "post-opt"; report = San.sanitize_kernel ~block_size k' }
-  ; { stage = "post-alloc"
-    ; report =
-        San.sanitize_kernel ~block_size a.Regalloc.Allocator.kernel
-    }
+  [ { stage = "pre-opt"; report = Ok pre }
+  ; { stage = "post-opt"; report = Ok post }
+  ; { stage = "post-alloc"; report = alloc }
   ]
 
 type dynamic =
@@ -52,16 +57,42 @@ let validate ?(cfg = Gpusim.Config.fermi) ?input (app : App.t) =
     San.sanitize_kernel ~block_size:app.App.block_size
       ~num_blocks:input.App.num_blocks ~params:(int_params params) kernel
   in
+  let launch () =
+    Gpusim.Launch.make ~warp_size:cfg.Gpusim.Config.warp_size ~kernel
+      ~block_size:app.App.block_size ~num_blocks:input.App.num_blocks ~params
+      (App.memory app input)
+  in
   let rt = Sancheck.runtime (San.mask report) in
   let (_ : Gpusim.Profile.t) =
     Gpusim.Profile.run ~line:cfg.Gpusim.Config.l1_line
-      ~banks:cfg.Gpusim.Config.shared_banks ~sanitize:rt
-      (Gpusim.Launch.make ~warp_size:cfg.Gpusim.Config.warp_size ~kernel
-         ~block_size:app.App.block_size ~num_blocks:input.App.num_blocks
-         ~params (App.memory app input))
+      ~banks:cfg.Gpusim.Config.shared_banks ~sanitize:rt (launch ())
   in
+  (* the same launch on the fast interpreter must probe exactly the
+     same lanes *)
+  let fast = Sancheck.runtime (San.mask report) in
+  Gpusim.Emulator.run ~sanitize:fast (launch ());
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
+  let counts (s : Sancheck.stat) =
+    (s.Sancheck.seen, s.Sancheck.checked, s.Sancheck.violations, s.Sancheck.first)
+  in
+  let ref_stats = Sancheck.stats rt.Sancheck.counters in
+  let fast_stats = Sancheck.stats fast.Sancheck.counters in
+  if
+    List.map (fun (pc, s) -> (pc, counts s)) ref_stats
+    <> List.map (fun (pc, s) -> (pc, counts s)) fast_stats
+  then
+    fail
+      "%s: the fast interpreter's sanitizer counters differ from the \
+       reference's (%d/%d/%d lane accesses seen/checked/violating, against \
+       %d/%d/%d)"
+      app.App.abbr
+      (Sancheck.seen fast.Sancheck.counters)
+      (Sancheck.checked fast.Sancheck.counters)
+      (Sancheck.violations fast.Sancheck.counters)
+      (Sancheck.seen rt.Sancheck.counters)
+      (Sancheck.checked rt.Sancheck.counters)
+      (Sancheck.violations rt.Sancheck.counters);
   List.iter
     (fun d ->
        if Verify.Diagnostic.is_error d then

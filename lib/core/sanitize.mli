@@ -11,7 +11,8 @@
 
 type stage_report =
   { stage : string
-  ; report : Verify.Sanitize.report
+  ; report : (Verify.Sanitize.report, string) result
+      (** [Error msg]: the allocator rejected the register limit *)
   }
 
 val stage_names : string list
@@ -20,7 +21,9 @@ val stage_names : string list
 val stages : ?regs:int -> ?spare:int -> Workloads.App.t -> stage_report list
 (** Static bounds reports at each stage. [regs] is the allocator's
     register limit (default: the app's), [spare] enables the shared
-    spill policy with that many spare bytes. *)
+    spill policy with that many spare bytes. A limit the allocator
+    rejects leaves the post-alloc stage an [Error]; the unallocated
+    stages are reported all the same. *)
 
 type dynamic =
   { report : Verify.Sanitize.report
@@ -31,5 +34,7 @@ type dynamic =
 
 val validate :
   ?cfg:Gpusim.Config.t -> ?input:Workloads.App.input -> Workloads.App.t -> dynamic
-(** Execute the app's launch with the sanitizer armed (mutating a fresh
-    memory image). *)
+(** Execute the app's launch with the sanitizer armed, on a fresh memory
+    image, through the reference interpreter (whose counters are
+    returned) and through the fast one ({!Gpusim.Emulator.run}); a
+    per-pc counter on which the two disagree is a failure. *)

@@ -49,10 +49,8 @@ let trace (cfg : Gpusim.Config.t) app input =
     | Gpusim.Interp.E_mem { space = Ptx.Types.Shared; _ } ->
       cur := !cur + cfg.Gpusim.Config.shared_latency
     | Gpusim.Interp.E_mem _ ->
-      Gpusim.Coalescer.reset sc;
-      for i = 0 to Gpusim.Interp.mem_count w - 1 do
-        Gpusim.Coalescer.add sc (Gpusim.Interp.mem_addr w i)
-      done;
+      Gpusim.Coalescer.load sc (Gpusim.Interp.mem_addrs w) 0
+        (Gpusim.Interp.mem_count w);
       let n = Gpusim.Coalescer.segments sc in
       for j = 0 to n - 1 do
         Hashtbl.replace lines (Gpusim.Coalescer.segment sc j) ()

@@ -26,6 +26,10 @@ let add t a =
   t.addrs.(t.n) <- Int64.float_of_bits a;
   t.n <- t.n + 1
 
+let load t src off n =
+  Array.blit src off t.addrs 0 n;
+  t.n <- n
+
 let addr t i = Int64.bits_of_float (Array.unsafe_get t.addrs i)
 
 (* The distinct values of [addr / div] over the lanes, ascending, in

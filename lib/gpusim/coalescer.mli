@@ -16,6 +16,11 @@ val reset : t -> unit
 val add : t -> int64 -> unit
 (** The next lane's byte address. *)
 
+val load : t -> float array -> int -> int -> unit
+(** [load t src off n] starts a new access whose [n] lane addresses are
+    the bit patterns ([Int64.float_of_bits]) [src.(off)] to
+    [src.(off + n - 1)], copied with one blit. *)
+
 val segments : t -> int
 (** Number of distinct L1-line indices; they are left ascending for
     {!segment}. *)

@@ -5,10 +5,7 @@ exception Over_budget
 let record_step tr w ~pc ~mask (exec : Interp.exec) =
   Replay.record tr ~pc ~mask;
   match exec with
-  | Interp.E_mem _ ->
-    for i = 0 to Interp.mem_count w - 1 do
-      Replay.record_addr tr (Interp.mem_addr w i)
-    done
+  | Interp.E_mem _ -> Replay.record_addrs tr (Interp.mem_addrs w) (Interp.mem_count w)
   | Interp.E_alu _ | Interp.E_barrier | Interp.E_exit -> ()
 
 let run ?sanitize ?record ?(max_warp_instrs = max_int) (l : Launch.t) =

@@ -64,11 +64,11 @@ let local_base = 0x4000_0000L
    slots spread over all cache sets instead of piling into one. *)
 let interleave_stride = 321 * 32
 
-let local_addr t ~global_tid ~sym_offset =
+let[@inline] local_addr t ~global_tid ~sym_offset =
   Int64.add local_base
     (Int64.of_int ((global_tid * t.local_frame_bytes) + sym_offset))
 
-let remap_local t ~global_tid naive =
+let[@inline] remap_local t ~global_tid naive =
   if global_tid >= interleave_stride then
     invalid_arg "Image.remap_local: thread id exceeds the interleave stride";
   let logical = Int64.to_int (Int64.sub naive local_base) in
@@ -78,6 +78,26 @@ let remap_local t ~global_tid naive =
   let word = off / 4 and byte = off mod 4 in
   Int64.add local_base
     (Int64.of_int ((((word * interleave_stride) + global_tid) * 4) + byte))
+
+(* Warp-wide forms, with lane [l]'s thread id [global_tid0 + l]; the
+   per-lane code is inlined so addresses stay unboxed. *)
+
+let local_addr_lanes t ~global_tid0 ~sym_offset ~mask ~n d doff =
+  for l = 0 to n - 1 do
+    if mask land (1 lsl l) <> 0 then
+      Array.unsafe_set d (doff + l)
+        (Int64.float_of_bits
+           (local_addr t ~global_tid:(global_tid0 + l) ~sym_offset))
+  done
+
+let remap_local_lanes t ~global_tid0 ~addrs ~lanes ~n =
+  for k = 0 to n - 1 do
+    let global_tid = global_tid0 + Array.unsafe_get lanes k in
+    Array.unsafe_set addrs k
+      (Int64.float_of_bits
+         (remap_local t ~global_tid
+            (Int64.bits_of_float (Array.unsafe_get addrs k))))
+  done
 
 let shared_offset t name =
   match List.assoc_opt name t.shared_offsets with

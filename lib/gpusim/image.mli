@@ -43,5 +43,22 @@ val local_addr : t -> global_tid:int -> sym_offset:int -> int64
     into one or two cache lines. The kernel adds its own byte offsets to
     the symbol base, so interleaving is applied at access time. *)
 val remap_local : t -> global_tid:int -> int64 -> int64
+
+(** {2 Warp-wide forms}
+
+    Lane [l] has global thread id [global_tid0 + l]; addresses are raw
+    bit patterns ([Int64.float_of_bits]) in [float array]s, as in
+    {!Value}'s warp-wide kernels. *)
+
+val local_addr_lanes :
+  t -> global_tid0:int -> sym_offset:int -> mask:int -> n:int
+  -> float array -> int -> unit
+(** {!local_addr} into [d.(doff + l)] for the lanes [l] of [mask]. *)
+
+val remap_local_lanes :
+  t -> global_tid0:int -> addrs:float array -> lanes:int array -> n:int
+  -> unit
+(** {!remap_local} in place on [addrs.(k)], lane [lanes.(k)], [k < n]. *)
+
 val shared_offset : t -> string -> int
 val pp_summary : Format.formatter -> t -> unit

@@ -83,6 +83,11 @@ val mem_count : warp -> int
 val mem_addr : warp -> int -> int64
 (** [i]-th recorded address, in ascending lane order. *)
 
+val mem_addrs : warp -> float array
+(** The recorded addresses as bit patterns ([Int64.float_of_bits]):
+    the first {!mem_count} entries, in {!mem_addr}'s order. The buffer
+    is the warp's own, overwritten by its next step. *)
+
 val mem_lane : warp -> int -> int
 (** [i]-th recorded lane, ascending. *)
 

@@ -42,62 +42,69 @@ let create () =
 
 (* fits in the page table: non-negative, below 2^62 (so the word index
    fits an OCaml int) and 4-byte aligned *)
-let in_range addr =
+let[@inline] in_range addr =
   Int64.logand addr 0x4000_0000_0000_0003L = 0L && addr >= 0L
 
-let word_of addr = Int64.to_int (Int64.shift_right_logical addr 2)
+let[@inline] word_of addr = Int64.to_int (Int64.shift_right_logical addr 2)
 
+(* whether page [idx] exists; if it does, it becomes the cached page *)
 let find_page t idx =
-  match Hashtbl.find_opt t.pages idx with
-  | Some p ->
+  match Hashtbl.find t.pages idx with
+  | p ->
     t.last_idx <- idx;
     t.last_page <- p;
-    Some p
-  | None -> None
+    true
+  | exception Not_found -> false
+
+let[@inline] has_page t idx = idx = t.last_idx || find_page t idx
 
 let get_page t idx =
-  if idx = t.last_idx then t.last_page
-  else
-    match find_page t idx with
-    | Some p -> p
-    | None ->
-      let p = new_page () in
-      Hashtbl.replace t.pages idx p;
-      t.last_idx <- idx;
-      t.last_page <- p;
-      p
+  if has_page t idx then t.last_page
+  else begin
+    let p = new_page () in
+    Hashtbl.replace t.pages idx p;
+    t.last_idx <- idx;
+    t.last_page <- p;
+    p
+  end
 
-let load_bits t addr =
+(* The per-address code below is [@inline] so the warp-wide loops keep
+   addresses and values unboxed; only the side table boxes. *)
+
+let side_bits t addr =
+  match Hashtbl.find_opt t.side addr with
+  | Some v -> Value.to_bits v
+  | None -> 0L
+
+let side_isf t addr =
+  match Hashtbl.find_opt t.side addr with
+  | Some (Value.F _) -> true
+  | Some (Value.I _) | None -> false
+
+let side_store t addr ~isf bits =
+  if not (Hashtbl.mem t.side addr) then t.count <- t.count + 1;
+  Hashtbl.replace t.side addr
+    (if isf then Value.F (Int64.float_of_bits bits) else Value.I bits)
+
+(* the stored pattern at [addr] (as a float), and its float tag *)
+let[@inline] load_raw t addr =
   if in_range addr then begin
     let word = word_of addr in
-    let idx = word lsr page_bits in
-    if idx = t.last_idx then
-      Int64.bits_of_float
-        (Array.unsafe_get t.last_page.vals (word land slot_mask))
-    else
-      match find_page t idx with
-      | Some p -> Int64.bits_of_float p.vals.(word land slot_mask)
-      | None -> 0L
+    if has_page t (word lsr page_bits) then
+      Array.unsafe_get t.last_page.vals (word land slot_mask)
+    else 0.0
   end
-  else
-    match Hashtbl.find_opt t.side addr with
-    | Some v -> Value.to_bits v
-    | None -> 0L
+  else Int64.float_of_bits (side_bits t addr)
 
-let load_isf t addr =
+let[@inline] load_isf t addr =
   if in_range addr then begin
     let word = word_of addr in
-    let idx = word lsr page_bits in
-    let meta_at p = Bytes.get_uint8 p.meta (word land slot_mask) land 2 <> 0 in
-    if idx = t.last_idx then meta_at t.last_page
-    else match find_page t idx with Some p -> meta_at p | None -> false
+    has_page t (word lsr page_bits)
+    && Bytes.get_uint8 t.last_page.meta (word land slot_mask) land 2 <> 0
   end
-  else
-    match Hashtbl.find_opt t.side addr with
-    | Some (Value.F _) -> true
-    | Some (Value.I _) | None -> false
+  else side_isf t addr
 
-let store_bits t addr ~isf bits =
+let[@inline] store_raw t addr ~isf x =
   if in_range addr then begin
     let word = word_of addr in
     let p = get_page t (word lsr page_bits) in
@@ -105,13 +112,31 @@ let store_bits t addr ~isf bits =
     let m = Bytes.get_uint8 p.meta slot in
     if m land 1 = 0 then t.count <- t.count + 1;
     Bytes.unsafe_set p.meta slot (Char.unsafe_chr (if isf then 3 else 1));
-    Array.unsafe_set p.vals slot (Int64.float_of_bits bits)
+    Array.unsafe_set p.vals slot x
   end
-  else begin
-    if not (Hashtbl.mem t.side addr) then t.count <- t.count + 1;
-    Hashtbl.replace t.side addr
-      (if isf then Value.F (Int64.float_of_bits bits) else Value.I bits)
-  end
+  else side_store t addr ~isf (Int64.bits_of_float x)
+
+let load_bits t addr = Int64.bits_of_float (load_raw t addr)
+let store_bits t addr ~isf bits = store_raw t addr ~isf (Int64.float_of_bits bits)
+
+let load_lanes t ~addrs ~lanes ~n d doff =
+  let fmask = ref 0 in
+  for k = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes k in
+    let addr = Int64.bits_of_float (Array.unsafe_get addrs k) in
+    Array.unsafe_set d (doff + lane) (load_raw t addr);
+    if load_isf t addr then fmask := !fmask lor (1 lsl lane)
+  done;
+  !fmask
+
+let store_lanes t ~isf ~addrs ~lanes ~n s soff =
+  for k = 0 to n - 1 do
+    let lane = Array.unsafe_get lanes k in
+    store_raw t
+      (Int64.bits_of_float (Array.unsafe_get addrs k))
+      ~isf
+      (Array.unsafe_get s (soff + lane))
+  done
 
 let read t addr ty =
   let bits = load_bits t addr in

@@ -26,14 +26,28 @@ val digest : t -> Digest.t
 (** {2 Raw accessors}
 
     Bit-pattern interface used by the interpreter's allocation-free
-    fast path. [load_bits] returns the raw stored 64-bit pattern (zero
-    for never-written locations); [load_isf] its float tag (observable
-    only through predicate reads); [store_bits] stores an
-    already-truncated pattern with an explicit tag. *)
+    fast path. Values are raw 64-bit patterns, stored as
+    [Int64.float_of_bits] in [float array]s as in {!Value}'s warp-wide
+    kernels, with an explicit float tag (observable only through
+    predicate reads); a never-written location reads as zero, not
+    float-tagged. *)
 
-val load_bits : t -> int64 -> int64
-val load_isf : t -> int64 -> bool
 val store_bits : t -> int64 -> isf:bool -> int64 -> unit
+(** Store an already-truncated pattern. *)
+
+val load_lanes :
+  t -> addrs:float array -> lanes:int array -> n:int -> float array -> int
+  -> int
+(** [load_lanes t ~addrs ~lanes ~n d doff] reads the address whose bit
+    pattern is [addrs.(k)] into [d.(doff + lanes.(k))], for [k < n];
+    returns the mask of lanes whose location is float-tagged. *)
+
+val store_lanes :
+  t -> isf:bool -> addrs:float array -> lanes:int array -> n:int
+  -> float array -> int -> unit
+(** [store_lanes t ~isf ~addrs ~lanes ~n s soff] stores
+    [s.(soff + lanes.(k))] at address [addrs.(k)], for [k] ascending
+    (a later lane's store to the same address wins). *)
 
 (** {2 Buffer helpers} *)
 

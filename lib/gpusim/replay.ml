@@ -67,11 +67,15 @@ let record w ~pc ~mask =
   Array.unsafe_set w.masks w.n mask;
   w.n <- w.n + 1
 
-let record_addr w addr =
+let record_addrs w src n =
   let cap = Array.length w.addrs in
-  if w.addr_n = cap then w.addrs <- Array.append w.addrs (Array.make cap 0.0);
-  Array.unsafe_set w.addrs w.addr_n (Int64.float_of_bits addr);
-  w.addr_n <- w.addr_n + 1
+  if w.addr_n + n > cap then begin
+    let grown = Array.make (max (2 * cap) (w.addr_n + n)) 0.0 in
+    Array.blit w.addrs 0 grown 0 w.addr_n;
+    w.addrs <- grown
+  end;
+  Array.blit src 0 w.addrs w.addr_n n;
+  w.addr_n <- w.addr_n + n
 
 let finish t =
   Array.iter
@@ -133,6 +137,9 @@ let mem_count c = c.cur_addr_n
 
 let mem_addr c j =
   Int64.bits_of_float (Array.unsafe_get c.tr.addrs (c.cur_addr_off + j))
+
+let mem_bits c = c.tr.addrs
+let mem_first c = c.cur_addr_off
 
 (* ---------- launch keys ---------- *)
 

@@ -50,9 +50,12 @@ val wtrace : t -> ctaid:int -> wid:int -> wtrace
 val record : wtrace -> pc:int -> mask:int -> unit
 (** Append one issued instruction. For a memory instruction
     ([Dcode.exec_of.(pc)] is [E_mem]), exactly [popcount mask] lane
-    addresses must follow via {!record_addr} before the next {!record}. *)
+    addresses must follow via {!record_addrs} before the next {!record}. *)
 
-val record_addr : wtrace -> int64 -> unit
+val record_addrs : wtrace -> float array -> int -> unit
+(** [record_addrs w src n] appends the first [n] address bit patterns
+    of [src] ([Int64.float_of_bits]), e.g. {!Interp.mem_addrs}, with
+    one blit. *)
 
 val finish : t -> unit
 (** Shrink every warp buffer to its recorded length. Call once after a
@@ -81,6 +84,12 @@ val step : cursor -> Dcode.exec
 
 val mem_count : cursor -> int
 val mem_addr : cursor -> int -> int64
+
+val mem_bits : cursor -> float array
+(** The trace's address bit patterns; the last {!step}'s are the
+    {!mem_count} from {!mem_first} on. *)
+
+val mem_first : cursor -> int
 
 (** {2 Launch keys and persistence} *)
 

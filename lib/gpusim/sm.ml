@@ -319,10 +319,8 @@ let finish_warp sm ws =
 (* Load the lane addresses of the access the warp just stepped over. *)
 let load_lanes sm ws =
   let sc = sm.lanes in
-  Coalescer.reset sc;
-  for i = 0 to Replay.mem_count ws.w - 1 do
-    Coalescer.add sc (Replay.mem_addr ws.w i)
-  done;
+  Coalescer.load sc (Replay.mem_bits ws.w) (Replay.mem_first ws.w)
+    (Replay.mem_count ws.w);
   sc
 
 let issue sm ws =

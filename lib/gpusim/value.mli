@@ -29,21 +29,21 @@ val convert : dst:Ptx.Types.scalar -> src:Ptx.Types.scalar -> t -> t
 val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
 
-(** {2 Bit-pattern kernels}
+(** {2 Bit patterns}
 
     A value is equivalently a 64-bit pattern plus a constructor tag
     [isf] ([I i] ↔ pattern [i]; [F f] ↔ pattern [Int64.bits_of_float f]).
     The interpreter's allocation-free fast path stores only patterns (and
     a per-lane tag bit where the tag is observable) in flat register
-    files, and evaluates instructions through these kernels. The boxed
-    API above is defined in terms of them, so the two representations
-    cannot drift apart. The tag is observable only through [to_int64]
-    — i.e. [to_int64_bits], [to_bool_bits] and predicate truncation. *)
+    files, and evaluates instructions through the warp-wide kernels
+    below. The boxed API above and those kernels are built from the
+    same per-element code, so the representations cannot drift apart.
+    The tag is observable only through [to_int64]: integer conversion
+    of a float, [to_bool_bits] and predicate truncation. *)
 
 val of_bits : Ptx.Types.scalar -> int64 -> t
 (** Box a bit pattern: [F]-tagged iff the type is a float type. *)
 
-val to_int64_bits : isf:bool -> int64 -> int64
 val to_bool_bits : isf:bool -> int64 -> bool
 val truncate_bits : Ptx.Types.scalar -> isf:bool -> int64 -> int64
 val binop_bits : Ptx.Instr.binop -> Ptx.Types.scalar -> int64 -> int64 -> int64
@@ -52,3 +52,54 @@ val mad_bits : Ptx.Types.scalar -> int64 -> int64 -> int64 -> int64
 val compare_bits : Ptx.Instr.cmp -> Ptx.Types.scalar -> int64 -> int64 -> bool
 val convert_bits : dst:Ptx.Types.scalar -> src:Ptx.Types.scalar -> int64 -> int64
 val round_f32 : float -> float
+
+(** {2 Warp-wide kernels}
+
+    One instruction over a warp's lanes, with the opcode and type
+    decoded once. Lane values are raw 64-bit patterns stored as
+    [Int64.float_of_bits] in a [float array]; each source and
+    destination is an array and the offset of lane 0, so a flat
+    register file is read and written in place (a destination may
+    coincide with a source). Only the lanes set in [mask] (of [n])
+    are touched, and an operation that rejects its type (a bitwise
+    float op, an SFU op on integers) raises only when [mask] is
+    non-empty. Each computes exactly what the scalar kernel of the
+    same name computes per lane: both are built from the same
+    per-element functions. *)
+
+val truncate_lanes :
+  Ptx.Types.scalar -> fmask:int -> mask:int -> n:int -> float array -> int
+  -> float array -> int -> unit
+(** [truncate_bits], with lane [l] float-tagged iff bit [l] of [fmask]
+    is set (observable only for [Pred]). *)
+
+val binop_lanes :
+  Ptx.Instr.binop -> Ptx.Types.scalar -> mask:int -> n:int -> float array
+  -> int -> float array -> int -> float array -> int -> unit
+
+val mad_lanes :
+  Ptx.Types.scalar -> mask:int -> n:int -> float array -> int
+  -> float array -> int -> float array -> int -> float array -> int -> unit
+
+val unop_lanes :
+  Ptx.Instr.unop -> Ptx.Types.scalar -> mask:int -> n:int -> float array
+  -> int -> float array -> int -> unit
+
+val convert_lanes :
+  dst:Ptx.Types.scalar -> src:Ptx.Types.scalar -> mask:int -> n:int
+  -> float array -> int -> float array -> int -> unit
+
+val compare_lanes :
+  Ptx.Instr.cmp -> Ptx.Types.scalar -> mask:int -> n:int -> float array
+  -> int -> float array -> int -> int
+(** The lanes of [mask] whose comparison holds. *)
+
+val true_lanes : fmask:int -> mask:int -> n:int -> float array -> int -> int
+(** The lanes of [mask] whose value is true ([to_bool_bits]). *)
+
+val to_int64_lanes :
+  fmask:int -> mask:int -> n:int -> float array -> int -> float array
+  -> int -> unit
+(** The integer value per lane: [Int64.of_float] of a float-tagged
+    lane's value, the pattern itself otherwise (addresses from possibly
+    float-tagged registers). *)

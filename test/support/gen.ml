@@ -11,6 +11,7 @@ type plan =
   ; loop : bool
   ; branch : bool
   ; shared : bool
+  ; wide : bool
   }
 
 let build_from_plan plan =
@@ -25,6 +26,19 @@ let build_from_plan plan =
   let u32s = ref [ tid; nval ] in
   let f32s = ref [ B.mov b T.F32 (B.fimm 1.5) ] in
   let pick pool i = List.nth pool (i mod List.length pool) in
+  (* the wide plan's pools: signed 32-bit (negative from the start),
+     64-bit integer (past 2^32) and f64 values *)
+  let s32s, u64s, f64s =
+    if plan.wide then begin
+      let s = B.cvt b T.S32 T.U32 (B.reg tid) in
+      let neg = B.sub b T.S32 (B.reg s) (B.imm 37) in
+      let d = B.cvt b T.U64 T.U32 (B.reg tid) in
+      let big = B.mad b T.U64 (B.reg d) (B.imm 0x1_0000_0001) (B.imm 0x7FFF_FFFF) in
+      let f = B.cvt b T.F64 T.S32 (B.reg neg) in
+      (ref [ neg; s ], ref [ big; d ], ref [ B.mul b T.F64 (B.reg f) (B.fimm 0.75) ])
+    end
+    else (ref [], ref [], ref [])
+  in
   let load_bounded idx_reg =
     let idx = B.binop b I.And T.U32 (B.reg idx_reg) (B.imm 1023) in
     let bytes = B.mul b T.U32 (B.reg idx) (B.imm 4) in
@@ -33,8 +47,9 @@ let build_from_plan plan =
     B.ld b T.Global T.F32 (B.reg addr) 0
   in
   let apply_op code =
-    let sel = code mod 8 in
-    let x = code / 8 in
+    let nsel = if plan.wide then 14 else 8 in
+    let sel = code mod nsel in
+    let x = code / nsel in
     match sel with
     | 0 ->
       let ops = [| I.Add; I.Sub; I.Mul_lo; I.Min; I.Max; I.And; I.Or; I.Xor |] in
@@ -83,6 +98,73 @@ let build_from_plan plan =
           p
       in
       f32s := r :: !f32s
+    | 8 ->
+      let ops =
+        [| I.Add; I.Sub; I.Mul_lo; I.Div; I.Rem; I.Min; I.Max; I.Shl; I.Shr |]
+      in
+      let r =
+        B.binop b ops.(x mod 9) T.S32
+          (B.reg (pick !s32s (x / 9)))
+          (B.reg (pick !s32s (x / 81)))
+      in
+      s32s := r :: !s32s
+    | 9 ->
+      let ops = [| I.Div; I.Rem; I.Shl; I.Shr |] in
+      let r =
+        B.binop b ops.(x mod 4) T.U32
+          (B.reg (pick !u32s (x / 4)))
+          (B.reg (pick !u32s (x / 32)))
+      in
+      u32s := r :: !u32s
+    | 10 ->
+      let ops =
+        [| I.Add; I.Sub; I.Mul_lo; I.Div; I.Rem; I.Min; I.Max; I.Xor; I.Shl
+         ; I.Shr |]
+      in
+      let r =
+        B.binop b ops.(x mod 10) T.U64
+          (B.reg (pick !u64s (x / 10)))
+          (B.reg (pick !u64s (x / 100)))
+      in
+      u64s := r :: !u64s
+    | 11 ->
+      let ops = [| I.Add; I.Sub; I.Mul_lo; I.Div; I.Min; I.Max |] in
+      let r =
+        if x mod 7 = 6 then
+          B.mad b T.F64
+            (B.reg (pick !f64s x))
+            (B.reg (pick !f64s (x / 7)))
+            (B.fimm (-0.5))
+        else
+          B.binop b ops.(x mod 7 mod 6) T.F64
+            (B.reg (pick !f64s (x / 7)))
+            (B.reg (pick !f64s (x / 49)))
+      in
+      f64s := r :: !f64s
+    | 12 ->
+      let cmps = [| I.Eq; I.Ne; I.Lt; I.Le; I.Gt; I.Ge |] in
+      let p =
+        B.setp b cmps.(x mod 6) T.S32
+          (B.reg (pick !s32s (x / 6)))
+          (B.reg (pick !s32s (x / 36)))
+      in
+      s32s :=
+        B.selp b T.S32 (B.reg (pick !s32s x)) (B.imm (-5)) p :: !s32s
+    | 13 -> (
+      (* int<->int and int<->float conversions, feeding every pool *)
+      match x mod 10 with
+      | 0 -> s32s := B.cvt b T.S32 T.U32 (B.reg (pick !u32s (x / 10))) :: !s32s
+      | 1 -> u32s := B.cvt b T.U32 T.S32 (B.reg (pick !s32s (x / 10))) :: !u32s
+      | 2 -> u64s := B.cvt b T.S64 T.S32 (B.reg (pick !s32s (x / 10))) :: !u64s
+      | 3 -> u32s := B.cvt b T.U32 T.U64 (B.reg (pick !u64s (x / 10))) :: !u32s
+      | 4 ->
+        let h = B.cvt b T.S16 T.S32 (B.reg (pick !s32s (x / 10))) in
+        s32s := B.cvt b T.S32 T.S16 (B.reg h) :: !s32s
+      | 5 -> f32s := B.cvt b T.F32 T.S32 (B.reg (pick !s32s (x / 10))) :: !f32s
+      | 6 -> s32s := B.cvt b T.S32 T.F32 (B.reg (pick !f32s (x / 10))) :: !s32s
+      | 7 -> f64s := B.cvt b T.F64 T.U64 (B.reg (pick !u64s (x / 10))) :: !f64s
+      | 8 -> u32s := B.cvt b T.U32 T.F64 (B.reg (pick !f64s (x / 10))) :: !u32s
+      | _ -> f32s := B.cvt b T.F32 T.F64 (B.reg (pick !f64s (x / 10))) :: !f32s)
     | _ -> assert false
   in
   (* optional shared-memory tile: one provably-safe affine store, one
@@ -157,17 +239,20 @@ let build_from_plan plan =
   B.finish b
 
 let kernel ?(max_ops = 40) ?(with_loop = true) ?(with_branch = true)
-    ?(with_shared = false) () =
+    ?(with_shared = false) ?(wide = false) () =
   let open QCheck.Gen in
   int_range 3 max_ops >>= fun len ->
   array_size (return len) (int_bound 100_000) >>= fun ops ->
   (if with_loop then bool else return false) >>= fun loop ->
   (if with_branch then bool else return false) >>= fun branch ->
   (if with_shared then bool else return false) >>= fun shared ->
-  return (build_from_plan { ops; loop; branch; shared })
+  return (build_from_plan { ops; loop; branch; shared; wide })
 
 let arbitrary_kernel =
   QCheck.make ~print:Ptx.Printer.kernel_to_string (kernel ())
+
+let arbitrary_wide_kernel =
+  QCheck.make ~print:Ptx.Printer.kernel_to_string (kernel ~wide:true ())
 
 let run_emulated ?(block_size = 64) ?(num_blocks = 2) k =
   let mem = Gpusim.Memory.create () in

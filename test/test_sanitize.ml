@@ -120,7 +120,13 @@ let test_suite_sweep () =
     (fun (app : Workloads.App.t) ->
        List.iter
          (fun (sr : Crat.Sanitize.stage_report) ->
-            let r = sr.Crat.Sanitize.report in
+            let r =
+              match sr.Crat.Sanitize.report with
+              | Ok r -> r
+              | Error msg ->
+                Alcotest.failf "%s %s: %s" app.Workloads.App.abbr
+                  sr.Crat.Sanitize.stage msg
+            in
             let d = r.San.discharge in
             total := !total + d.San.total;
             safe := !safe + d.San.safe;
