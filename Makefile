@@ -46,9 +46,12 @@ bench:
 # cheap smoke check of the parallel evaluation path; then the fig13
 # determinism diff: a serial replayed run and a 2-job cold run must print
 # identical results once the timing lines are stripped; then fig13 under
-# the machine register-file backend
+# the machine register-file backend; then the figures that run Sm/Gpu
+# under LRR, L1 bypassing, dynamic TLP and several SMs, diffed (timing
+# lines stripped) against their committed output
 FIG13 = dune exec bench/main.exe -- --only fig13 --fast
 STRIP_TIMING = grep -v '^(\|^total'
+VARIANT_FIGS = abl-sched,ext-bypass,dyn-tlp,gpu-scale
 
 bench-smoke:
 	dune exec bench/main.exe -- --only fig1 --jobs 2 --fast
@@ -59,6 +62,10 @@ bench-smoke:
 	diff fig13-jobs1.txt fig13-jobs2-cold.txt
 	rm -f fig13-jobs1.out fig13-jobs2-cold.out fig13-jobs1.txt fig13-jobs2-cold.txt
 	$(FIG13) --backend machine
+	dune exec bench/main.exe -- --only $(VARIANT_FIGS) --fast --jobs 2 > variant-figs.out
+	$(STRIP_TIMING) variant-figs.out > variant-figs.txt
+	diff test/golden/variant_figs.expected variant-figs.txt
+	rm -f variant-figs.out variant-figs.txt
 
 # CI gate for the sweep, the compile path and the daemon's simulate path: the
 # fig13-family sweep slice, its pass checked against the committed

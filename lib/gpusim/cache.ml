@@ -89,6 +89,9 @@ let create ~name ~bytes ~assoc ~line ~mshrs ~hit_latency ~next =
 let line_size t = t.line_bytes
 let stats t = t.st
 
+let mshrs_free_at t =
+  if t.n_inflight >= Array.length t.inflight then t.first_done else 0
+
 (* Free the MSHRs whose fill has completed by [cycle]: compact the
    survivors in place, and only when one is due. *)
 let purge_inflight t cycle =
@@ -206,7 +209,3 @@ let access t ~cycle ~addr ~write ~write_alloc =
          t.st.reserve_fails <- t.st.reserve_fails + 1;
          Reserve_fail)
     end
-
-let as_next t ~dirty_bytes_sink ~cycle ~addr =
-  ignore dirty_bytes_sink;
-  access t ~cycle ~addr ~write:false ~write_alloc:true

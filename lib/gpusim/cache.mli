@@ -58,6 +58,7 @@ val access : t -> cycle:int -> addr:int64 -> write:bool -> write_alloc:bool -> r
 
 val stats : t -> stats
 val line_size : t -> int
-val as_next : t -> dirty_bytes_sink:Dram.t -> cycle:int -> addr:int64 -> result
-(** Adapter so this cache can serve as the [next] level of another: reads
-    the line (write:false, allocating). *)
+val mshrs_free_at : t -> int
+(** When every MSHR was in flight at the last access, the cycle the
+    earliest of them completes: until then each allocating miss fails
+    reservation. [0] when one was free. *)

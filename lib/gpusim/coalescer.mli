@@ -2,13 +2,16 @@
     timing model ({!Sm}), the profiler ({!Profile}) and the static
     segmenter ([Crat.Segments]): the L1-line segments its lane
     addresses coalesce into, and its shared-memory bank-conflict
-    degree. A scratch is allocated once; nothing after that allocates. *)
+    degree. A scratch is allocated once; nothing after that allocates.
+    A line or word index is the byte address divided by the size,
+    rounded toward zero (sizes are powers of two, so it is a shift). *)
 
 type t
 
 val create : lanes:int -> line:int -> banks:int -> t
 (** Scratch for up to [lanes] lane addresses, [line]-byte L1 lines and
-    [banks] 4-byte shared-memory banks. *)
+    [banks] 4-byte shared-memory banks.
+    @raise Invalid_argument unless [line] is a power of two. *)
 
 val reset : t -> unit
 (** Start a new access. *)

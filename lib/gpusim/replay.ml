@@ -59,7 +59,11 @@ let wtrace t ~ctaid ~wid = t.warps.(ctaid).(wid)
 let record w ~pc ~mask =
   let cap = Array.length w.pcs in
   if w.n = cap then begin
-    let grow a = Array.append a (Array.make cap 0) in
+    let grow a =
+      let grown = Array.make (2 * cap) 0 in
+      Array.blit a 0 grown 0 cap;
+      grown
+    in
     w.pcs <- grow w.pcs;
     w.masks <- grow w.masks
   end;

@@ -18,7 +18,9 @@ and wstate =
   ; mutable wake : int
       (** the max of [sb] over the next pc's uses and defs: the first
           cycle the scoreboard lets it issue *)
-  ; mutable waiting_barrier : bool
+  ; mutable flags : int  (** [f_done], [f_bar] and [f_mem] bits *)
+  ; sched : int  (** the scheduler whose pool holds it *)
+  ; mutable slot : int  (** its index in that pool; -1 outside it *)
   ; bstate : bstate
   }
 
@@ -30,12 +32,22 @@ and bstate =
       (** dynamic throttling: a paused block's warps are not scheduled *)
   }
 
-type blocked =
-  | Ready
-  | Scoreboard
-  | Mem_queue
-  | Barrier
-  | Done
+(* A scheduler's pool, oldest warp first, with each warp's [wake] and
+   [flags] copied into flat arrays so the scheduler pass reads nothing
+   else; [publish] keeps the copies equal to the warps' fields. *)
+type pool =
+  { pwarps : wstate array
+  ; pwake : int array
+  ; pflags : int array
+  }
+
+let empty_pool = { pwarps = [||]; pwake = [||]; pflags = [||] }
+
+(* [flags] bits: the cursor is exhausted; the warp waits at a barrier;
+   its next instruction takes the global-memory LSU path *)
+let f_done = 1
+let f_bar = 2
+let f_mem = 4
 
 let infinity_cycle = max_int / 2
 
@@ -93,7 +105,7 @@ type t =
   ; mutable window_replays : int
   ; scheduler : [ `Gto | `Lrr ]
   ; next_block : unit -> int option
-  ; pools : wstate array array
+  ; pools : pool array
   ; mutable pools_dirty : bool
   ; mutable live_blocks : bstate list
   ; mutable lsu_addr : float array  (* segment address bit patterns *)
@@ -108,9 +120,14 @@ type t =
   ; mutable wake_min : int
       (* the earliest [wake] among the warps the last cycle found
          blocked on the scoreboard *)
-  ; mutable seen : int  (* the current scan's stall reasons, [seen_*] bits *)
   ; greedy : wstate option array
   }
+
+(* The [flags] of a warp whose next pc is [pc] (-1 once its cursor is
+   exhausted), keeping the barrier bit [bar]. *)
+let flags_at sm pc bar =
+  if pc < 0 then f_done
+  else bar lor if Array.unsafe_get sm.code.Dcode.is_gl_mem pc then f_mem else 0
 
 let launch_block sm =
   if not sm.dispenser_dry then begin
@@ -130,10 +147,13 @@ let launch_block sm =
       let nslots = max 1 (Dcode.num_slots sm.code) in
       bs.warps <-
         List.init sm.nwarps (fun wid ->
-          { w = Replay.cursor sm.trace ~ctaid ~wid
+          let w = Replay.cursor sm.trace ~ctaid ~wid in
+          { w
           ; sb = Array.make nslots 0
           ; wake = 0
-          ; waiting_barrier = false
+          ; flags = flags_at sm (Replay.fetch w) 0
+          ; sched = wid mod sm.cfg.Config.num_schedulers
+          ; slot = -1
           ; bstate = bs
           });
       sm.live_blocks <- sm.live_blocks @ [ bs ];
@@ -141,16 +161,22 @@ let launch_block sm =
   end
 
 let rebuild_pools sm =
-  let total = sm.cfg.Config.num_schedulers in
-  let all =
+  Array.iter (fun p -> Array.iter (fun ws -> ws.slot <- -1) p.pwarps) sm.pools;
+  let alive =
     List.concat_map
-      (fun bs -> if bs.paused then [] else bs.warps)
+      (fun bs ->
+         if bs.paused then []
+         else List.filter (fun ws -> ws.flags land f_done = 0) bs.warps)
       sm.live_blocks
   in
-  let alive = List.filter (fun ws -> not (Replay.is_done ws.w)) all in
-  for s = 0 to total - 1 do
+  for s = 0 to Array.length sm.pools - 1 do
+    let pwarps = Array.of_list (List.filter (fun ws -> ws.sched = s) alive) in
+    Array.iteri (fun i ws -> ws.slot <- i) pwarps;
     sm.pools.(s) <-
-      Array.of_list (List.filter (fun ws -> Replay.warp_id ws.w mod total = s) alive)
+      { pwarps
+      ; pwake = Array.map (fun ws -> ws.wake) pwarps
+      ; pflags = Array.map (fun ws -> ws.flags) pwarps
+      }
   done;
   (* blocks are appended in launch order and warps in wid order, so the
      pools are already oldest-first *)
@@ -199,7 +225,7 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     ; window_replays = 0
     ; scheduler
     ; next_block
-    ; pools = Array.make cfg.Config.num_schedulers [||]
+    ; pools = Array.make cfg.Config.num_schedulers empty_pool
     ; pools_dirty = true
     ; live_blocks = []
     ; lsu_addr = Array.make lsu_cap 0.0
@@ -214,7 +240,6 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     ; dispenser_dry = false
     ; now = 0
     ; wake_min = infinity_cycle
-    ; seen = 0
     ; greedy = Array.make cfg.Config.num_schedulers None
     }
   in
@@ -263,9 +288,19 @@ let lsu_pop sm =
 
 (* ---------- per-cycle machinery ---------- *)
 
-(* Recompute [ws.wake]. The scoreboard changes only where an issue
-   sets its defs or a load's last segment returns, and the pc only
-   where an issue steps the cursor: both call this afterwards. *)
+(* Copy a warp's [wake] and [flags] into its pool, if it is in one.
+   Every change to either field is followed by this. *)
+let publish sm ws =
+  if ws.slot >= 0 then begin
+    let p = Array.unsafe_get sm.pools ws.sched in
+    Array.unsafe_set p.pwake ws.slot ws.wake;
+    Array.unsafe_set p.pflags ws.slot ws.flags
+  end
+
+(* Recompute [ws.wake] and the pc-derived [flags] bits. The scoreboard
+   changes only where an issue sets its defs or a load's last segment
+   returns, and the pc only where an issue steps the cursor: both call
+   this afterwards. *)
 let rec latest sb slots i acc =
   if i >= Array.length slots then acc
   else begin
@@ -273,29 +308,35 @@ let rec latest sb slots i acc =
     latest sb slots (i + 1) (if c > acc then c else acc)
   end
 
-let refresh_wake sm ws =
+let refresh sm ws =
   let pc = Replay.fetch ws.w in
   if pc >= 0 then
     ws.wake <-
       latest ws.sb sm.code.Dcode.uses.(pc) 0
-        (latest ws.sb sm.code.Dcode.defs.(pc) 0 0)
+        (latest ws.sb sm.code.Dcode.defs.(pc) 0 0);
+  ws.flags <- flags_at sm pc (ws.flags land f_bar);
+  publish sm ws
 
 let set_pending ws slot ready = ws.sb.(slot) <- ready
 
-let status sm ws : blocked =
-  if Replay.is_done ws.w then Done
-  else if ws.waiting_barrier then Barrier
-  else if ws.wake > sm.now then Scoreboard
-  else if
-    sm.lsu_len + lsu_headroom > lsu_capacity
-    && Array.unsafe_get sm.code.Dcode.is_gl_mem (Replay.fetch ws.w)
-  then Mem_queue
-  else Ready
+let lsu_congested sm = sm.lsu_len + lsu_headroom > lsu_capacity
 
-let release_barrier bs =
+(* The warp is not done, not at a barrier, past its wake time, and not
+   held back by a congested LSU queue. *)
+let can_issue sm ws =
+  let f = ws.flags in
+  f land (f_done lor f_bar) = 0
+  && ws.wake <= sm.now
+  && (f land f_mem = 0 || not (lsu_congested sm))
+
+let release_barrier sm bs =
   if bs.at_barrier = bs.live_warps && bs.live_warps > 0 then begin
     bs.at_barrier <- 0;
-    List.iter (fun ws -> ws.waiting_barrier <- false) bs.warps
+    List.iter
+      (fun ws ->
+         ws.flags <- ws.flags land lnot f_bar;
+         publish sm ws)
+      bs.warps
   end
 
 let finish_warp sm ws =
@@ -314,7 +355,7 @@ let finish_warp sm ws =
       sm.pools_dirty <- true
     | None -> launch_block sm
   end
-  else release_barrier bs
+  else release_barrier sm bs
 
 (* Load the lane addresses of the access the warp just stepped over. *)
 let load_lanes sm ws =
@@ -387,11 +428,17 @@ let issue sm ws =
       done
     end
   | Dcode.E_barrier ->
-    ws.waiting_barrier <- true;
+    ws.flags <- ws.flags lor f_bar;
     let bs = ws.bstate in
     bs.at_barrier <- bs.at_barrier + 1;
-    release_barrier bs
+    release_barrier sm bs
   | Dcode.E_exit -> finish_warp sm ws
+
+(* The LSU head would take an L1 MSHR on a miss: it neither bypasses
+   the L1 nor is a write-through (write, no-allocate) store. *)
+let head_allocates sm =
+  let f = sm.lsu_flags.(sm.lsu_head) in
+  f land 4 = 0 && (f land 1 = 0 || f land 2 <> 0)
 
 let service_lsu sm =
   let ports = ref sm.cfg.Config.l1_ports in
@@ -424,7 +471,7 @@ let service_lsu sm =
             for i = 0 to Array.length pl.defs - 1 do
               set_pending pl.wslot pl.defs.(i) pl.ready_at
             done;
-            refresh_wake sm pl.wslot
+            refresh sm pl.wslot
           end
         | None -> ())
      | Cache.Reserve_fail ->
@@ -435,38 +482,14 @@ let service_lsu sm =
 
 (* One pass per scheduler: the first ready warp issues (GTO: the
    greedy warp, else the oldest; LRR: rotating from [now mod n]). The
-   same pass notes in [sm.seen] why each warp it passed over is blocked
-   and folds scoreboard waits into [sm.wake_min], so a scheduler that
-   issues nothing has looked at each warp once. *)
+   same pass over the pool's flat arrays ORs in [seen] why each warp it
+   passed over is blocked and folds scoreboard waits into
+   [sm.wake_min], so a scheduler that issues nothing has looked at each
+   warp once. *)
 
 let seen_mem = 1
 let seen_sb = 2
 let seen_bar = 4
-
-let ready sm ws =
-  match status sm ws with
-  | Ready -> true
-  | Scoreboard ->
-    sm.seen <- sm.seen lor seen_sb;
-    if ws.wake < sm.wake_min then sm.wake_min <- ws.wake;
-    false
-  | Mem_queue ->
-    sm.seen <- sm.seen lor seen_mem;
-    false
-  | Barrier ->
-    sm.seen <- sm.seen lor seen_bar;
-    false
-  | Done -> false
-
-(* index of the first ready warp of [pool] from [first] on, rotating *)
-let rec scan sm pool first k =
-  let n = Array.length pool in
-  if k >= n then -1
-  else begin
-    let i = first + k in
-    let i = if i >= n then i - n else i in
-    if ready sm (Array.unsafe_get pool i) then i else scan sm pool first (k + 1)
-  end
 
 let issue_on sm s ws =
   (match sm.greedy.(s) with
@@ -474,19 +497,43 @@ let issue_on sm s ws =
    | Some _ | None -> sm.greedy.(s) <- Some ws);
   sm.st.Stats.issue_cycles <- sm.st.Stats.issue_cycles + 1;
   issue sm ws;
-  refresh_wake sm ws
+  refresh sm ws
 
 let issue_from_pool sm s first =
-  let pool = sm.pools.(s) in
-  let i = scan sm pool first 0 in
-  if i >= 0 then issue_on sm s (Array.unsafe_get pool i)
+  let p = sm.pools.(s) in
+  let wake = p.pwake and flags = p.pflags in
+  let n = Array.length flags in
+  let now = sm.now in
+  let congested = lsu_congested sm in
+  let seen = ref 0 and wake_min = ref sm.wake_min in
+  let found = ref (-1) and k = ref 0 in
+  while !found < 0 && !k < n do
+    let i = first + !k in
+    let i = if i >= n then i - n else i in
+    let f = Array.unsafe_get flags i in
+    if f land f_done = 0 then begin
+      if f land f_bar <> 0 then seen := !seen lor seen_bar
+      else begin
+        let w = Array.unsafe_get wake i in
+        if w > now then begin
+          seen := !seen lor seen_sb;
+          if w < !wake_min then wake_min := w
+        end
+        else if congested && f land f_mem <> 0 then seen := !seen lor seen_mem
+        else found := i
+      end
+    end;
+    incr k
+  done;
+  sm.wake_min <- !wake_min;
+  if !found >= 0 then issue_on sm s (Array.unsafe_get p.pwarps !found)
   else begin
     let st = sm.st in
-    if sm.seen land seen_mem <> 0 then
+    if !seen land seen_mem <> 0 then
       st.Stats.stall_mem_congestion <- st.Stats.stall_mem_congestion + 1
-    else if sm.seen land seen_sb <> 0 then
+    else if !seen land seen_sb <> 0 then
       st.Stats.stall_scoreboard <- st.Stats.stall_scoreboard + 1
-    else if sm.seen land seen_bar <> 0 then
+    else if !seen land seen_bar <> 0 then
       st.Stats.stall_barrier <- st.Stats.stall_barrier + 1
     else st.Stats.stall_idle <- st.Stats.stall_idle + 1
   end
@@ -494,15 +541,13 @@ let issue_from_pool sm s first =
 let schedulers_issue sm =
   sm.wake_min <- infinity_cycle;
   for s = 0 to sm.cfg.Config.num_schedulers - 1 do
-    let n = Array.length sm.pools.(s) in
-    sm.seen <- 0;
+    let n = Array.length sm.pools.(s).pwarps in
     if n = 0 then sm.st.Stats.stall_idle <- sm.st.Stats.stall_idle + 1
     else
       match sm.scheduler with
       | `Gto ->
         (match sm.greedy.(s) with
-         | Some g when (not g.bstate.paused) && status sm g = Ready ->
-           issue_on sm s g
+         | Some g when (not g.bstate.paused) && can_issue sm g -> issue_on sm s g
          | Some _ | None -> issue_from_pool sm s 0)
       | `Lrr -> issue_from_pool sm s (sm.now mod n)
   done
@@ -593,27 +638,42 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
     create ?scheduler ?dynamic_tlp ?bypass_global cfg shared ~next_block trace l
   in
   let st = sm.st in
+  let l1_stats = Cache.stats sm.l1 in
   while busy sm do
     if sm.now > max_cycles then begin
       ignore (finalize sm);
       raise (Cycle_limit sm.st)
     end;
     let issued = st.Stats.issue_cycles
+    and replays = st.Stats.lsu_replay_cycles
     and sb = st.Stats.stall_scoreboard
     and mem = st.Stats.stall_mem_congestion
     and bar = st.Stats.stall_barrier
     and idle = st.Stats.stall_idle in
     step sm;
-    (* A cycle that issued nothing and left the LSU empty repeats
-       itself, stall for stall, until a blocked warp's wake time, the
-       next pool rebuild (which every controller window boundary is)
-       or the cycle limit: charge those cycles in bulk and jump. *)
-    if st.Stats.issue_cycles = issued && sm.lsu_len = 0 && not sm.pools_dirty
-    then begin
+    (* A cycle that issued nothing repeats itself, stall for stall,
+       until a blocked warp's wake time, the next pool rebuild (which
+       every controller window boundary is) or the cycle limit, as
+       long as the LSU cannot move either: it is empty, or its head
+       allocates an L1 line and was refused for a full MSHR file, and
+       will be refused again each cycle until the earliest fill
+       completes. Such a retry touches nothing but the L1's
+       [reserve_fails]. A bypassing or write-through head's retry
+       reaches the next level, so it never jumps. Charge those cycles
+       in bulk and jump. *)
+    if st.Stats.issue_cycles = issued && not sm.pools_dirty then begin
+      let lsu_until =
+        if sm.lsu_len = 0 then infinity_cycle
+        else if st.Stats.lsu_replay_cycles > replays && head_allocates sm then
+          Cache.mshrs_free_at sm.l1
+        else sm.now
+      in
       let next_rebuild =
         (sm.now + rebuild_period - 1) / rebuild_period * rebuild_period
       in
-      let target = min (min sm.wake_min next_rebuild) (max_cycles + 1) in
+      let target =
+        min (min sm.wake_min next_rebuild) (min (max_cycles + 1) lsu_until)
+      in
       let span = target - sm.now in
       if span > 0 then begin
         let again before now = now + (span * (now - before)) in
@@ -621,6 +681,10 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
         st.Stats.stall_mem_congestion <- again mem st.Stats.stall_mem_congestion;
         st.Stats.stall_barrier <- again bar st.Stats.stall_barrier;
         st.Stats.stall_idle <- again idle st.Stats.stall_idle;
+        if sm.lsu_len > 0 then begin
+          st.Stats.lsu_replay_cycles <- st.Stats.lsu_replay_cycles + span;
+          l1_stats.Cache.reserve_fails <- l1_stats.Cache.reserve_fails + span
+        end;
         sm.now <- target
       end
     end

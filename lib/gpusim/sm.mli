@@ -26,18 +26,22 @@
     against one shared memory hierarchy; {!run} is the single-SM
     convenience wrapper used throughout the experiments.
 
-    Per-cycle cost. Each warp caches its wake time: the latest
-    scoreboard release over the registers its next instruction uses
-    and defines. The invariant is that it always equals that maximum,
-    so it is refreshed exactly where either side changes: after an
-    issue (which sets the issued instruction's defs and steps the
-    cursor) and when a load's last segment returns. A warp's status is
-    then O(1), and each scheduler finds its warp and its stall reason
-    in one pass over its pool. {!step} advances exactly one cycle;
-    {!run} may also jump over cycles in which nothing can change (no
-    issue, an empty LSU, no pool rebuild or controller window due),
-    charging each scheduler's stall reason for the whole span, with
-    results identical to stepping them one by one. *)
+    Per-cycle cost. Each warp caches its wake time (the latest
+    scoreboard release over the registers its next instruction uses and
+    defines) and its flags (done, at a barrier, next instruction on the
+    global-memory LSU path), and each scheduler's pool copies both into
+    flat arrays. They are written exactly where they change: an issue,
+    a load's last segment returning, a barrier release and a pool
+    rebuild. Each scheduler then finds its warp and its stall reason in
+    one pass over two int arrays. {!step} advances exactly one cycle;
+    {!run} may also jump over cycles in which nothing can change: no
+    issue, no pool rebuild or controller window due, and an LSU that is
+    either empty or whose head allocates an L1 line and was refused for
+    a full MSHR file (up to the earliest MSHR completion). It charges
+    each scheduler's stall reason, and a refused head's replay and
+    L1 reservation failure, for the whole span, with results identical
+    to stepping them one by one. A bypassing or write-through head never
+    starts a jump: its retries reach the L2. *)
 
 exception Cycle_limit of Stats.t
 (** The statistics at the limit. When the functional pass was cut

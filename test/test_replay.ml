@@ -151,6 +151,133 @@ let test_stats_conservation () =
        end)
     (Lazy.force surface)
 
+(* ---------- the jumps against plain stepping ---------- *)
+
+(* [Sm.run] jumps over cycles in which nothing can change (an empty
+   LSU, or a head refused by a full L1 MSHR file). The reference here
+   steps every cycle through [Sm.create]/[Sm.step], with its own block
+   dispenser, and never jumps: the two must give equal [Stats.t]. *)
+let stepped ?scheduler ?bypass_global ?dynamic_tlp tr (l : G.Launch.t) =
+  let next = ref 0 in
+  let next_block () =
+    if !next >= l.G.Launch.num_blocks then None
+    else begin
+      incr next;
+      Some (!next - 1)
+    end
+  in
+  let sm =
+    G.Sm.create ?scheduler ?bypass_global ?dynamic_tlp fermi (G.Sm.make_shared fermi)
+      ~next_block tr l
+  in
+  while G.Sm.busy sm do
+    G.Sm.step sm
+  done;
+  G.Sm.finalize sm
+
+(* Every lane loads four global lines of its own per iteration, then
+   stores four words of its local frame. Under [bypass_global] the loads
+   go straight to the L2 and fill its MSHR file, while the local stores
+   keep the L1's full: bypassing heads are refused by the L2 while the
+   L1 would refuse an allocating one, which is where a jump must not
+   start. *)
+let congest_source =
+  {|.entry congest (
+  .param .u64 out
+)
+{
+  .local .align 4 .b8 Buf[256];
+  .reg .u32 %r0, %r1, %r2, %r3, %r4, %r5, %r6, %r7, %r8, %r9;
+  .reg .u64 %d0, %d1, %d2;
+  .reg .pred %p0;
+  mov.u32 %r0, %tid.x;
+  mov.u32 %r1, %ctaid.x;
+  mov.u32 %r2, %ntid.x;
+  mad.lo.u32 %r3, %r1, %r2, %r0;
+  mul.lo.u32 %r5, %r3, 128;
+  cvt.u64.u32 %d1, %r5;
+  ld.param.u64 %d0, [out];
+  add.u64 %d0, %d0, %d1;
+  mov.u64 %d2, Buf;
+  mov.u32 %r4, 0;
+Lloop:
+  setp.ge.u32 %p0, %r4, 16;
+  @%p0 bra Ldone;
+  ld.global.u32 %r6, [%d0];
+  add.u64 %d0, %d0, 1048576;
+  ld.global.u32 %r7, [%d0];
+  add.u64 %d0, %d0, 1048576;
+  ld.global.u32 %r8, [%d0];
+  add.u64 %d0, %d0, 1048576;
+  ld.global.u32 %r9, [%d0];
+  add.u64 %d0, %d0, 1048576;
+  st.local.u32 [%d2], %r4;
+  add.u64 %d2, %d2, 4;
+  st.local.u32 [%d2], %r4;
+  add.u64 %d2, %d2, 4;
+  st.local.u32 [%d2], %r4;
+  add.u64 %d2, %d2, 4;
+  st.local.u32 [%d2], %r4;
+  add.u64 %d2, %d2, 4;
+  add.u32 %r4, %r4, 1;
+  bra Lloop;
+Ldone:
+  ret;
+}|}
+
+let congest_launch () =
+  G.Launch.make ~kernel:(Ptx.Parser.parse_kernel_exn congest_source)
+    ~block_size:128 ~num_blocks:4
+    ~params:[ ("out", G.Value.I 0x2000_0000L) ]
+    (G.Memory.create ())
+
+let test_jumps_match_stepping () =
+  let congest = congest_launch () in
+  let apps =
+    List.map
+      (fun abbr ->
+         let app = Workloads.Suite.find abbr in
+         ( abbr
+         , Workloads.App.launch app ~input:(Workloads.App.default_input app) ()
+         , [ 1; 4; 8 ] ))
+      [ "HST"; "STM"; "BFS"; "PTF" ]
+  in
+  List.iter
+    (fun (name, l, tlps) ->
+       let tr = Testsupport.Surface.record l in
+       List.iter
+         (fun tlp ->
+            let lt = G.Launch.with_tlp l tlp in
+            List.iter
+              (fun (variant, run, reference) ->
+                 if run () <> reference () then
+                   Alcotest.failf "%s tlp%d %s: Sm.run differs from stepping" name
+                     tlp variant)
+              [ ( "gto"
+                , (fun () -> G.Sm.run ~replay:tr fermi lt)
+                , fun () -> stepped tr lt )
+              ; ( "lrr"
+                , (fun () -> G.Sm.run ~scheduler:`Lrr ~replay:tr fermi lt)
+                , fun () -> stepped ~scheduler:`Lrr tr lt )
+              ; ( "bypass"
+                , (fun () -> G.Sm.run ~bypass_global:true ~replay:tr fermi lt)
+                , fun () -> stepped ~bypass_global:true tr lt )
+              ; ( "dyn"
+                , (fun () -> G.Sm.run ~dynamic_tlp:true ~replay:tr fermi lt)
+                , fun () -> stepped ~dynamic_tlp:true tr lt )
+              ])
+         tlps)
+    (apps @ [ ("congest", congest, [ 1; 2; 4 ]) ]);
+  (* the congested launch still reaches both refusals *)
+  let l = G.Launch.with_tlp congest 4 in
+  let st =
+    G.Sm.run ~bypass_global:true ~replay:(Testsupport.Surface.record l) fermi l
+  in
+  check "congest: the L2 refuses bypassing heads" true
+    (st.G.Stats.l2.G.Cache.reserve_fails > 0);
+  check "congest: the L1 MSHR file fills" true
+    (st.G.Stats.l1.G.Cache.reserve_fails > 0)
+
 (* the trace is config- and TLP-independent: record once under fermi,
    replay under kepler and at a different TLP; each must equal its own
    cold run *)
@@ -316,6 +443,8 @@ let () =
             test_variant_surface_pinned
         ; Alcotest.test_case "Stats conservation laws" `Slow
             test_stats_conservation
+        ; Alcotest.test_case "Sm.run jumps match plain stepping" `Slow
+            test_jumps_match_stepping
         ; Alcotest.test_case "trace valid across config and TLP" `Slow
             test_trace_valid_across_config_and_tlp
         ; Alcotest.test_case "replay leaves memory untouched" `Quick
