@@ -12,11 +12,15 @@
 
    [--variants] prints instead the variant surface (dynamic TLP, LRR,
    L1 bypass, Kepler, a cycle-limit payload, two SMs), whose digest
-   test/test_replay.ml pins too. Both surfaces are defined in
-   test/support/surface.ml.
+   test/test_replay.ml pins too. [--allocations] prints the allocation
+   surface (each workload under every strategy, backend partition,
+   shared spare and limit the engine's allocation key carries), whose
+   digest test/test_regalloc.ml checks against Crat.Engine.alloc_epoch.
+   All three surfaces are defined in test/support/surface.ml.
 
    Usage: dune exec bench/statdump.exe [-- --blocks N] [--tlp T,T,...]
-          dune exec bench/statdump.exe -- --variants *)
+          dune exec bench/statdump.exe -- --variants
+          dune exec bench/statdump.exe -- --allocations *)
 
 let pp_stats name (st : Gpusim.Stats.t) =
   Printf.printf
@@ -43,6 +47,7 @@ let () =
   let blocks = ref 2 in
   let tlps = ref [ 1; 3 ] in
   let variants = ref false in
+  let allocations = ref false in
   let spec =
     [ ("--blocks", Arg.Set_int blocks, "N blocks per workload (default 2)")
     ; ( "--tlp"
@@ -53,14 +58,22 @@ let () =
     ; ( "--variants"
       , Arg.Set variants
       , " print the variant surface and its digest (ignores --blocks and --tlp)" )
+    ; ( "--allocations"
+      , Arg.Set allocations
+      , " print the allocation surface and its digest (ignores --blocks and --tlp)" )
     ]
   in
   Arg.parse spec (fun _ -> ())
-    "bench/statdump.exe [--blocks N] [--tlp T,T] | --variants";
+    "bench/statdump.exe [--blocks N] [--tlp T,T] | --variants | --allocations";
   let module S = Testsupport.Surface in
   if !variants then begin
     let entries = S.variants () in
     List.iter (fun (name, st) -> pp_stats name st) entries;
+    Printf.printf "digest %s\n" (S.digest entries)
+  end
+  else if !allocations then begin
+    let entries = S.allocations () in
+    List.iter (fun (name, v) -> Printf.printf "%s %s\n" name v) entries;
     Printf.printf "digest %s\n" (S.digest entries)
   end
   else

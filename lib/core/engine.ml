@@ -73,6 +73,9 @@ let model_epoch = "5a15d1eb738764ade30cbe7a8f4a446c"
 
 let kernel_digest k = digest (model_epoch ^ Ptx.Printer.kernel_to_string k)
 
+(* pinned by test_regalloc; every allocation key folds it in *)
+let alloc_epoch = "782188b66e27967bc5144b994ddb634a"
+
 (* Config.t is a pure-data record (ints, strings, variants), so
    marshalling gives a stable structural fingerprint. *)
 let data_digest v = digest (Marshal.to_string v [])
@@ -102,6 +105,7 @@ let sim_key t (l : Gpusim.Launch.t) cfg ~tlp =
 let alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel =
   digest @@ String.concat "|"
     [ kernel_digest kernel
+    ; alloc_epoch
     ; (match (strategy : Regalloc.Allocator.strategy) with
        | Regalloc.Allocator.Chaitin_briggs -> "cb"
        | Regalloc.Allocator.Linear_scan -> "ls")

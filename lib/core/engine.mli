@@ -85,6 +85,14 @@ val model_epoch : string
     must update it, and updating it orphans every stored answer of the
     old model. *)
 
+val alloc_epoch : string
+(** Digest of the allocation surface (every workload under each
+    strategy, backend partition, shared spare and two limits; see
+    [test/support/surface.mli]), pinned by a tier-1 test. Every
+    allocation key folds it in beside {!model_epoch}, so an allocator
+    change that moves any allocation the engine can memoize must update
+    it, which orphans the stored allocations of the old allocator. *)
+
 val sim_key : t -> Gpusim.Launch.t -> Gpusim.Config.t -> tlp:int -> string
 (** The content-addressed stats-memo key (hex digest) — exposed for
     the key-injectivity tests. Structural: covers the launch (kernel

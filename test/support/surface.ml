@@ -86,5 +86,56 @@ let variants () =
          ])
     Workloads.Suite.all
 
+(* One allocation's answer: the allocated kernel text and the spill
+   statistics, or the rejection message. *)
+let allocation ~strategy ~shared_policy ~scalar ~scalar_limit ~reg_limit
+    (app : Workloads.App.t) =
+  match
+    Regalloc.Allocator.allocate ~strategy ~shared_policy ~scalar ~scalar_limit
+      ~block_size:app.Workloads.App.block_size ~reg_limit (Workloads.App.kernel app)
+  with
+  | a ->
+    Digest.to_hex
+      (Digest.string
+         (Ptx.Printer.kernel_to_string a.Regalloc.Allocator.kernel
+          ^ Marshal.to_string a.Regalloc.Allocator.stats []))
+  | exception Failure msg -> "rejected: " ^ msg
+
+let alloc_limits = [ 12; 20 ]
+let alloc_spares = [ 0; 512; 8192 ]
+
+let allocations () =
+  List.concat_map
+    (fun (app : Workloads.App.t) ->
+       let kernel = Workloads.App.kernel app in
+       let block_size = app.Workloads.App.block_size in
+       let partitions =
+         [ ("ptx", (fun _ -> false), 0)
+         ; ( "machine"
+           , Machine.Scalarize.predicate ~block_size kernel
+           , Machine.Backend.default_scalar_limit )
+         ]
+       in
+       List.concat_map
+         (fun (sname, strategy) ->
+            List.concat_map
+              (fun (pname, scalar, scalar_limit) ->
+                 List.concat_map
+                   (fun spare ->
+                      let shared_policy = if spare > 0 then `Spare spare else `Off in
+                      List.map
+                        (fun reg_limit ->
+                           ( Printf.sprintf "%s/%s/%s/spare%d/r%d" app.Workloads.App.abbr
+                               sname pname spare reg_limit
+                           , allocation ~strategy ~shared_policy ~scalar ~scalar_limit
+                               ~reg_limit app ))
+                        alloc_limits)
+                   alloc_spares)
+              partitions)
+         [ ("cb", Regalloc.Allocator.Chaitin_briggs)
+         ; ("ls", Regalloc.Allocator.Linear_scan)
+         ])
+    Workloads.Suite.all
+
 let digest entries =
   Digest.to_hex (Digest.string (Marshal.to_string (List.map snd entries) []))

@@ -31,5 +31,27 @@ val variants : unit -> (string * Gpusim.Stats.t) list
     dynamic-TLP and bypass variants. Sm runs replay one recorded trace
     per build. Entries are named e.g. ["KMN/default/dyn/tlp5/sm0"]. *)
 
-val digest : (string * Gpusim.Stats.t) list -> string
-(** Hex digest of the statistics, in order (names excluded). *)
+val allocation :
+  strategy:Regalloc.Allocator.strategy
+  -> shared_policy:Regalloc.Allocator.shared_policy
+  -> scalar:(Ptx.Reg.t -> bool)
+  -> scalar_limit:int
+  -> reg_limit:int
+  -> Workloads.App.t
+  -> string
+(** One entry of {!allocations}. *)
+
+val allocations : unit -> (string * string) list
+(** The allocation surface, pinned as [Crat.Engine.alloc_epoch]: every
+    workload allocated under each knob the engine's allocation key
+    carries: Chaitin-Briggs and linear scan, the PTX register file and
+    the machine backend's scalar partition, shared spare 0 (spilling
+    to local memory only), 512 and 8192 bytes, and limits 12 (where
+    most PTX allocations are rejected) and 20. Each entry is the hex
+    digest of the allocated kernel text and its
+    {!Regalloc.Spill.stats}, or ["rejected: "] and the message of the
+    [Failure] the allocator raised. Entries are named e.g.
+    ["KMN/cb/machine/spare512/r20"]. *)
+
+val digest : (string * 'a) list -> string
+(** Hex digest of the entries' values, in order (names excluded). *)
