@@ -78,6 +78,18 @@ let max_pressure t =
   Array.iter (fun s -> m := max !m (pressure_at s)) t.live_out;
   !m
 
+let max_live t cls =
+  let count set =
+    Set.fold
+      (fun r acc ->
+         if Ptx.Types.reg_class (Ptx.Reg.ty r) = cls then acc + 1 else acc)
+      set 0
+  in
+  let m = ref 0 in
+  Array.iter (fun s -> m := max !m (count s)) t.live_in;
+  Array.iter (fun s -> m := max !m (count s)) t.live_out;
+  !m
+
 let live_ranges (flow : Flow.t) t =
   let tbl = Ptx.Reg.Tbl.create 64 in
   let touch r i =
@@ -88,7 +100,14 @@ let live_ranges (flow : Flow.t) t =
   Flow.iter_instrs flow (fun i ins ->
     List.iter (fun r -> touch r i) (Ptx.Instr.defs ins);
     List.iter (fun r -> touch r i) (Ptx.Instr.uses ins));
-  Array.iteri (fun i s -> Set.iter (fun r -> touch r i) s) t.live_in;
-  Array.iteri (fun i s -> Set.iter (fun r -> touch r i) s) t.live_out;
+  (* inside a block a register stays live only up to an instruction
+     that touches it, unless it is live into the block, and only after
+     one, unless it is live out of it; so the sets at the blocks' ends
+     add all that the per-instruction sets would *)
+  Array.iter
+    (fun (b : Flow.block) ->
+       Set.iter (fun r -> touch r b.first) t.live_in.(b.first);
+       Set.iter (fun r -> touch r b.last) t.live_out.(b.last))
+    flow.blocks;
   Ptx.Reg.Tbl.fold (fun r range acc -> (r, range) :: acc) tbl []
   |> List.sort (fun (a, _) (b, _) -> Ptx.Reg.compare a b)

@@ -24,6 +24,10 @@ val max_pressure : t -> int
 (** MaxLive: the maximum of {!pressure_at} over all program points
     (live-in and live-out of every instruction). *)
 
+val max_live : t -> Ptx.Types.reg_class -> int
+(** The maximum number of simultaneously live registers of one class
+    over all program points. *)
+
 val live_ranges : Flow.t -> t -> (Ptx.Reg.t * (int * int)) list
 (** For each register, the (first, last) instruction index at which it is
     live or defined — a conservative interval view used for reporting. *)

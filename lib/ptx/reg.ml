@@ -7,7 +7,26 @@ let make id ty = { id; ty }
 let id r = r.id
 let ty r = r.ty
 let equal a b = a.id = b.id && Types.equal_scalar a.ty b.ty
-let compare a b = compare (a.id, a.ty) (b.id, b.ty)
+(* the types in declaration order, the order the polymorphic compare
+   gives constant constructors *)
+let ty_rank : Types.scalar -> int = function
+  | Types.U16 -> 0
+  | Types.U32 -> 1
+  | Types.U64 -> 2
+  | Types.S16 -> 3
+  | Types.S32 -> 4
+  | Types.S64 -> 5
+  | Types.F32 -> 6
+  | Types.F64 -> 7
+  | Types.B8 -> 8
+  | Types.B16 -> 9
+  | Types.B32 -> 10
+  | Types.B64 -> 11
+  | Types.Pred -> 12
+
+let compare a b =
+  let c = Int.compare a.id b.id in
+  if c <> 0 then c else Int.compare (ty_rank a.ty) (ty_rank b.ty)
 let hash a = Hashtbl.hash (a.id, a.ty)
 
 let name r =

@@ -15,6 +15,8 @@ val id : t -> int
 val ty : t -> Types.scalar
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** By [id], then by [ty] in {!Types.scalar}'s declaration order. *)
+
 val hash : t -> int
 
 val name : t -> string

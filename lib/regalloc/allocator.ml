@@ -72,11 +72,12 @@ let empty_result =
   { Coloring.assignment = RMap.empty; spilled = []; colors_used = 0; type_waste = 0 }
 
 (* The half of a colouring round that does not depend on [reg_limit]:
-   the round kernel's graph and spill costs, the 64-bit demand, and the
-   predicate and scalar-file colourings. *)
+   the round kernel's graph and spill costs, the 64-bit demand, the
+   predicate and scalar-file colourings, and the vector subproblems,
+   each waiting for its budget. *)
 type prepared =
-  { color_class :
-      member:(Ptx.Reg.t -> bool) -> Ptx.Types.reg_class -> int -> Coloring.result
+  { vec64 : int -> Coloring.result
+  ; vec32 : int -> Coloring.result
   ; is_scalar : Ptx.Reg.t -> bool
   ; need64 : int
   ; rp : Coloring.result
@@ -85,13 +86,18 @@ type prepared =
   }
 
 let prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live =
-  let graph = Interference.build flow live in
-  let color_class ~member cls kcolors =
+  (* [color ~member cls] sets up one subproblem; applied to a budget,
+     it colours it *)
+  let color =
     match strategy with
     | Chaitin_briggs ->
-      Coloring.color ~type_strict ~member ~graph ~cls ~k:kcolors ~spill_cost:cost ()
+      let graph = Interference.build flow live in
+      fun ~member cls ->
+        let p = Coloring.problem ~member ~graph ~cls ~spill_cost:cost () in
+        fun k -> Coloring.solve ~type_strict p ~k
     | Linear_scan ->
-      Linear_scan.color ~member ~flow ~live ~cls ~k:kcolors ~spill_cost:cost ()
+      let ranges = Cfg.Liveness.live_ranges flow live in
+      fun ~member cls k -> Linear_scan.color ~member ~ranges ~cls ~k ~spill_cost:cost ()
   in
   (* the scalar partition: caller-classified registers move to the
      per-warp scalar file, colouring against [scalar_limit] instead of
@@ -103,7 +109,8 @@ let prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live =
     && Ptx.Types.reg_class (Ptx.Reg.ty r) <> Ptx.Types.Cpred
     && scalar r
   in
-  let need64 = Interference.max_live graph live Ptx.Types.C64 in
+  let is_vector r = not (is_scalar r) in
+  let need64 = Cfg.Liveness.max_live live Ptx.Types.C64 in
   (* linear scan works on conservative whole-range intervals, which
      overlap more than true liveness: give it head-room *)
   let need64 =
@@ -111,16 +118,23 @@ let prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live =
     | Chaitin_briggs -> need64
     | Linear_scan -> need64 + 2
   in
-  let rp = color_class ~member:(fun _ -> true) Ptx.Types.Cpred 1024 in
+  let rp = color ~member:(fun _ -> true) Ptx.Types.Cpred 1024 in
   let s64, s32 =
     if scalar_limit = 0 then (empty_result, empty_result)
     else begin
-      let s64 = color_class ~member:is_scalar Ptx.Types.C64 (scalar_limit / 2) in
+      let s64 = color ~member:is_scalar Ptx.Types.C64 (scalar_limit / 2) in
       let ks32 = scalar_limit - (2 * s64.Coloring.colors_used) in
-      (s64, color_class ~member:is_scalar Ptx.Types.C32 (max ks32 0))
+      (s64, color ~member:is_scalar Ptx.Types.C32 (max ks32 0))
     end
   in
-  { color_class; is_scalar; need64; rp; s64; s32 }
+  { vec64 = color ~member:is_vector Ptx.Types.C64
+  ; vec32 = color ~member:is_vector Ptx.Types.C32
+  ; is_scalar
+  ; need64
+  ; rp
+  ; s64
+  ; s32
+  }
 
 (* The other half: the vector classes against [reg_limit], 64-bit
    first, the 32-bit class getting what is left. *)
@@ -136,14 +150,13 @@ let color_vectors p ~reg_limit =
       max floor64 ((reg_limit - 4) / 2)
     end
   in
-  let is_vector r = not (p.is_scalar r) in
-  let r64 = p.color_class ~member:is_vector Ptx.Types.C64 k64 in
+  let r64 = p.vec64 k64 in
   let k32 = reg_limit - (2 * r64.Coloring.colors_used) in
   if k32 < 3 then
     failwith
       (Printf.sprintf "Allocator: reg_limit %d too small (needs %d 64-bit regs)"
          reg_limit r64.Coloring.colors_used);
-  (r64, p.color_class ~member:is_vector Ptx.Types.C32 k32)
+  (r64, p.vec32 k32)
 
 let scalar_units p = p.s32.Coloring.colors_used + (2 * p.s64.Coloring.colors_used)
 

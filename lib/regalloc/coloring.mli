@@ -42,3 +42,22 @@ val color :
     registers); unspillable nodes are never chosen as spill candidates.
     @raise Failure if colouring is impossible because every uncoloured
     node is unspillable. *)
+
+(** {2 One subproblem, several budgets} *)
+
+type problem
+(** A class's subproblem of a graph: its nodes, their edges inside it
+    and their spill costs. *)
+
+val problem :
+  ?member:(Ptx.Reg.t -> bool)
+  -> graph:Interference.t
+  -> cls:Ptx.Types.reg_class
+  -> spill_cost:(Ptx.Reg.t -> float)
+  -> unit
+  -> problem
+
+val solve : ?type_strict:bool -> problem -> k:int -> result
+(** [solve ?type_strict (problem ?member ~graph ~cls ~spill_cost ()) ~k]
+    is [color ?type_strict ?member ~graph ~cls ~k ~spill_cost ()]; a
+    problem may be solved against any number of budgets. *)

@@ -6,8 +6,7 @@ type interval =
   ; stop : int
   }
 
-let color ?(member = fun _ -> true) ~flow ~live ~cls ~k ~spill_cost () =
-  let ranges = Cfg.Liveness.live_ranges flow live in
+let color ?(member = fun _ -> true) ~ranges ~cls ~k ~spill_cost () =
   let intervals =
     List.filter_map
       (fun (r, (lo, hi)) ->
@@ -15,7 +14,9 @@ let color ?(member = fun _ -> true) ~flow ~live ~cls ~k ~spill_cost () =
            Some { reg = r; start = lo; stop = hi }
          else None)
       ranges
-    |> List.sort (fun a b -> compare (a.start, a.stop) (b.start, b.stop))
+    |> List.sort (fun a b ->
+      let c = Int.compare a.start b.start in
+      if c <> 0 then c else Int.compare a.stop b.stop)
   in
   let free = ref (List.init k (fun i -> i)) in
   let active = ref [] in

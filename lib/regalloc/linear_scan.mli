@@ -5,14 +5,14 @@
 
 val color :
   ?member:(Ptx.Reg.t -> bool)
-  -> flow:Cfg.Flow.t
-  -> live:Cfg.Liveness.t
+  -> ranges:(Ptx.Reg.t * (int * int)) list
   -> cls:Ptx.Types.reg_class
   -> k:int
   -> spill_cost:(Ptx.Reg.t -> float)
   -> unit
   -> Coloring.result
-(** Same contract as {!Coloring.color}, including the [member]
+(** [ranges] is {!Cfg.Liveness.live_ranges} of the kernel. Same
+    contract as {!Coloring.color}, including the [member]
     partition filter: registers mapped to colours [0..k-1], overflow
     spilled (never an unspillable register, i.e. one whose cost is
     [infinity]). *)

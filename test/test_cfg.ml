@@ -239,6 +239,37 @@ let prop_liveness_fixpoint =
            Ptx.Reg.Set.equal out expect)
         flow.Cfg.Flow.blocks)
 
+(* [live_ranges] against its definition: a register's range spans every
+   instruction that reads or writes it or has it live in or out. *)
+let ranges_match_definition k =
+  let flow = Cfg.Flow.of_kernel k in
+  let live = Cfg.Liveness.compute flow in
+  let span = ref Ptx.Reg.Map.empty in
+  let touch r i =
+    span :=
+      Ptx.Reg.Map.update r
+        (function
+          | None -> Some (i, i)
+          | Some (lo, hi) -> Some (min lo i, max hi i))
+        !span
+  in
+  Cfg.Flow.iter_instrs flow (fun i ins ->
+    List.iter (fun r -> touch r i) (I.defs ins @ I.uses ins);
+    Ptx.Reg.Set.iter (fun r -> touch r i) live.Cfg.Liveness.live_in.(i);
+    Ptx.Reg.Set.iter (fun r -> touch r i) live.Cfg.Liveness.live_out.(i));
+  Cfg.Liveness.live_ranges flow live = Ptx.Reg.Map.bindings !span
+
+let prop_live_ranges_definition =
+  QCheck.Test.make ~count:40 ~name:"live ranges span every live point"
+    Testsupport.Gen.arbitrary_kernel ranges_match_definition
+
+let test_live_ranges_suite () =
+  List.iter
+    (fun (app : Workloads.App.t) ->
+       check (app.Workloads.App.abbr ^ " live ranges") true
+         (ranges_match_definition (Workloads.App.kernel app)))
+    Workloads.Suite.all
+
 let prop_entry_dominates_all =
   QCheck.Test.make ~count:30 ~name:"entry dominates every block"
     Testsupport.Gen.arbitrary_kernel (fun k ->
@@ -262,6 +293,7 @@ let () =
         ; Alcotest.test_case "loop carried" `Quick test_liveness_loop_carried
         ; Alcotest.test_case "CFD pressure band" `Quick test_max_pressure_monotone_subkernel
         ; Alcotest.test_case "pressure units" `Quick test_pressure_at_counts_units
+        ; Alcotest.test_case "live ranges (suite)" `Quick test_live_ranges_suite
         ] )
     ; ( "dominance"
       , [ Alcotest.test_case "dominators (diamond)" `Quick test_dominators_diamond
@@ -277,6 +309,7 @@ let () =
       , List.map QCheck_alcotest.to_alcotest
           [ prop_liveness_use_implies_livein
           ; prop_liveness_fixpoint
+          ; prop_live_ranges_definition
           ; prop_entry_dominates_all
           ] )
     ]

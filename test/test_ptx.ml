@@ -42,6 +42,26 @@ let test_reg_naming () =
   check_str "64-bit name" "%d2" (Ptx.Reg.name (Ptx.Reg.make 2 T.U64));
   check_str "predicate name" "%p0" (Ptx.Reg.name (Ptx.Reg.make 0 T.Pred))
 
+(* [Reg.compare] is the order of the [(id, ty)] pair under the
+   polymorphic compare, which every register set and map walk keeps *)
+let test_reg_compare_order () =
+  let regs =
+    List.concat_map
+      (fun id -> List.map (fun ty -> Ptx.Reg.make id ty) T.all_scalars)
+      [ 0; 1; 7; 1000 ]
+  in
+  List.iter
+    (fun a ->
+       List.iter
+         (fun b ->
+            let want = compare (Ptx.Reg.id a, Ptx.Reg.ty a) (Ptx.Reg.id b, Ptx.Reg.ty b) in
+            check_int
+              (Ptx.Reg.name a ^ " vs " ^ Ptx.Reg.name b)
+              (Int.compare want 0)
+              (Int.compare (Ptx.Reg.compare a b) 0))
+         regs)
+    regs
+
 let test_special_roundtrip () =
   List.iter
     (fun s ->
@@ -424,6 +444,7 @@ let () =
     ; ( "registers"
       , [ Alcotest.test_case "naming" `Quick test_reg_naming
         ; Alcotest.test_case "special round-trip" `Quick test_special_roundtrip
+        ; Alcotest.test_case "compare is the (id, ty) order" `Quick test_reg_compare_order
         ] )
     ; ( "instructions"
       , [ Alcotest.test_case "defs and uses" `Quick test_defs_uses
