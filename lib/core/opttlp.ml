@@ -35,6 +35,48 @@ let profile engine cfg (app : Workloads.App.t) ?input ?kernel ?cache ~max_tlp ()
   in
   { opt_tlp; samples }
 
+(* A binary min-heap of warp numbers under [before]. *)
+type heap =
+  { items : int array
+  ; mutable size : int
+  }
+
+let push before h v =
+  let a = h.items in
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && before v a.((!i - 1) / 2) do
+    a.(!i) <- a.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  a.(!i) <- v
+
+let pop before h =
+  let a = h.items in
+  let top = a.(0) in
+  h.size <- h.size - 1;
+  let v = a.(h.size) and i = ref 0 and sifting = ref true in
+  while !sifting do
+    let c = (2 * !i) + 1 in
+    let c = if c + 1 < h.size && before a.(c + 1) a.(c) then c + 1 else c in
+    if c < h.size && before a.(c) v then begin
+      a.(!i) <- a.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  a.(!i) <- v;
+  top
+
+(* [Stdlib.max], at type float *)
+let fmax (a : float) b = if a >= b then a else b
+
+(* the scheduler's clocks, unboxed: the issue pipeline and the DRAM server *)
+type clocks =
+  { mutable core : float
+  ; mutable server_free : float
+  }
+
 (* GTO-mimicking analytical scheduler over one wave of [tlp] blocks.
    One warp's compute occupies the issue pipeline; memory segments
    overlap, paying a latency that grows with cache contention (working
@@ -71,47 +113,75 @@ let mimic_cycles (cfg : Gpusim.Config.t) (tr : Segments.trace) ~warps_per_block 
     in
     let idx = Array.make nwarps 0 in
     let ready = Array.make nwarps 0. in
-    let server_free = ref 0. in
-    let core = ref 0. in
+    (* [is_ready.(w)]: warp [w] has segments left and [ready.(w) <= core].
+       The ready warps sit in [ready_q], lowest number first; a warp
+       leaves by clearing its flag, and its entry is dropped when it
+       reaches the top still unflagged ([queued] keeps one entry per
+       warp). Every other unfinished warp waits in [waiting], earliest
+       ready time first. [core] only grows, so a waiting warp turns
+       ready once and stays ready until it is picked. *)
+    let is_ready = Array.make nwarps true and queued = Array.make nwarps true in
+    let ready_q = { items = Array.init nwarps Fun.id; size = nwarps } in
+    let waiting = { items = Array.make nwarps 0; size = 0 } in
+    let lower (a : int) b = a < b in
+    let earlier a b = ready.(a) < ready.(b) || (ready.(a) = ready.(b) && a < b) in
+    let t = { core = 0.; server_free = 0. } in
     let last = ref 0 in
     let remaining = ref nwarps in
+    let wake () =
+      while waiting.size > 0 && ready.(waiting.items.(0)) <= t.core do
+        let w = pop earlier waiting in
+        is_ready.(w) <- true;
+        if not queued.(w) then begin
+          queued.(w) <- true;
+          push lower ready_q w
+        end
+      done
+    in
+    let lowest_ready () =
+      while ready_q.size > 0 && not is_ready.(ready_q.items.(0)) do
+        queued.(pop lower ready_q) <- false
+      done;
+      if ready_q.size > 0 then ready_q.items.(0) else -1
+    in
     while !remaining > 0 do
       (* candidate: greedy warp if ready, else oldest ready warp *)
-      let ready_warp w = idx.(w) < nseg && ready.(w) <= !core in
-      let pick =
-        if ready_warp !last then Some !last
-        else begin
-          let rec find w = if w >= nwarps then None else if ready_warp w then Some w else find (w + 1) in
-          find 0
-        end
-      in
-      match pick with
-      | None ->
+      let w = if is_ready.(!last) then !last else lowest_ready () in
+      if w < 0 then begin
         (* advance time to the next warp completion *)
-        let next = ref infinity in
-        for w = 0 to nwarps - 1 do
-          if idx.(w) < nseg then next := min !next ready.(w)
-        done;
-        if !next = infinity then remaining := 0 else core := !next
-      | Some w ->
+        let next = if waiting.size > 0 then ready.(waiting.items.(0)) else infinity in
+        if next = infinity then remaining := 0
+        else begin
+          t.core <- next;
+          wake ()
+        end
+      end
+      else begin
         last := w;
         (match segs.(idx.(w)) with
          | Segments.Compute lat ->
-           core := !core +. float_of_int lat;
-           ready.(w) <- !core
+           t.core <- t.core +. float_of_int lat;
+           ready.(w) <- t.core
          | Segments.Mem lines ->
            let issue = float_of_int lines in
-           core := !core +. issue;
+           t.core <- t.core +. issue;
            let misses = float_of_int lines *. (1. -. hit) in
-           let queue_start = max !server_free !core in
-           server_free := queue_start +. (misses *. line_service);
-           ready.(w) <- max (!core +. avg_lat lines) !server_free);
+           let queue_start = fmax t.server_free t.core in
+           t.server_free <- queue_start +. (misses *. line_service);
+           ready.(w) <- fmax (t.core +. avg_lat lines) t.server_free);
         idx.(w) <- idx.(w) + 1;
-        if idx.(w) >= nseg then decr remaining
+        if idx.(w) >= nseg then begin
+          is_ready.(w) <- false;
+          decr remaining
+        end
+        else if ready.(w) > t.core then begin
+          is_ready.(w) <- false;
+          push earlier waiting w
+        end;
+        wake ()
+      end
     done;
-    let finish = ref !core in
-    Array.iter (fun r -> finish := max !finish r) ready;
-    !finish
+    Array.fold_left fmax t.core ready
   end
 
 let estimate_static cfg (app : Workloads.App.t) ?input ~max_tlp () =

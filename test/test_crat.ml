@@ -215,6 +215,98 @@ let test_mimic_monotone_in_work () =
   check "more blocks, more total cycles" true (c2 >= c1);
   check "but less than double" true (c2 < 2. *. c1 +. 1.)
 
+(* The scheduler loop [mimic_cycles] had before it kept its warps in
+   heaps: each pick scans for the lowest ready warp and an idle step
+   scans every warp for the next ready time. The oracle of the test
+   below, which the heaps must match bit for bit. *)
+let mimic_cycles_oracle (cfg : Gpusim.Config.t) (tr : Crat.Segments.trace) ~warps_per_block ~tlp
+    =
+  let segs = Array.of_list tr.Crat.Segments.segments in
+  let nseg = Array.length segs in
+  let nwarps = tlp * warps_per_block in
+  if nseg = 0 || nwarps = 0 then 0.
+  else begin
+    let block_fp = tr.Crat.Segments.footprint_bytes * warps_per_block in
+    let concurrent = float_of_int (tlp * block_fp) in
+    let cap_ratio =
+      if concurrent <= 0. then 1.
+      else min 1. (float_of_int cfg.Gpusim.Config.l1_bytes /. concurrent)
+    in
+    let hit = tr.Crat.Segments.reuse_ratio *. (cap_ratio ** 2.) in
+    let miss_lat = float_of_int (cfg.Gpusim.Config.l2_latency + (cfg.Gpusim.Config.dram_latency / 2)) in
+    let line_service =
+      (float_of_int cfg.Gpusim.Config.l1_line /. float_of_int cfg.Gpusim.Config.dram_bytes_per_cycle)
+      +. (float_of_int cfg.Gpusim.Config.l1_line /. float_of_int cfg.Gpusim.Config.icnt_bytes_per_cycle)
+    in
+    let line_service = line_service /. Float.max 0.6 cap_ratio in
+    let avg_lat l =
+      (hit *. float_of_int cfg.Gpusim.Config.l1_hit_latency)
+      +. ((1. -. hit) *. (miss_lat +. (float_of_int l *. line_service)))
+    in
+    let idx = Array.make nwarps 0 in
+    let ready = Array.make nwarps 0. in
+    let server_free = ref 0. in
+    let core = ref 0. in
+    let last = ref 0 in
+    let remaining = ref nwarps in
+    while !remaining > 0 do
+      let ready_warp w = idx.(w) < nseg && ready.(w) <= !core in
+      let pick =
+        if ready_warp !last then Some !last
+        else begin
+          let rec find w =
+            if w >= nwarps then None else if ready_warp w then Some w else find (w + 1)
+          in
+          find 0
+        end
+      in
+      match pick with
+      | None ->
+        let next = ref infinity in
+        for w = 0 to nwarps - 1 do
+          if idx.(w) < nseg then next := min !next ready.(w)
+        done;
+        if !next = infinity then remaining := 0 else core := !next
+      | Some w ->
+        last := w;
+        (match segs.(idx.(w)) with
+         | Crat.Segments.Compute lat ->
+           core := !core +. float_of_int lat;
+           ready.(w) <- !core
+         | Crat.Segments.Mem lines ->
+           let issue = float_of_int lines in
+           core := !core +. issue;
+           let misses = float_of_int lines *. (1. -. hit) in
+           let queue_start = max !server_free !core in
+           server_free := queue_start +. (misses *. line_service);
+           ready.(w) <- max (!core +. avg_lat lines) !server_free);
+        idx.(w) <- idx.(w) + 1;
+        if idx.(w) >= nseg then decr remaining
+    done;
+    let finish = ref !core in
+    Array.iter (fun r -> finish := max !finish r) ready;
+    !finish
+  end
+
+(* every app's default trace on Fermi and Kepler, at TLP 1 .. MaxTLP *)
+let test_mimic_matches_oracle () =
+  List.iter
+    (fun (cfg : Gpusim.Config.t) ->
+       List.iter
+         (fun (app : Workloads.App.t) ->
+            let tr = Crat.Segments.trace cfg app (Workloads.App.default_input app) in
+            let warps_per_block = app.Workloads.App.block_size / cfg.Gpusim.Config.warp_size in
+            let max_tlp = (Crat.Resource.analyze cfg app).Crat.Resource.max_tlp in
+            for tlp = 1 to max_tlp do
+              let got = Crat.Opttlp.mimic_cycles cfg tr ~warps_per_block ~tlp in
+              let want = mimic_cycles_oracle cfg tr ~warps_per_block ~tlp in
+              if Int64.bits_of_float got <> Int64.bits_of_float want then
+                Alcotest.failf "%s %s tlp %d: %h, the oracle %h" app.Workloads.App.abbr
+                  cfg.Gpusim.Config.name tlp got want
+            done)
+         Workloads.Suite.all)
+    [ fermi; Gpusim.Config.kepler ]
+
 let test_static_estimate_in_range () =
   List.iter
     (fun abbr ->
@@ -393,6 +485,8 @@ let () =
       , [ Alcotest.test_case "segments" `Quick test_segments_structure
         ; Alcotest.test_case "mimic monotone" `Quick test_mimic_monotone_in_work
         ; Alcotest.test_case "estimates in range" `Quick test_static_estimate_in_range
+        ; Alcotest.test_case "mimic matches its scanning oracle" `Quick
+            test_mimic_matches_oracle
         ] )
     ; ( "optimizer"
       , [ Alcotest.test_case "profile argmin" `Slow test_profile_finds_minimum
