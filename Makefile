@@ -71,14 +71,18 @@ bench-smoke:
 # fig13-family sweep slice, its pass checked against the committed
 # fingerprint (so every simulator change is gated on every push); CRAT-static
 # plans for all 22 apps, each checked against its committed digest (resource
-# analysis, candidate allocations, chosen allocated kernel text); then two
-# clients streaming the whole universe into a cold daemon, each client's
-# answers checked against the committed fingerprint and each launch recorded
-# once; then a daemon restarted on a recorded store, which must answer every
+# analysis, candidate allocations, chosen allocated kernel text), at seeds
+# 42, 7 and 339: the seed draws each app's shared spilling on or off, and
+# these three seeds draw both for every app, so all 44 committed (app,
+# spilling) digests are checked; then two clients streaming the whole
+# universe into a cold daemon, each client's answers checked against the
+# committed fingerprint and each launch recorded once; then a daemon restarted on a recorded store, which must answer every
 # point with no simulation and no trace record, with the committed fingerprint
 perf-smoke:
 	dune exec ./perfbench/perf.exe -- --workload sweep --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload compile --seconds 2 --trace 0
+	dune exec ./perfbench/perf.exe -- --workload compile --seconds 1 --trace 0 --seed 7
+	dune exec ./perfbench/perf.exe -- --workload compile --seconds 1 --trace 0 --seed 339
 	dune exec ./perfbench/perf.exe -- --workload serve-cold --seconds 2 --trace 0
 	dune exec ./perfbench/perf.exe -- --workload serve-warm --seconds 2 --trace 0
 
