@@ -207,6 +207,43 @@ let test_segments_structure () =
          | Crat.Segments.Mem n -> n > 0)
        tr.Crat.Segments.segments)
 
+(* [Segments.trace] against the trace of the app's full-grid launch:
+   every app, every input, Fermi and Kepler, the input's own seed and
+   another *)
+let test_segments_match_full_grid () =
+  List.iter
+    (fun (cfg : Gpusim.Config.t) ->
+       List.iter
+         (fun (app : Workloads.App.t) ->
+            List.iter
+              (fun (i : Workloads.App.input) ->
+                 List.iter
+                   (fun seed ->
+                      let input = { i with Workloads.App.seed } in
+                      let got = Crat.Segments.trace cfg app input in
+                      let want =
+                        Crat.Segments.of_launch cfg (Workloads.App.launch app ~input ())
+                      in
+                      let what f =
+                        Printf.sprintf "%s %s %s seed %d: %s" app.Workloads.App.abbr
+                          i.Workloads.App.ilabel cfg.Gpusim.Config.name seed f
+                      in
+                      check (what "segments") true
+                        (got.Crat.Segments.segments = want.Crat.Segments.segments);
+                      check_int (what "line refs") want.Crat.Segments.total_line_refs
+                        got.Crat.Segments.total_line_refs;
+                      check_int (what "distinct lines") want.Crat.Segments.distinct_lines
+                        got.Crat.Segments.distinct_lines;
+                      check_int (what "footprint") want.Crat.Segments.footprint_bytes
+                        got.Crat.Segments.footprint_bytes;
+                      check (what "reuse") true
+                        (Float.equal got.Crat.Segments.reuse_ratio
+                           want.Crat.Segments.reuse_ratio))
+                   [ i.Workloads.App.seed; 339 ])
+              app.Workloads.App.inputs)
+         Workloads.Suite.all)
+    [ Gpusim.Config.fermi; Gpusim.Config.kepler ]
+
 let test_mimic_monotone_in_work () =
   let a = small_app "CFD" in
   let tr = Crat.Segments.trace fermi a (Workloads.App.default_input a) in
@@ -483,6 +520,8 @@ let () =
         ] )
     ; ( "static-analysis"
       , [ Alcotest.test_case "segments" `Quick test_segments_structure
+        ; Alcotest.test_case "segments match the full-grid trace" `Quick
+            test_segments_match_full_grid
         ; Alcotest.test_case "mimic monotone" `Quick test_mimic_monotone_in_work
         ; Alcotest.test_case "estimates in range" `Quick test_static_estimate_in_range
         ; Alcotest.test_case "mimic matches its scanning oracle" `Quick
