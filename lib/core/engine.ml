@@ -73,6 +73,28 @@ let model_epoch = "5a15d1eb738764ade30cbe7a8f4a446c"
 
 let kernel_digest k = digest (model_epoch ^ Ptx.Printer.kernel_to_string k)
 
+(* [kernel_digest] of each app's shared SSA kernel, computed once.
+   [Workloads.App.kernel] returns one physical kernel per descriptor and
+   never collects it, so the table is keyed by identity. *)
+module Shared_kernels = Hashtbl.Make (struct
+  type t = Ptx.Kernel.t
+
+  let equal = ( == )
+  let hash (k : t) = Hashtbl.hash k.Ptx.Kernel.name
+end)
+
+let ssa_digests = Shared_kernels.create 32
+let ssa_digests_lock = Mutex.create ()
+
+let app_kernel_digest app =
+  let k = Workloads.App.kernel app in
+  match Mutex.protect ssa_digests_lock (fun () -> Shared_kernels.find_opt ssa_digests k) with
+  | Some d -> (k, d)
+  | None ->
+    let d = kernel_digest k in
+    Mutex.protect ssa_digests_lock (fun () -> Shared_kernels.replace ssa_digests k d);
+    (k, d)
+
 (* pinned by test_regalloc; every allocation key folds it in *)
 let alloc_epoch = "782188b66e27967bc5144b994ddb634a"
 
@@ -102,9 +124,9 @@ let sim_key t (l : Gpusim.Launch.t) cfg ~tlp =
        [ launch_key t l; data_digest cfg; string_of_int tlp ])
 
 (* the readable concat is digested, like every other memo key *)
-let alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel =
+let alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit ~kernel_digest =
   digest @@ String.concat "|"
-    [ kernel_digest kernel
+    [ kernel_digest
     ; alloc_epoch
     ; (match (strategy : Regalloc.Allocator.strategy) with
        | Regalloc.Allocator.Chaitin_briggs -> "cb"
@@ -181,10 +203,10 @@ let map t f xs = Array.to_list (pmap t f (Array.of_list xs))
 let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
     ?(backend = Machine.Backend.Ptx) ?(shared_spare = 0)
     (app : Workloads.App.t) ~reg_limit =
-  let kernel = Workloads.App.kernel app in
+  let kernel, kernel_digest = app_kernel_digest app in
   let block_size = app.Workloads.App.block_size in
   let key =
-    alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit kernel
+    alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit ~kernel_digest
   in
   let compute () =
     let shared_policy = if shared_spare > 0 then `Spare shared_spare else `Off in

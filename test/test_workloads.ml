@@ -49,13 +49,123 @@ let test_all_kernels_roundtrip () =
          (Ptx.Printer.kernel_to_string k2))
     Workloads.Suite.all
 
+(* A build straight from the shape combinators, bypassing the shared
+   kernels of [App.kernel]. *)
+let fresh_build (a : Workloads.App.t) =
+  let name = a.Workloads.App.kernel_name and k = a.Workloads.App.knobs in
+  let shm_words = a.Workloads.App.shm_words in
+  match a.Workloads.App.shape with
+  | Workloads.App.Tiled -> Workloads.Shapes.tiled_reuse ~name k
+  | Workloads.App.Streaming -> Workloads.Shapes.streaming ~name k
+  | Workloads.App.Stencil -> Workloads.Shapes.stencil3 ~name k
+  | Workloads.App.Shared_tile -> Workloads.Shapes.shared_tile ~name ~shm_words k
+  | Workloads.App.Reduction -> Workloads.Shapes.reduction ~name ~shm_words k
+  | Workloads.App.Gather -> Workloads.Shapes.gather ~name k
+
+let printed = Ptx.Printer.kernel_to_string
+
 let test_kernel_deterministic () =
   List.iter
     (fun a ->
-       let s1 = Ptx.Printer.kernel_to_string (Workloads.App.kernel a) in
-       let s2 = Ptx.Printer.kernel_to_string (Workloads.App.kernel a) in
-       Alcotest.(check string) (a.Workloads.App.abbr ^ " deterministic") s1 s2)
+       Alcotest.(check string)
+         (a.Workloads.App.abbr ^ " deterministic")
+         (printed (fresh_build a))
+         (printed (Workloads.App.kernel a)))
     Workloads.Suite.all
+
+(* ---------- shared kernels ---------- *)
+
+let test_kernel_shared () =
+  List.iter
+    (fun a ->
+       check (a.Workloads.App.abbr ^ " one physical kernel") true
+         (Workloads.App.kernel a == Workloads.App.kernel a))
+    Workloads.Suite.all
+
+(* Four domains race on the first use of every app's kernel (renamed, so
+   no earlier test has built it): each app still gets one kernel. *)
+let test_kernel_shared_across_domains () =
+  let apps =
+    Array.of_list
+      (List.map
+         (fun a ->
+            { a with Workloads.App.kernel_name = a.Workloads.App.kernel_name ^ "_race" })
+         Workloads.Suite.all)
+  in
+  let n = Array.length apps in
+  let go = Atomic.make false in
+  let domains =
+    List.init 4 (fun d ->
+      Domain.spawn (fun () ->
+        while not (Atomic.get go) do
+          Domain.cpu_relax ()
+        done;
+        (* each domain walks the apps from its own starting point *)
+        Array.init n (fun i ->
+          let j = (i + (d * n / 4)) mod n in
+          (j, Workloads.App.kernel apps.(j)))))
+  in
+  Atomic.set go true;
+  let seen = Array.make n None in
+  List.iter
+    (fun d ->
+       Array.iter
+         (fun (j, k) ->
+            match seen.(j) with
+            | None -> seen.(j) <- Some k
+            | Some k0 ->
+              check (apps.(j).Workloads.App.abbr ^ " same kernel on every domain") true
+                (k == k0))
+         (Domain.join d))
+    domains;
+  Array.iteri
+    (fun j a ->
+       check (a.Workloads.App.abbr ^ " later calls share it") true
+         (Option.get seen.(j) == Workloads.App.kernel a))
+    apps
+
+let test_kernel_keyed_by_builder_inputs () =
+  List.iter
+    (fun (a : Workloads.App.t) ->
+       let k = Workloads.App.kernel a in
+       let knobs =
+         { a with
+           Workloads.App.knobs =
+             { a.Workloads.App.knobs with Workloads.Shapes.flops = a.Workloads.App.knobs.Workloads.Shapes.flops + 1 }
+         }
+       in
+       let shm = { a with Workloads.App.shm_words = a.Workloads.App.shm_words + 32 } in
+       check (a.Workloads.App.abbr ^ " other knobs, own kernel") true
+         (Workloads.App.kernel knobs != k
+          && printed (Workloads.App.kernel knobs) = printed (fresh_build knobs));
+       check (a.Workloads.App.abbr ^ " other shm_words, own kernel") true
+         (Workloads.App.kernel shm != k
+          && printed (Workloads.App.kernel shm) = printed (fresh_build shm));
+       check (a.Workloads.App.abbr ^ " a new abbr shares the kernel") true
+         (Workloads.App.kernel { a with Workloads.App.abbr = "X" ^ a.Workloads.App.abbr } == k))
+    Workloads.Suite.all
+
+(* Nothing the compiler, the profiler or the advisor does to an app
+   mutates its shared kernel. *)
+let test_kernel_survives_use () =
+  let before = List.map (fun a -> printed (Workloads.App.kernel a)) Workloads.Suite.all in
+  let engine = Crat.Engine.create () in
+  let cfg = Gpusim.Config.fermi in
+  List.iter
+    (fun a ->
+       let input = tiny_input a in
+       ignore (Crat.Optimizer.plan ~mode:`Static engine cfg a);
+       ignore (Crat.Optimizer.plan ~mode:`Profile ~profile_input:input engine cfg a);
+       ignore (Crat.Lint.lint a);
+       ignore (Crat.Lint.validate ~input a))
+    Workloads.Suite.all;
+  List.iter2
+    (fun a s ->
+       Alcotest.(check string)
+         (a.Workloads.App.abbr ^ " kernel unchanged")
+         (Digest.to_hex (Digest.string s))
+         (Digest.to_hex (Digest.string (printed (Workloads.App.kernel a)))))
+    Workloads.Suite.all before
 
 let test_block_sizes_warp_multiple () =
   List.iter
@@ -170,6 +280,14 @@ let () =
         ; Alcotest.test_case "block sizes" `Quick test_block_sizes_warp_multiple
         ; Alcotest.test_case "register-demand bands" `Quick test_register_demand_bands
         ; Alcotest.test_case "shared decls" `Quick test_shared_decls_match_descriptor
+        ] )
+    ; ( "shared kernels"
+      , [ Alcotest.test_case "one per descriptor" `Quick test_kernel_shared
+        ; Alcotest.test_case "one across racing domains" `Quick
+            test_kernel_shared_across_domains
+        ; Alcotest.test_case "keyed by builder inputs" `Quick
+            test_kernel_keyed_by_builder_inputs
+        ; Alcotest.test_case "never mutated" `Slow test_kernel_survives_use
         ] )
     ; ( "execution"
       , [ Alcotest.test_case "all apps emulate" `Slow test_all_apps_emulate
