@@ -35,31 +35,64 @@ let profile engine cfg (app : Workloads.App.t) ?input ?kernel ?cache ~max_tlp ()
   in
   { opt_tlp; samples }
 
-(* A binary min-heap of warp numbers under [before]. *)
+(* Binary min-heaps of warp numbers, one pair of functions per order
+   with the order written in: passed as a closure, every comparison
+   would be an indirect call. [_lowest] orders by warp number;
+   [_earliest] by ready time, then warp number. *)
 type heap =
   { items : int array
   ; mutable size : int
   }
 
-let push before h v =
+let push_lowest h (v : int) =
   let a = h.items in
   let i = ref h.size in
   h.size <- h.size + 1;
-  while !i > 0 && before v a.((!i - 1) / 2) do
+  while !i > 0 && v < a.((!i - 1) / 2) do
     a.(!i) <- a.((!i - 1) / 2);
     i := (!i - 1) / 2
   done;
   a.(!i) <- v
 
-let pop before h =
+let pop_lowest h =
   let a = h.items in
   let top = a.(0) in
   h.size <- h.size - 1;
   let v = a.(h.size) and i = ref 0 and sifting = ref true in
   while !sifting do
     let c = (2 * !i) + 1 in
-    let c = if c + 1 < h.size && before a.(c + 1) a.(c) then c + 1 else c in
-    if c < h.size && before a.(c) v then begin
+    let c = if c + 1 < h.size && a.(c + 1) < a.(c) then c + 1 else c in
+    if c < h.size && a.(c) < v then begin
+      a.(!i) <- a.(c);
+      i := c
+    end
+    else sifting := false
+  done;
+  a.(!i) <- v;
+  top
+
+let[@inline] earlier (ready : float array) a b =
+  ready.(a) < ready.(b) || (ready.(a) = ready.(b) && a < b)
+
+let push_earliest ready h v =
+  let a = h.items in
+  let i = ref h.size in
+  h.size <- h.size + 1;
+  while !i > 0 && earlier ready v a.((!i - 1) / 2) do
+    a.(!i) <- a.((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done;
+  a.(!i) <- v
+
+let pop_earliest ready h =
+  let a = h.items in
+  let top = a.(0) in
+  h.size <- h.size - 1;
+  let v = a.(h.size) and i = ref 0 and sifting = ref true in
+  while !sifting do
+    let c = (2 * !i) + 1 in
+    let c = if c + 1 < h.size && earlier ready a.(c + 1) a.(c) then c + 1 else c in
+    if c < h.size && earlier ready a.(c) v then begin
       a.(!i) <- a.(c);
       i := c
     end
@@ -123,24 +156,22 @@ let mimic_cycles (cfg : Gpusim.Config.t) (tr : Segments.trace) ~warps_per_block 
     let is_ready = Array.make nwarps true and queued = Array.make nwarps true in
     let ready_q = { items = Array.init nwarps Fun.id; size = nwarps } in
     let waiting = { items = Array.make nwarps 0; size = 0 } in
-    let lower (a : int) b = a < b in
-    let earlier a b = ready.(a) < ready.(b) || (ready.(a) = ready.(b) && a < b) in
     let t = { core = 0.; server_free = 0. } in
     let last = ref 0 in
     let remaining = ref nwarps in
     let wake () =
       while waiting.size > 0 && ready.(waiting.items.(0)) <= t.core do
-        let w = pop earlier waiting in
+        let w = pop_earliest ready waiting in
         is_ready.(w) <- true;
         if not queued.(w) then begin
           queued.(w) <- true;
-          push lower ready_q w
+          push_lowest ready_q w
         end
       done
     in
     let lowest_ready () =
       while ready_q.size > 0 && not is_ready.(ready_q.items.(0)) do
-        queued.(pop lower ready_q) <- false
+        queued.(pop_lowest ready_q) <- false
       done;
       if ready_q.size > 0 then ready_q.items.(0) else -1
     in
@@ -176,7 +207,7 @@ let mimic_cycles (cfg : Gpusim.Config.t) (tr : Segments.trace) ~warps_per_block 
         end
         else if ready.(w) > t.core then begin
           is_ready.(w) <- false;
-          push earlier waiting w
+          push_earliest ready waiting w
         end;
         wake ()
       end
