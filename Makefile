@@ -48,7 +48,9 @@ bench:
 # identical results once the timing lines are stripped; then fig13 under
 # the machine register-file backend; then the figures that run Sm/Gpu
 # under LRR, L1 bypassing, dynamic TLP and several SMs, diffed (timing
-# lines stripped) against their committed output
+# lines stripped) against their committed output; then Table 1 (resource
+# analysis, profiled and static OptTLP of the sensitive apps), diffed the
+# same way
 FIG13 = dune exec bench/main.exe -- --only fig13 --fast
 STRIP_TIMING = grep -v '^(\|^total'
 VARIANT_FIGS = abl-sched,ext-bypass,dyn-tlp,gpu-scale
@@ -66,6 +68,10 @@ bench-smoke:
 	$(STRIP_TIMING) variant-figs.out > variant-figs.txt
 	diff test/golden/variant_figs.expected variant-figs.txt
 	rm -f variant-figs.out variant-figs.txt
+	dune exec bench/main.exe -- --only tab1 > tab1.out
+	$(STRIP_TIMING) tab1.out > tab1.txt
+	diff test/golden/tab1.expected tab1.txt
+	rm -f tab1.out tab1.txt
 
 # CI gate for the sweep, the compile path and the daemon's simulate path: the
 # fig13-family sweep slice, its pass checked against the committed
