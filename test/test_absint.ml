@@ -8,6 +8,10 @@
      interpreter; every concrete register value must lie in the claimed
      interval, match the claimed affine form, and respect claimed
      uniformity
+   - the profiler's per-pc counters, pinned per launch in
+     golden/profile.expected (every workload's default input,
+     unallocated and at r20 with both shared spares), and the flat pc
+     they share with the advisor's claims
    - the interval-driven constant folder
    - golden rendering of the advisor's P-codes
    - the differential honesty sweep: on every suite workload, dynamic
@@ -387,34 +391,130 @@ let test_allocation_keeps_divergence () =
        Alcotest.(check (list int)) (label ^ " divergent blocks") expected got)
     Workloads.Suite.all
 
+(* ---------- the profiler's per-pc counters ---------- *)
+
+(* The launches the profiler's counters are pinned on: every workload's
+   default input, unallocated and at r20 with both spares. Each is
+   profiled once and shared by the tests below. *)
+type profiled =
+  { app : Workloads.App.t
+  ; label : string
+  ; kernel : Ptx.Kernel.t
+  ; allocated : bool
+  ; prof : Gpusim.Profile.t
+  }
+
+let profiled =
+  lazy
+    (List.concat_map
+       (fun (app : Workloads.App.t) ->
+          List.map
+            (fun (allocated, (label, kernel)) ->
+               let prof =
+                 Gpusim.Profile.run
+                   (Workloads.App.launch app ~kernel
+                      ~input:(Workloads.App.default_input app) ())
+               in
+               { app; label; kernel; allocated; prof })
+            [ (false, (app.Workloads.App.abbr ^ " default", Workloads.App.kernel app))
+            ; (true, alloc_r20 app 512)
+            ; (true, alloc_r20 app 8192)
+            ])
+       Workloads.Suite.all)
+
+(* [name]'s golden file, or, with [GOLDEN_WRITE=dir] set, [actual]
+   written into [dir] instead *)
+let check_golden name actual =
+  match Sys.getenv_opt "GOLDEN_WRITE" with
+  | Some dir ->
+    Out_channel.with_open_text (Filename.concat dir name) (fun oc ->
+      Out_channel.output_string oc actual)
+  | None ->
+    let path =
+      List.find Sys.file_exists
+        [ Filename.concat "golden" name; Filename.concat "test/golden" name ]
+    in
+    let expected = In_channel.with_open_text path In_channel.input_all in
+    Alcotest.(check string) name expected actual
+
+(* one line per launch: its label, how many pcs it counted, and the hex
+   digest of every counter *)
+let render_profile label prof =
+  let mems = Gpusim.Profile.mems prof in
+  let branches = Gpusim.Profile.branches prof in
+  let b = Buffer.create 1024 in
+  List.iter
+    (fun (pc, (s : Gpusim.Profile.mem_stat)) ->
+       Printf.bprintf b "mem %d %s %d %d %d\n" pc
+         (T.space_to_string s.Gpusim.Profile.m_space)
+         s.Gpusim.Profile.m_execs s.Gpusim.Profile.max_segments
+         s.Gpusim.Profile.max_bank_degree)
+    mems;
+  List.iter
+    (fun (pc, (s : Gpusim.Profile.branch_stat)) ->
+       Printf.bprintf b "bra %d %d %d\n" pc s.Gpusim.Profile.b_execs
+         s.Gpusim.Profile.b_divergent)
+    branches;
+  Printf.sprintf "%s: %d mems, %d branches, %s\n" label (List.length mems)
+    (List.length branches)
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
+(* the counters' pcs are the flat [Cfg.Flow] index the advisor's claims
+   use: the predecoded image has one step outcome per flow instruction,
+   and a memory step exactly at each shared/global/local ld/st *)
+let check_pcs_agree label k =
+  let instrs = (Cfg.Flow.of_kernel k).Cfg.Flow.instrs in
+  let exec_of = (Gpusim.Image.prepare k).Gpusim.Image.code.Gpusim.Dcode.exec_of in
+  check_int (label ^ " one step outcome per flow instruction")
+    (Array.length instrs) (Array.length exec_of);
+  let disagree =
+    List.filter
+      (fun pc ->
+         let lsu =
+           match instrs.(pc) with
+           | I.Ld ((T.Shared | T.Global | T.Local), _, _, _)
+           | I.St ((T.Shared | T.Global | T.Local), _, _, _) -> true
+           | _ -> false
+         in
+         match exec_of.(pc) with
+         | Gpusim.Dcode.E_mem _ -> not lsu
+         | _ -> lsu)
+      (List.init (Array.length instrs) Fun.id)
+  in
+  Alcotest.(check (list int)) (label ^ " memory steps are the ld/st") [] disagree
+
+let test_profile_pinned () =
+  let rendered =
+    List.map
+      (fun p ->
+         check_pcs_agree p.label p.kernel;
+         render_profile p.label p.prof)
+      (Lazy.force profiled)
+  in
+  check_golden "profile.expected" (String.concat "" rendered)
+
 (* every branch that split a warp on the default input is claimed
    non-uniform on the allocated kernel *)
 let test_allocated_branches_sound () =
   let split = ref 0 in
   List.iter
-    (fun (app : Workloads.App.t) ->
-       List.iter
-         (fun (label, k) ->
-            let flow = Cfg.Flow.of_kernel k in
-            let an = A.run ~block_size:app.Workloads.App.block_size flow in
-            let prof =
-              Gpusim.Profile.run
-                (Workloads.App.launch app ~kernel:k
-                   ~input:(Workloads.App.default_input app) ())
-            in
-            List.iter
-              (fun (pc, (b : Gpusim.Profile.branch_stat)) ->
-                 if b.Gpusim.Profile.b_divergent > 0 then begin
-                   incr split;
-                   match flow.Cfg.Flow.instrs.(pc) with
-                   | I.Bra_pred (p, _, _) when (A.value_at an pc p).Dom.uni ->
-                     Alcotest.failf "%s: branch at %d split a warp but is \
-                                     claimed uniform" label pc
-                   | _ -> ()
-                 end)
-              (Gpusim.Profile.branches prof))
-         [ alloc_r20 app 512; alloc_r20 app 8192 ])
-    Workloads.Suite.all;
+    (fun e ->
+       if e.allocated then begin
+         let flow = Cfg.Flow.of_kernel e.kernel in
+         let an = A.run ~block_size:e.app.Workloads.App.block_size flow in
+         List.iter
+           (fun (pc, (b : Gpusim.Profile.branch_stat)) ->
+              if b.Gpusim.Profile.b_divergent > 0 then begin
+                incr split;
+                match flow.Cfg.Flow.instrs.(pc) with
+                | I.Bra_pred (p, _, _) when (A.value_at an pc p).Dom.uni ->
+                  Alcotest.failf "%s: branch at %d split a warp but is \
+                                  claimed uniform" e.label pc
+                | _ -> ()
+              end)
+           (Gpusim.Profile.branches e.prof)
+       end)
+    (Lazy.force profiled);
   check "some branch split a warp" true (!split > 0)
 
 (* ---------- interval-driven constant folding ---------- *)
@@ -516,19 +616,7 @@ let advisor_render () =
             (Verify.Diagnostic.render r.Verify.Advisor.diags))
        [ clinic; kmn ])
 
-let test_advisor_golden () =
-  let actual = advisor_render () in
-  match Sys.getenv_opt "ADVISOR_GOLDEN_WRITE" with
-  | Some path ->
-    Out_channel.with_open_text path (fun oc ->
-      Out_channel.output_string oc actual)
-  | None ->
-    let path =
-      List.find Sys.file_exists
-        [ "golden/advisor.expected"; "test/golden/advisor.expected" ]
-    in
-    let expected = In_channel.with_open_text path In_channel.input_all in
-    Alcotest.(check string) "advisor rendering" expected actual
+let test_advisor_golden () = check_golden "advisor.expected" (advisor_render ())
 
 let test_advisor_codes_documented () =
   let clinic =
@@ -589,6 +677,8 @@ let () =
         ; Alcotest.test_case "split branches claimed divergent" `Slow
             test_allocated_branches_sound
         ] )
+    ; ( "profile"
+      , [ Alcotest.test_case "per-pc counters pinned" `Slow test_profile_pinned ] )
     ; ( "intfold"
       , [ Alcotest.test_case "folds interval singletons" `Quick test_intfold ] )
     ; ( "advisor"
