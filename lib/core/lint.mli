@@ -6,10 +6,9 @@
     budget) — the report one would get from the PTX alone.
 
     [validate] re-runs the analysis with the full launch description of
-    one input (grid size, parameter values), executes that launch
-    through the reference interpreter with per-pc counters
-    ({!Gpusim.Profile}), and holds the static claims to the observed
-    behaviour:
+    one input (grid size, parameter values), counts that launch's
+    recorded trace per pc ({!Gpusim.Profile}), and holds the static
+    claims to the observed behaviour:
 
     - every dynamic global/local/shared access and every executed
       conditional branch must have a static record at its pc;

@@ -4,7 +4,7 @@
     ([pre-opt], [post-opt], [post-alloc]) — the last one covering the
     allocator's spill code, whose shared spill stack is held to
     per-thread sub-stacks. {!validate} arms the residual checks and
-    replays the default launch through the profiling interpreter: the
+    runs the default launch through the reference interpreter: the
     dynamic counters say what fraction of lane accesses still paid a
     bounds test, and any recorded violation (or proven-OOB static
     verdict) becomes a failure line. *)

@@ -26,12 +26,6 @@ let create ~lanes ~line ~banks =
   ; bank_counts = Array.make ((2 * banks) + 1) 0
   }
 
-let reset t = t.n <- 0
-
-let add t a =
-  t.addrs.(t.n) <- Int64.float_of_bits a;
-  t.n <- t.n + 1
-
 let load t src off n =
   Array.blit src off t.addrs 0 n;
   t.n <- n

@@ -1,8 +1,9 @@
-(** The one definition of a warp access's memory cost, shared by the
-    timing model ({!Sm}), the profiler ({!Profile}) and the static
-    segmenter ([Crat.Segments]): the L1-line segments its lane
-    addresses coalesce into, and its shared-memory bank-conflict
-    degree. A scratch is allocated once; nothing after that allocates.
+(** The one definition of a warp access's memory cost: the L1-line
+    segments its lane addresses coalesce into, and its shared-memory
+    bank-conflict degree. The timing model ({!Sm}) and the profiler
+    ({!Profile}) both {!load} an access from a recorded trace's lanes,
+    the static segmenter ([Crat.Segments]) from the interpreter's lane
+    scratch. A scratch is allocated once; nothing after that allocates.
     A line or word index is the byte address divided by the size,
     rounded toward zero (sizes are powers of two, so it is a shift). *)
 
@@ -12,12 +13,6 @@ val create : lanes:int -> line:int -> banks:int -> t
 (** Scratch for up to [lanes] lane addresses, [line]-byte L1 lines and
     [banks] 4-byte shared-memory banks.
     @raise Invalid_argument unless [line] is a power of two. *)
-
-val reset : t -> unit
-(** Start a new access. *)
-
-val add : t -> int64 -> unit
-(** The next lane's byte address. *)
 
 val load : t -> float array -> int -> int -> unit
 (** [load t src off n] starts a new access whose [n] lane addresses are

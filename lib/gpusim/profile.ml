@@ -32,11 +32,10 @@ let branch_stat t pc =
     s
 
 (* the access's cost, counted exactly as the timing model counts it *)
-let record_mem t sc pc (space : Ptx.Types.space) lane_addrs =
+let record_mem t sc c pc (space : Ptx.Types.space) =
   let s = mem_stat t pc space in
   s.m_execs <- s.m_execs + 1;
-  Coalescer.reset sc;
-  List.iter (fun (_, a) -> Coalescer.add sc a) lane_addrs;
+  Coalescer.load sc (Replay.mem_bits c) (Replay.mem_first c) (Replay.mem_count c);
   match space with
   | Ptx.Types.Global | Ptx.Types.Local ->
     s.max_segments <- max s.max_segments (Coalescer.segments sc)
@@ -44,47 +43,34 @@ let record_mem t sc pc (space : Ptx.Types.space) lane_addrs =
     s.max_bank_degree <- max s.max_bank_degree (Coalescer.bank_degree sc)
   | _ -> ()
 
-(* A conditional branch splits the warp when both the taken and the
-   fall-through lane sets are non-empty; replicated from the
-   interpreter's own test before stepping over it. *)
-let record_branch t w =
-  match Refinterp.peek w with
-  | Some (Ptx.Instr.Bra_pred (p, sense, _)) ->
-    let pc = Refinterp.pc w in
-    let mask = Refinterp.active_mask w in
-    let values = Refinterp.read_reg_values w p in
-    let taken = ref 0 in
-    Array.iteri
-      (fun lane v ->
-         if mask land (1 lsl lane) <> 0 && Value.to_bool v = sense then
-           taken := !taken lor (1 lsl lane))
-      values;
-    let fall = mask land lnot !taken in
-    let s = branch_stat t pc in
-    s.b_execs <- s.b_execs + 1;
-    if !taken <> 0 && fall <> 0 then s.b_divergent <- s.b_divergent + 1
-  | _ -> ()
+(* A conditional branch split the warp iff the warp's next instruction
+   issued under a different mask. *)
+let record_branch t c pc mask =
+  let s = branch_stat t pc in
+  s.b_execs <- s.b_execs + 1;
+  if (not (Replay.is_done c)) && Replay.active_mask c <> mask then
+    s.b_divergent <- s.b_divergent + 1
 
-let run ?(line = 128) ?(banks = 32) ?sanitize (l : Launch.t) =
-  let lctx = Simt.launch_ctx ?sanitize ~image:(Image.prepare l.Launch.kernel) l in
+let run ?(line = 128) ?(banks = 32) (l : Launch.t) =
+  let tr = Replay.create l in
+  Emulator.run ~record:tr l;
+  let code = (Replay.image tr).Image.code.Dcode.code in
   let t = { mem_tbl = Hashtbl.create 64; branch_tbl = Hashtbl.create 16 } in
   let sc = Coalescer.create ~lanes:l.Launch.warp_size ~line ~banks in
-  let step w =
-    record_branch t w;
-    let pc = Refinterp.pc w in
-    match Refinterp.step w with
-    | Refinterp.E_barrier -> Simt.Barrier
-    | Refinterp.E_exit -> Simt.Exit
-    | Refinterp.E_mem { space; lane_addrs; _ } ->
-      record_mem t sc pc space lane_addrs;
-      Simt.Step
-    | Refinterp.E_alu _ -> Simt.Step
-  in
   for ctaid = 0 to l.Launch.num_blocks - 1 do
-    let _block, warps =
-      Refinterp.make_block lctx ~ctaid ~warp_size:l.Launch.warp_size
-    in
-    Simt.run_block ~is_done:Refinterp.is_done ~warps ~step
+    for wid = 0 to (l.Launch.block_size / l.Launch.warp_size) - 1 do
+      let c = Replay.cursor tr ~ctaid ~wid in
+      while not (Replay.is_done c) do
+        let pc = Replay.fetch c in
+        let mask = Replay.active_mask c in
+        match Replay.step c with
+        | Dcode.E_mem { space; _ } -> record_mem t sc c pc space
+        | Dcode.E_alu _ | Dcode.E_barrier | Dcode.E_exit ->
+          (match code.(pc) with
+           | Dcode.DBra_pred _ -> record_branch t c pc mask
+           | _ -> ())
+      done
+    done
   done;
   t
 

@@ -1,16 +1,18 @@
 (** Per-pc dynamic counters for cross-validating the static advisor.
 
-    Runs a whole launch through the reference interpreter
-    ({!Refinterp}) and records, at every flat instruction index of the
-    kernel's {!Cfg.Flow}:
+    Records the launch with {!Emulator.run} — the same trace {!Sm}
+    replays — and folds over every warp's recorded pcs, active masks
+    and lane addresses, counting at every flat instruction index of
+    the kernel's {!Cfg.Flow}:
 
     - memory accesses: execution count, the maximum number of distinct
       L1-line segments a single warp access touched (global and local
       spaces, post local-interleave), and the maximum shared-memory
-      bank-conflict degree — both counted by {!Coalescer}, as the
-      timing model ({!Sm}) counts them;
+      bank-conflict degree — both counted by {!Coalescer} on the
+      recorded lanes, as the timing model counts them;
     - conditional branches: execution count and how many executions
-      actually split the warp.
+      split the warp, i.e. were followed by an instruction the warp
+      issued under a different active mask.
 
     The static advisor ({!Verify.Advisor}) must cover every event
     recorded here with a "may" prediction at the same pc, and no
@@ -31,11 +33,9 @@ type branch_stat =
 
 type t
 
-val run : ?line:int -> ?banks:int -> ?sanitize:Sancheck.runtime -> Launch.t -> t
-(** Execute the launch (mutating its global memory in place) and
-    collect the counters. Geometry defaults match {!Config.fermi}.
-    [sanitize] arms the hybrid sanitizer in the underlying
-    {!Refinterp}; its counters belong to the caller. *)
+val run : ?line:int -> ?banks:int -> Launch.t -> t
+(** Record the launch (mutating its global memory in place) and
+    collect the counters. Geometry defaults match {!Config.fermi}. *)
 
 val mems : t -> (int * mem_stat) list
 (** Per-pc memory counters, ascending by pc. *)

@@ -460,7 +460,6 @@ let test_barrier_every_scheduler () =
             check (name (client ^ " matches Emulator")) true
               (G.Memory.equal expected (run f)))
          [ ("Refinterp", fun l -> G.Refinterp.run l)
-         ; ("Profile", fun l -> ignore (G.Profile.run l))
          ; ("Machine.Exec", Machine.Exec.run m)
          ; ("Sm", fun l -> ignore (G.Sm.run fermi l))
          ];
