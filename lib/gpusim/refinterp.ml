@@ -102,10 +102,6 @@ type exec =
   | E_barrier
   | E_exit
 
-let popcount m =
-  let rec loop m acc = if m = 0 then acc else loop (m lsr 1) (acc + (m land 1)) in
-  loop m 0
-
 let step w =
   Simt.step w (instrs w) ~exit:E_exit (fun ~pc ~mask ins ->
     let iter_active = Simt.iter_active w mask in

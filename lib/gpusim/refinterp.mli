@@ -44,9 +44,7 @@ type exec =
   | E_exit
 
 val step : warp -> exec
-val popcount : int -> int
 val read_reg_values : warp -> Ptx.Reg.t -> Value.t array
-val reg_key : Ptx.Reg.t -> int
 
 val run : ?sanitize:Sancheck.runtime -> Launch.t -> unit
 (** Whole-launch execution through the reference semantics under
