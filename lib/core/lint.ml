@@ -3,14 +3,6 @@ module Advisor = Verify.Advisor
 module Access = Absint.Access
 module Profile = Gpusim.Profile
 
-let int_params ps =
-  List.filter_map
-    (fun (n, v) ->
-       match v with
-       | Gpusim.Value.I x -> Some (n, x)
-       | Gpusim.Value.F _ -> None)
-    ps
-
 let geometry (cfg : Gpusim.Config.t) =
   (cfg.Gpusim.Config.warp_size, cfg.Gpusim.Config.l1_line, cfg.Gpusim.Config.shared_banks)
 
@@ -31,7 +23,7 @@ let validate ?(cfg = Gpusim.Config.fermi) ?input (app : App.t) =
   let params = App.params app input in
   let report =
     Advisor.lint_kernel ~block_size:app.App.block_size
-      ~num_blocks:input.App.num_blocks ~params:(int_params params)
+      ~num_blocks:input.App.num_blocks ~params:(App.int_params app input)
       ~reg_budget:app.App.default_regs ~warp_size ~line ~banks kernel
   in
   let prof =

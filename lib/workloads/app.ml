@@ -95,6 +95,14 @@ let params a (i : input) =
   in
   if uses_aux a then base @ [ ("aux", Gpusim.Value.I Data.aux_base) ] else base
 
+let int_params a i =
+  List.filter_map
+    (fun (n, v) ->
+       match v with
+       | Gpusim.Value.I x -> Some (n, x)
+       | Gpusim.Value.F _ -> None)
+    (params a i)
+
 let shared_decl_bytes a = Ptx.Kernel.shared_bytes (kernel a)
 
 let output_words a (i : input) = a.block_size * i.num_blocks

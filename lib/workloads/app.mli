@@ -57,6 +57,11 @@ val memory : t -> input -> Gpusim.Memory.t
     ones. *)
 
 val params : t -> input -> (string * Gpusim.Value.t) list
+
+val int_params : t -> input -> (string * int64) list
+(** The integer-valued {!params}: the launch facts the static analyses
+    specialise on. *)
+
 val shared_decl_bytes : t -> int
 (** Shared memory declared by the application kernel itself (ShmSize). *)
 
