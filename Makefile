@@ -21,7 +21,7 @@ verify:
 	dune exec bin/crat_cli.exe -- verify --all --regs 20 --shared-spare 8192 --out verify-shared-report.txt
 
 # static performance advisor over every workload, with each "may"/"must"
-# claim cross-checked against the reference interpreter's dynamic counters;
+# claim cross-checked against the per-pc counters of the recorded launch;
 # the P-code report lands in lint-report.txt
 lint:
 	dune exec bin/crat_cli.exe -- lint --all --validate --out lint-report.txt
