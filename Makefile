@@ -1,4 +1,4 @@
-.PHONY: all build test verify lint sanitize equiv bench bench-smoke perf-smoke sweep-parity perf-canary clean
+.PHONY: all build test verify lint sanitize equiv examples bench bench-smoke perf-smoke sweep-parity perf-canary clean
 
 all: build
 
@@ -39,6 +39,17 @@ sanitize:
 # interpreter; the E-code report lands in equiv-report.txt
 equiv:
 	dune exec bin/crat_cli.exe -- equiv --all --corpus --out equiv-report.txt
+
+# run each example program on its default app; a non-zero exit fails the
+# target (the examples call the allocator and the engine directly, so this
+# keeps them working as the library's API moves)
+EXAMPLES = quickstart design_space_explorer spill_tuning custom_kernel multi_sm
+
+examples:
+	dune build $(foreach e,$(EXAMPLES),examples/$(e).exe)
+	set -e; for e in $(EXAMPLES); do \
+	  echo "== examples/$$e"; ./_build/default/examples/$$e.exe > /dev/null; \
+	done
 
 bench:
 	dune exec bench/main.exe

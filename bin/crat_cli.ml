@@ -147,30 +147,17 @@ let analyze_cmd =
 
 (* ---------- allocate ---------- *)
 
-let do_allocate ?(backend = Machine.Backend.Ptx) kernel ~block_size ~regs
-    ~spare ~linear_scan ~dump =
+let do_allocate ?(backend = Machine.Backend.Ptx) kernel ~label ~block_size
+    ~regs ~spare ~linear_scan ~dump =
   let strategy =
     if linear_scan then Regalloc.Allocator.Linear_scan
     else Regalloc.Allocator.Chaitin_briggs
   in
-  let shared_policy = if spare > 0 then `Spare spare else `Off in
-  let scalar, scalar_limit =
-    match backend with
-    | Machine.Backend.Ptx -> ((fun _ -> false), 0)
-    | Machine.Backend.Machine ->
-      ( Machine.Scalarize.predicate ~block_size kernel
-      , Machine.Backend.default_scalar_limit )
-  in
-  Verify.Gate.run ~stage:"cli:pre-alloc"
-    [ Verify.Gate.Kernel { block_size = Some block_size; kernel }
-    ; Verify.Gate.Sanitize { block_size = Some block_size; kernel }
-    ];
   let a =
     allocate_or_exit (fun () ->
-      Regalloc.Allocator.allocate ~strategy ~shared_policy ~scalar
-        ~scalar_limit ~block_size ~reg_limit:regs kernel)
+      Crat.Compile.allocate ~strategy ~backend ~shared_spare:spare ~label
+        ~block_size ~reg_limit:regs kernel)
   in
-  Verify.Gate.run ~stage:"cli:post-alloc" [ Verify.Gate.Allocation a ];
   Format.printf
     "allocated at limit %d: %d vector units used, %d predicates, %d spilled@."
     regs a.Regalloc.Allocator.units_used a.Regalloc.Allocator.pred_used
@@ -190,7 +177,6 @@ let do_allocate ?(backend = Machine.Backend.Ptx) kernel ~block_size ~regs
     Format.printf "scalar file: %d units/warp (%d registers scalarized)@."
       a.Regalloc.Allocator.scalar_units_used a.Regalloc.Allocator.scalarized;
     let m = Machine.Lower.run a in
-    Verify.Gate.run ~stage:"cli:post-lower" [ Verify.Gate.Machine m ];
     Format.printf
       "machine code: %d insns (%d bytes), V=%d S=%d P=%d@."
       (Array.length m.Machine.Lower.code)
@@ -215,7 +201,7 @@ let allocate_cmd =
     arm_gate gate;
     let app = find_app abbr in
     let regs = Option.value ~default:app.Workloads.App.default_regs regs in
-    do_allocate ~backend (Workloads.App.kernel app)
+    do_allocate ~backend (Workloads.App.kernel app) ~label:abbr
       ~block_size:app.Workloads.App.block_size ~regs ~spare ~linear_scan ~dump
   in
   Cmd.v (Cmd.info "allocate" ~doc)
@@ -243,7 +229,8 @@ let allocate_file_cmd =
       Format.eprintf "parse error: %s@." msg;
       exit 1
     | Ok kernel ->
-      do_allocate kernel ~block_size:block ~regs ~spare ~linear_scan ~dump
+      do_allocate kernel ~label:"cli" ~block_size:block ~regs ~spare
+        ~linear_scan ~dump
   in
   Cmd.v (Cmd.info "allocate-file" ~doc)
     Term.(const run $ file $ regs $ block $ spare_arg $ ls_arg $ dump_arg
@@ -269,11 +256,10 @@ let simulate_cmd =
     let input = Workloads.App.find_input app input_label in
     let a =
       allocate_or_exit (fun () ->
-        Regalloc.Allocator.allocate ~block_size:app.Workloads.App.block_size
-          ~reg_limit:regs (Workloads.App.kernel app))
+        Crat.Compile.allocate ~label:abbr
+          ~block_size:app.Workloads.App.block_size ~reg_limit:regs
+          (Workloads.App.kernel app))
     in
-    Verify.Gate.run ~stage:(abbr ^ ":post-alloc")
-      [ Verify.Gate.Allocation a ];
     let r = Crat.Resource.analyze cfg app in
     let occ = Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage_at r ~regs) in
     let tlp = Option.value ~default:occ tlp in
@@ -408,8 +394,9 @@ let verify_cmd =
 let lint_options =
   let validate_arg =
     Arg.(value & flag & info [ "validate" ]
-           ~doc:"Run the default input through the reference interpreter and \
-                 check every static claim against the dynamic counters.")
+           ~doc:"Record the default input's launch on the fast interpreter \
+                 and check every static claim against the per-pc counters \
+                 of the recorded trace.")
   in
   let mk kepler regs validate =
     { Sweep.default_options with Sweep.kepler; regs; validate }
@@ -422,7 +409,7 @@ let lint_cmd =
       "Static performance advisor: abstract interpretation over the kernel \
        emits P-code advisories (pressure, coalescing, bank conflicts, \
        divergence, loops); $(b,--validate) cross-checks every static claim \
-       against the reference interpreter's dynamic counters."
+       against the per-pc counters of the launch's recorded trace."
     ~all_doc:"Sweep every suite kernel; exit 1 on any violated claim."
     ~corpus_doc:"" lint_options
 

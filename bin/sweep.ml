@@ -80,34 +80,32 @@ let strategy_of o =
   if o.linear_scan then Regalloc.Allocator.Linear_scan
   else Regalloc.Allocator.Chaitin_briggs
 
-let shared_policy_of o = if o.spare > 0 then `Spare o.spare else `Off
-
 (* The allocator rejects a register limit below the kernel's feasible
    minimum with [Failure]: an error of that app, reported in its place,
    not of the program. *)
 let print_error fmt abbr stage msg =
   Format.fprintf fmt "%-5s %-10s error: %s@." abbr stage msg
 
+(* The three compiler stages of one app under the sweep's options. *)
+let stages o app =
+  Crat.Compile.stages ~strategy:(strategy_of o) ~shared_spare:o.spare
+    ?regs:o.regs app
+
 let verify_app fmt o (app : Workloads.App.t) =
   let abbr = app.Workloads.App.abbr in
   let block_size = app.Workloads.App.block_size in
-  let regs = Option.value ~default:app.Workloads.App.default_regs o.regs in
-  let k = Workloads.App.kernel app in
+  let k, k', alloc = stages o app in
   let pre =
     verify_stage fmt abbr "pre-opt" (Verify.Checker.check_kernel ~block_size k)
   in
-  let k', _ = Ptxopt.Pipeline.run ~block_size k in
   let post =
     verify_stage fmt abbr "post-opt" (Verify.Checker.check_kernel ~block_size k')
   in
   let alloc =
-    match
-      Regalloc.Allocator.allocate ~strategy:(strategy_of o)
-        ~shared_policy:(shared_policy_of o) ~block_size ~reg_limit:regs k
-    with
-    | a ->
+    match alloc with
+    | Ok a ->
       verify_stage fmt abbr "post-alloc" (Verify.Checker.check_allocation a)
-    | exception Failure msg ->
+    | Error msg ->
       print_error fmt abbr "post-alloc" msg;
       true
   in
@@ -197,7 +195,6 @@ let sanitize_app fmt o (app : Workloads.App.t) =
 let equiv_app fmt o (app : Workloads.App.t) =
   let abbr = app.Workloads.App.abbr in
   let block_size = app.Workloads.App.block_size in
-  let regs = Option.value ~default:app.Workloads.App.default_regs o.regs in
   let failed = ref false and unproved = ref false in
   let report (out : Equiv.Check.outcome) =
     (match out.Equiv.Check.verdict with
@@ -206,17 +203,13 @@ let equiv_app fmt o (app : Workloads.App.t) =
      | Equiv.Check.Unknown _ -> unproved := true);
     Format.fprintf fmt "%-5s %a@." abbr Equiv.Check.pp_outcome out
   in
-  let k = Workloads.App.kernel app in
-  let k', _ = Ptxopt.Pipeline.run ~block_size k in
+  let k, k', alloc = stages o app in
   report (Equiv.Check.check_opt ~block_size ~left:k ~right:k' ());
-  (match
-     Regalloc.Allocator.allocate ~strategy:(strategy_of o)
-       ~shared_policy:(shared_policy_of o) ~block_size ~reg_limit:regs k
-   with
-   | a ->
+  (match alloc with
+   | Ok a ->
      report (Equiv.Check.check_alloc a);
      report (Equiv.Check.check_lower (Machine.Lower.run a))
-   | exception Failure msg ->
+   | Error msg ->
      print_error fmt abbr "alloc" msg;
      failed := true);
   (!failed, !unproved)

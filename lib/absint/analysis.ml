@@ -36,7 +36,6 @@ let flow t = t.ctx.cflow
 let block_size t = t.ctx.cblock_size
 let num_blocks t = t.ctx.cnum_blocks
 let spill_stride t = t.ctx.spill_stride
-let in_state t i = t.instr_in.(i)
 let out_state t b = Option.value t.block_out.(b) ~default:Reg.Map.empty
 let divergent_block t b = t.div_block.(b)
 

@@ -53,9 +53,6 @@ val spill_stride : t -> int option
     ({!Regalloc.Spill.shared_stack_sym}), when the kernel carries one
     sized for the analysed block size. *)
 
-val in_state : t -> int -> state
-(** Abstract state on entry to instruction [i]. *)
-
 val out_state : t -> int -> state
 (** Abstract state on exit of block [b]. *)
 

@@ -256,7 +256,6 @@ type v =
   }
 
 let top = { itv = Itv.top; aff = aff_opaque; uni = false }
-let top_uniform = { top with uni = true }
 let const n = { itv = Itv.const n; aff = aff_const n; uni = true }
 
 let join a b =

@@ -96,7 +96,6 @@ type v =
   }
 
 val top : v
-val top_uniform : v
 val const : int -> v
 val join : v -> v -> v
 val widen : v -> v -> v

@@ -30,8 +30,3 @@ let compute ?weight (flow : Flow.t) =
       (fun r -> bump r (fun s -> { s with n_uses = s.n_uses + 1; weighted = s.weighted +. w }))
       (Ptx.Instr.uses ins));
   !m
-
-let access_frequency flow r =
-  match Ptx.Reg.Map.find_opt r (compute flow) with
-  | Some s -> s.weighted
-  | None -> 0.

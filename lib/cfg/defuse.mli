@@ -15,6 +15,3 @@ val compute : ?weight:(int -> float) -> Flow.t -> stats Ptx.Reg.Map.t
     index [i]. Defaults to the historical [10^min(depth, 4)] loop-depth
     heuristic; pass a provider backed by proven trip counts (e.g.
     [Absint.Trip.weight_provider]) to sharpen spill-gain estimates. *)
-
-val access_frequency : Flow.t -> Ptx.Reg.t -> float
-(** [weighted] for one register; 0 if the register does not occur. *)

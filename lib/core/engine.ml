@@ -56,7 +56,6 @@ let create ?(jobs = 1) ?(replay = true) ?(trace_budget = 1 lsl 25) ?store () =
   }
 
 let jobs t = t.n_jobs
-let replay_enabled t = t.replay
 let store t = t.disk
 
 let locked t f =
@@ -209,42 +208,8 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
     alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit ~kernel_digest
   in
   let compute () =
-    let shared_policy = if shared_spare > 0 then `Spare shared_spare else `Off in
-    let scalar, scalar_limit =
-      match backend with
-      | Machine.Backend.Ptx -> ((fun _ -> false), 0)
-      | Machine.Backend.Machine ->
-        ( Machine.Scalarize.predicate ~block_size kernel
-        , Machine.Backend.default_scalar_limit )
-    in
-    (* debug gate: verify the input kernel, then audit the allocation,
-       translation-validate the allocation edge (original vs allocated
-       modulo the recorded assignment and spills) and run the
-       hybrid-sanitizer bounds proof over the spill code; all no-ops
-       unless CRAT_VERIFY / Verify.Gate.set enables them *)
-    Verify.Gate.run
-      ~stage:(app.Workloads.App.abbr ^ ":pre-alloc")
-      [ Verify.Gate.Kernel { block_size = Some block_size; kernel } ];
-    let a =
-      Regalloc.Allocator.allocate ~strategy ~shared_policy ~scalar
-        ~scalar_limit ~block_size ~reg_limit kernel
-    in
-    Verify.Gate.run
-      ~stage:(app.Workloads.App.abbr ^ ":post-alloc")
-      [ Verify.Gate.Allocation a
-      ; Verify.Gate.Equiv_alloc a
-      ; Verify.Gate.Sanitize
-          { block_size = Some block_size; kernel = a.Regalloc.Allocator.kernel }
-      ];
-    (* under the machine backend, also lower and run the V6xx audit
-       (a no-op unless the gate is on) *)
-    if backend = Machine.Backend.Machine && Verify.Gate.enabled () then begin
-      let m = Machine.Lower.run a in
-      Verify.Gate.run
-        ~stage:(app.Workloads.App.abbr ^ ":post-lower")
-        [ Verify.Gate.Machine m; Verify.Gate.Equiv_lower m ]
-    end;
-    a
+    Compile.allocate ~strategy ~backend ~shared_spare
+      ~label:app.Workloads.App.abbr ~block_size ~reg_limit kernel
   in
   (* with the gate armed, never answer allocations from disk: the gate's
      audits must run on every allocation this process hands out *)

@@ -72,7 +72,6 @@ val create :
     @raise Invalid_argument when [jobs < 1]. *)
 
 val jobs : t -> int
-val replay_enabled : t -> bool
 
 val store : t -> Store.t option
 (** The persistent store this engine writes through to, if any. *)
@@ -118,10 +117,9 @@ val allocate :
     [reg_limit] and [shared_spare]; [shared_spare > 0] enables
     Algorithm 1 with that many spare shared bytes per block.
     [backend] (default [Ptx]) joins the memo key; [Machine] colours the
-    proven-uniform registers against the scalar file
-    ({!Machine.Scalarize}, {!Machine.Backend.default_scalar_limit}) and,
-    when the verify gate is on, lowers the result and runs the V6xx
-    machine audit. *)
+    proven-uniform registers against the scalar file ({!Compile.scalar}).
+    A miss is computed by {!Compile.allocate} under the app's
+    abbreviation, so the armed verify gate checks every edge of it. *)
 
 val resource :
   t -> ?backend:Machine.Backend.t -> Gpusim.Config.t -> Workloads.App.t -> Resource.t

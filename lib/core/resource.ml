@@ -39,13 +39,7 @@ let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
   let live = Cfg.Liveness.compute flow in
   let max_live_units = Cfg.Liveness.max_pressure live in
   let cap = cfg.Gpusim.Config.max_regs_per_thread in
-  let scalar, scalar_limit =
-    match backend with
-    | Machine.Backend.Ptx -> ((fun _ -> false), 0)
-    | Machine.Backend.Machine ->
-      ( Machine.Scalarize.predicate ~block_size kernel
-      , Machine.Backend.default_scalar_limit )
-  in
+  let scalar, scalar_limit = Compile.scalar backend ~block_size kernel in
   let probe = Regalloc.Allocator.probe ~scalar ~scalar_limit flow live in
   let max_reg, spill_free =
     probe_max_reg probe ~scalar_limit ~max_live:(min max_live_units cap) ~cap
@@ -56,7 +50,7 @@ let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
     else
       (* [cap] itself spills: the scalar footprint is the one of the
          allocation that spills its way down to [cap] *)
-      (Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size
+      (Compile.allocate ~backend ~label:app.Workloads.App.abbr ~block_size
          ~reg_limit:max_reg kernel)
         .Regalloc.Allocator.scalar_units_used
   in

@@ -7,28 +7,16 @@ type stage_report =
   ; report : (San.report, string) result
   }
 
-let stage_names = [ "pre-opt"; "post-opt"; "post-alloc" ]
-
-(* The two unallocated stages are analysed first, so the allocator's
-   rejection of the register limit only takes the post-alloc report. *)
-let stages ?regs ?(spare = 0) (app : App.t) =
+let stages ?regs ?spare (app : App.t) =
   let block_size = app.App.block_size in
-  let regs = Option.value ~default:app.App.default_regs regs in
-  let shared_policy = if spare > 0 then `Spare spare else `Off in
-  let k = App.kernel app in
-  let pre = San.sanitize_kernel ~block_size k in
-  let k', _ = Ptxopt.Pipeline.run ~block_size k in
-  let post = San.sanitize_kernel ~block_size k' in
-  let alloc =
-    match
-      Regalloc.Allocator.allocate ~shared_policy ~block_size ~reg_limit:regs k
-    with
-    | a -> Ok (San.sanitize_kernel ~block_size a.Regalloc.Allocator.kernel)
-    | exception Failure msg -> Error msg
-  in
-  [ { stage = "pre-opt"; report = Ok pre }
-  ; { stage = "post-opt"; report = Ok post }
-  ; { stage = "post-alloc"; report = alloc }
+  let pre, post, alloc = Compile.stages ?shared_spare:spare ?regs app in
+  let sanitize k = San.sanitize_kernel ~block_size k in
+  [ { stage = "pre-opt"; report = Ok (sanitize pre) }
+  ; { stage = "post-opt"; report = Ok (sanitize post) }
+  ; { stage = "post-alloc"
+    ; report =
+        Result.map (fun a -> sanitize a.Regalloc.Allocator.kernel) alloc
+    }
   ]
 
 type dynamic =

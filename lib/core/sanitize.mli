@@ -15,9 +15,6 @@ type stage_report =
       (** [Error msg]: the allocator rejected the register limit *)
   }
 
-val stage_names : string list
-(** [["pre-opt"; "post-opt"; "post-alloc"]]. *)
-
 val stages : ?regs:int -> ?spare:int -> Workloads.App.t -> stage_report list
 (** Static bounds reports at each stage. [regs] is the allocator's
     register limit (default: the app's), [spare] enables the shared

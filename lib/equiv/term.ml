@@ -210,29 +210,6 @@ let rec equal t1 t2 =
           | _ -> false)
   | _ -> false
 
-let vars_of t =
-  let seen = Hashtbl.create 8 in
-  let acc = ref [] in
-  let rec go = function
-    | Var (i, ty) ->
-      if not (Hashtbl.mem seen i) then begin
-        Hashtbl.add seen i ();
-        acc := (i, ty) :: !acc
-      end
-    | Cst _ | Special _ | ParamV _ | SymLocal _ -> ()
-    | Bin (_, _, a, b) | CmpT (_, _, a, b) ->
-      go a;
-      go b
-    | Un (_, _, a) | CvtT (_, _, a) | Trunc (_, a) -> go a
-    | MadT (_, a, b, c) | SelT (_, a, b, c) ->
-      go a;
-      go b;
-      go c
-    | Load { addr; _ } -> go addr
-  in
-  go t;
-  List.rev !acc
-
 let lspace_to_string = function
   | LGlobal -> "global"
   | LShared -> "shared"

@@ -83,8 +83,5 @@ val equal : t -> t -> bool
     compare space, type, version and address, the latter structurally or
     through exact affine / singleton views). *)
 
-val vars_of : t -> (int * Ptx.Types.scalar) list
-(** Havoc variables occurring in the term, deduplicated. *)
-
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string

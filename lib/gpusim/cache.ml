@@ -86,7 +86,6 @@ let create ~name ~bytes ~assoc ~line ~mshrs ~hit_latency ~next =
   ; st = fresh_stats ()
   }
 
-let line_size t = t.line_bytes
 let stats t = t.st
 
 let mshrs_free_at t =

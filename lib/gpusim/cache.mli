@@ -57,7 +57,6 @@ val access : t -> cycle:int -> addr:int64 -> write:bool -> write_alloc:bool -> r
     GPGPU-Sim's local-memory policy. *)
 
 val stats : t -> stats
-val line_size : t -> int
 val mshrs_free_at : t -> int
 (** When every MSHR was in flight at the last access, the cycle the
     earliest of them completes: until then each allocating miss fails

@@ -103,9 +103,3 @@ let shared_offset t name =
   match List.assoc_opt name t.shared_offsets with
   | Some o -> o
   | None -> invalid_arg (Printf.sprintf "Image: unknown shared symbol %s" name)
-
-let pp_summary fmt t =
-  Format.fprintf fmt "kernel %s: %d instrs, %d blocks, shared %dB, local %dB/thread"
-    t.kernel.Ptx.Kernel.name (num_instrs t)
-    (Cfg.Flow.num_blocks t.flow)
-    t.shared_decl_bytes t.local_frame_bytes

@@ -61,4 +61,3 @@ val remap_local_lanes :
 (** {!remap_local} in place on [addrs.(k)], lane [lanes.(k)], [k < n]. *)
 
 val shared_offset : t -> string -> int
-val pp_summary : Format.formatter -> t -> unit

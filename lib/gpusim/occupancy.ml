@@ -54,10 +54,6 @@ let register_utilization (c : Config.t) u ~tlp =
   float_of_int (tlp * u.block_size * u.regs_per_thread)
   /. float_of_int (Config.registers_per_sm c)
 
-let scalar_register_utilization (c : Config.t) u ~tlp =
-  float_of_int (tlp * warps_per_block c u * u.sregs_per_warp)
-  /. float_of_int c.Config.scalar_regs_per_sm
-
 let shared_utilization (c : Config.t) u ~tlp =
   float_of_int (tlp * u.shared_per_block)
   /. float_of_int c.Config.shared_bytes_per_sm

@@ -39,9 +39,6 @@ val register_utilization : Config.t -> usage -> tlp:int -> float
 (** Fraction of the SM (vector) register file held by [tlp] concurrent
     blocks — the metric of the paper's Figures 1(b), 7 and 15. *)
 
-val scalar_register_utilization : Config.t -> usage -> tlp:int -> float
-(** Fraction of the SM scalar register file held by [tlp] blocks. *)
-
 val shared_utilization : Config.t -> usage -> tlp:int -> float
 
 val spare_shared_bytes : Config.t -> usage -> tlp:int -> int

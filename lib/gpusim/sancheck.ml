@@ -26,8 +26,6 @@ let make ?(force = false) ~num_instrs claims =
     claims;
   { claims = a; force }
 
-let force_all t = { t with force = true }
-
 let claim_at t pc =
   if pc < 0 || pc >= Array.length t.claims then None else t.claims.(pc)
 

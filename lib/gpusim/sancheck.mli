@@ -36,7 +36,7 @@ type bound =
 
 type claim =
   | Proven_safe of bound
-      (** statically proven in bounds; checked only under {!force_all} *)
+      (** statically proven in bounds; checked only in a [force]d mask *)
   | Proven_oob of bound  (** statically proven out of bounds *)
   | Residual of bound  (** unprovable: the dynamic check remains armed *)
 
@@ -47,9 +47,6 @@ val make : ?force:bool -> num_instrs:int -> (int * claim) list -> t
 (** [force] (default false) arms the bounds test even on [Proven_safe]
     pcs — the soundness-harness mode: a violation recorded at a
     proven-safe pc disproves the static analysis. *)
-
-val force_all : t -> t
-(** The same mask with every claim's test armed. *)
 
 val claim_at : t -> int -> claim option
 (** [None] when the pc carries no claim (not a sanitized access). *)

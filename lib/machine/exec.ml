@@ -1,5 +1,5 @@
 (* Executor for the machine ISA. The SIMT control — reconvergence
-   stacks, lane memory with its sanitizer probes, barrier scheduling —
+   stacks, lane memory, barrier scheduling —
    is Gpusim.Simt's, shared with Gpusim.Refinterp, so any behavioural
    difference between the two executors is attributable to the
    register-file model. *)
@@ -85,7 +85,6 @@ let exec_op w mask (d : Isa.reg) compute =
 let step (prog : Lower.t) w =
   S.step w prog.Lower.code ~exit:S.Exit (fun ~pc ~mask ins ->
     let eval = eval prog w and addr_of = addr_of prog w in
-    (* a lane the sanitizer suppresses loads zero and stores nothing *)
     let lane_mem space ty l a =
       S.lane_mem w ~pc ~lane:l ~width:(Ptx.Types.width_bytes ty) space (addr_of l a)
     in
@@ -157,8 +156,8 @@ let step (prog : Lower.t) w =
       S.exit_warp w;
       S.Exit)
 
-let run ?sanitize (prog : Lower.t) (l : Gpusim.Launch.t) =
-  let lctx = S.launch_ctx ?sanitize ~image:prog.Lower.image l in
+let run (prog : Lower.t) (l : Gpusim.Launch.t) =
+  let lctx = S.launch_ctx ~image:prog.Lower.image l in
   let regs () =
     { vregs = Hashtbl.create 64; pregs = Hashtbl.create 8; sregs = Hashtbl.create 16 }
   in

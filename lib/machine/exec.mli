@@ -17,14 +17,8 @@
     code. Geometry, parameters and memory come from the launch, so the
     same {!Gpusim.Launch.t} drives both executors. *)
 
-val run : ?sanitize:Gpusim.Sancheck.runtime -> Lower.t -> Gpusim.Launch.t -> unit
+val run : Lower.t -> Gpusim.Launch.t -> unit
 (** Execute every block to completion, mutating the launch's memory —
     the machine-ISA counterpart of {!Gpusim.Refinterp.run}.
-
-    [sanitize] arms the hybrid sanitizer: lowering preserves flat
-    instruction indices, so a mask compiled from the PTX kernel applies
-    to the machine code unchanged. Violating shared/local lanes are
-    suppressed (loads read zero, stores are dropped) and recorded in
-    the runtime's counters.
     @raise Failure on a divergent [EXIT] or a barrier deadlock, like
     the reference interpreter. *)

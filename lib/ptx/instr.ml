@@ -107,20 +107,10 @@ let falls_through = function
   | Bra_pred _ | Mov _ | Binop _ | Mad _ | Unop _ | Cvt _ | Setp _ | Selp _
   | Ld _ | St _ | Bar_sync -> true
 
-let is_load = function
-  | Ld _ -> true
-  | Mov _ | Binop _ | Mad _ | Unop _ | Cvt _ | Setp _ | Selp _ | St _ | Bra _
-  | Bra_pred _ | Bar_sync | Ret -> false
-
 let is_store = function
   | St _ -> true
   | Mov _ | Binop _ | Mad _ | Unop _ | Cvt _ | Setp _ | Selp _ | Ld _ | Bra _
   | Bra_pred _ | Bar_sync | Ret -> false
-
-let mem_space = function
-  | Ld (s, _, _, _) | St (s, _, _, _) -> Some s
-  | Mov _ | Binop _ | Mad _ | Unop _ | Cvt _ | Setp _ | Selp _ | Bra _
-  | Bra_pred _ | Bar_sync | Ret -> None
 
 let map_operand f = function
   | Oreg r -> Oreg (f r)

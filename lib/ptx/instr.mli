@@ -95,11 +95,7 @@ val branch_target : t -> string option
 val falls_through : t -> bool
 (** Whether control may continue to the next statement. *)
 
-val is_load : t -> bool
 val is_store : t -> bool
-
-val mem_space : t -> Types.space option
-(** State space accessed by a load or store. *)
 
 val map_regs : (Reg.t -> Reg.t) -> t -> t
 (** Rewrite every register occurrence; used by the allocator to substitute

@@ -60,17 +60,6 @@ let labels k =
     | L l -> Some l
     | I _ -> None)
 
-let find_label k l =
-  let n = Array.length k.body in
-  let rec loop i =
-    if i >= n then None
-    else
-      match k.body.(i) with
-      | L l' when l' = l -> Some i
-      | L _ | I _ -> loop (i + 1)
-  in
-  loop 0
-
 let map_instrs f k =
   { k with
     body =
@@ -83,8 +72,6 @@ let map_instrs f k =
 
 let fresh_reg_base k =
   Reg.Set.fold (fun r acc -> max acc (Reg.id r + 1)) (registers k) 0
-
-let add_decl k d = { k with decls = k.decls @ [ d ] }
 
 (* Well-formedness checking.  Width compatibility follows PTX: a register
    may carry any type of the same width class, so [mov.u32] into an [f32]

@@ -45,16 +45,12 @@ val register_demand : t -> int
 
 val labels : t -> string list
 
-val find_label : t -> string -> int option
-(** Statement index of a label. *)
-
 val map_instrs : (Instr.t -> Instr.t) -> t -> t
 
 val fresh_reg_base : t -> int
 (** An id strictly greater than every register id in the kernel; fresh
     registers allocated from here cannot collide. *)
 
-val add_decl : t -> decl -> t
 val validate : t -> (unit, string) result
 (** Check well-formedness: branch targets exist, labels unique, operand
     types match instruction types, declared symbols referenced by [Osym]

@@ -85,7 +85,7 @@ type prepared =
   ; s32 : Coloring.result
   }
 
-let prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live =
+let prepare ~strategy ~scalar ~scalar_limit ~cost flow live =
   (* [color ~member cls] sets up one subproblem; applied to a budget,
      it colours it *)
   let color =
@@ -94,7 +94,7 @@ let prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live =
       let graph = Interference.build flow live in
       fun ~member cls ->
         let p = Coloring.problem ~member ~graph ~cls ~spill_cost:cost () in
-        fun k -> Coloring.solve ~type_strict p ~k
+        fun k -> Coloring.solve p ~k
     | Linear_scan ->
       let ranges = Cfg.Liveness.live_ranges flow live in
       fun ~member cls k -> Linear_scan.color ~member ~ranges ~cls ~k ~spill_cost:cost ()
@@ -172,11 +172,10 @@ let spill_cost ?(infra = RSet.empty) ?(preference = `Cheap_first) defuse r =
     | `Cheap_first -> w
     | `Expensive_first -> 1. /. (1. +. w)
 
-let allocate ?(strategy = Chaitin_briggs) ?(type_strict = true)
-    ?(shared_policy = `Off) ?(spill_preference = `Cheap_first) ?shared_chunk
-    ?(coalesce = false) ?(remat = false) ?weight_provider
-    ?(scalar = fun _ -> false) ?(scalar_limit = 0) ~block_size ~reg_limit
-    k =
+let allocate ?(strategy = Chaitin_briggs) ?(shared_policy = `Off)
+    ?(spill_preference = `Cheap_first) ?shared_chunk ?(coalesce = false)
+    ?(remat = false) ?weight_provider ?(scalar = fun _ -> false)
+    ?(scalar_limit = 0) ~block_size ~reg_limit k =
   check_scalar_limit scalar_limit;
   (* optional pre-pass: conservative copy coalescing on the input *)
   let k =
@@ -256,7 +255,7 @@ let allocate ?(strategy = Chaitin_briggs) ?(type_strict = true)
       spill_cost ~infra:(Spill.infra_registers k k') ~preference:spill_preference
         defuse'
     in
-    let p = prepare ~strategy ~type_strict ~scalar ~scalar_limit ~cost flow live in
+    let p = prepare ~strategy ~scalar ~scalar_limit ~cost flow live in
     let { is_scalar; rp; s64; s32; _ } = p in
     let r64, r32 = color_vectors p ~reg_limit in
     let new_spills =
@@ -331,7 +330,7 @@ type probe = prepared
    the round kernel is the input and no register is unspillable. *)
 let probe ?(scalar = fun _ -> false) ?(scalar_limit = 0) flow live =
   check_scalar_limit scalar_limit;
-  prepare ~strategy:Chaitin_briggs ~type_strict:true ~scalar ~scalar_limit
+  prepare ~strategy:Chaitin_briggs ~scalar ~scalar_limit
     ~cost:(spill_cost (Cfg.Defuse.compute flow)) flow live
 
 let spill_free p ~reg_limit =

@@ -73,7 +73,6 @@ val is_scalar_phys : t -> Ptx.Reg.t -> bool
 
 val allocate :
   ?strategy:strategy
-  -> ?type_strict:bool
   -> ?shared_policy:shared_policy
   -> ?spill_preference:[ `Cheap_first | `Expensive_first ]
   -> ?shared_chunk:int

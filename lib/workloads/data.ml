@@ -16,10 +16,3 @@ let uniform_f32 ~seed n =
 
 let uniform_u32 ~seed ~bound n =
   Array.init n (fun i -> splitmix seed i mod bound)
-
-let standard_memory ~seed ~words =
-  let m = Gpusim.Memory.create () in
-  Gpusim.Memory.write_f32_array m ~base:inp_base (uniform_f32 ~seed words);
-  Gpusim.Memory.write_u32_array m ~base:aux_base
-    (uniform_u32 ~seed:(seed + 1) ~bound:(max 1 words) words);
-  m

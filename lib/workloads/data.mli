@@ -12,7 +12,3 @@ val uniform_f32 : seed:int -> int -> float array
 (** [n] floats in [0, 1). *)
 
 val uniform_u32 : seed:int -> bound:int -> int -> int array
-
-val standard_memory : seed:int -> words:int -> Gpusim.Memory.t
-(** A global memory image with [words] random floats at {!inp_base} and
-    [words] random positive integers at {!aux_base}. *)

@@ -10,8 +10,6 @@ type knobs =
   ; naccs : int
   }
 
-let default_knobs = { live = 8; mem_live = 8; flops = 2; sfu_every = 0; naccs = 2 }
-
 (* Shared prologue: parameter loads, thread/block identifiers and the
    block's private region pointer [inp + ctaid*ws*4]. *)
 type env =
@@ -292,6 +290,3 @@ let gather ~name k =
   let r = combine_accs env accs in
   write_result env r;
   B.finish env.b
-
-let all_shape_names =
-  [ "tiled_reuse"; "streaming"; "stencil3"; "shared_tile"; "reduction"; "gather" ]

@@ -30,8 +30,6 @@ type knobs =
   ; naccs : int  (** independent accumulators (long live ranges) *)
   }
 
-val default_knobs : knobs
-
 val tiled_reuse : name:string -> knobs -> Ptx.Kernel.t
 (** Each block repeatedly sweeps its own [ws]-word region of global
     memory ([passes] passes of [iters] inner steps, [live] coalesced
@@ -57,5 +55,3 @@ val reduction : name:string -> shm_words:int -> knobs -> Ptx.Kernel.t
 val gather : name:string -> knobs -> Ptx.Kernel.t
 (** Data-dependent gather through an index array at {!Data.aux_base}
     plus a divergent branch (MUM, BFS, PTF). *)
-
-val all_shape_names : string list

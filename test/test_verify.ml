@@ -1,8 +1,9 @@
 (* Tests for lib/verify: every seeded known-bad subject is rejected with
    its documented code, the whole workload suite verifies clean at every
    compiler stage (pre-opt, post-opt, post-allocation), diagnostic
-   rendering is stable against a golden file, and the optional pipeline
-   gate rejects/ignores according to its switch. *)
+   rendering is stable against a golden file, the optional pipeline
+   gate rejects/ignores according to its switch, and armed, it passes
+   every allocation of the compile path. *)
 
 module D = Verify.Diagnostic
 
@@ -61,6 +62,34 @@ let test_suite_clean_all_stages () =
        fail_on_errors (abbr ^ " post-alloc")
          (Verify.Checker.check_allocation a))
     Workloads.Suite.all
+
+(* The armed gate on the one compile path: every app under both
+   backends at its default limit and at r20 with a spare that fits no
+   shared sub-stack (512 B) and one that does (8 KB) passes each edge's
+   checks, lowering included. *)
+let test_armed_compile_path () =
+  Verify.Gate.set true;
+  Fun.protect ~finally:Verify.Gate.clear (fun () ->
+    List.iter
+      (fun (app : Workloads.App.t) ->
+         List.iter
+           (fun backend ->
+              List.iter
+                (fun (reg_limit, shared_spare) ->
+                   match
+                     Crat.Compile.allocate ~backend ~shared_spare
+                       ~label:app.Workloads.App.abbr
+                       ~block_size:app.Workloads.App.block_size ~reg_limit
+                       (Workloads.App.kernel app)
+                   with
+                   | (_ : Regalloc.Allocator.t) -> ()
+                   | exception Verify.Gate.Rejected (stage, errs) ->
+                     Alcotest.failf "%s [%s] r%d spare %d:\n%s" stage
+                       (Machine.Backend.to_string backend)
+                       reg_limit shared_spare (D.render errs))
+                [ (app.Workloads.App.default_regs, 0); (20, 512); (20, 8192) ])
+           [ Machine.Backend.Ptx; Machine.Backend.Machine ])
+      Workloads.Suite.all)
 
 (* ---------- golden rendering: stable codes and ordering ---------- *)
 
@@ -156,6 +185,8 @@ let () =
     ; ( "sweep"
       , [ Alcotest.test_case "suite clean at all stages" `Slow
             test_suite_clean_all_stages
+        ; Alcotest.test_case "armed gate passes the compile path" `Slow
+            test_armed_compile_path
         ] )
     ; ( "rendering"
       , [ Alcotest.test_case "golden file" `Quick test_golden_rendering
