@@ -61,10 +61,12 @@ bench:
 # under LRR, L1 bypassing, dynamic TLP and several SMs, diffed (timing
 # lines stripped) against their committed output; then Table 1 (resource
 # analysis, profiled and static OptTLP of the sensitive apps), diffed the
-# same way
+# same way; then the allocator figures (Fig 8, Fig 12 and the chunk,
+# allocator and type-affinity ablations), diffed the same way
 FIG13 = dune exec bench/main.exe -- --only fig13 --fast
 STRIP_TIMING = grep -v '^(\|^total'
 VARIANT_FIGS = abl-sched,ext-bypass,dyn-tlp,gpu-scale
+ALLOC_FIGS = fig8,fig12,abl-chunk,abl-alloc,abl-type
 
 bench-smoke:
 	dune exec bench/main.exe -- --only fig1 --jobs 2 --fast
@@ -83,6 +85,10 @@ bench-smoke:
 	$(STRIP_TIMING) tab1.out > tab1.txt
 	diff test/golden/tab1.expected tab1.txt
 	rm -f tab1.out tab1.txt
+	dune exec bench/main.exe -- --only $(ALLOC_FIGS) --fast --jobs 2 > alloc-figs.out
+	$(STRIP_TIMING) alloc-figs.out > alloc-figs.txt
+	diff test/golden/alloc_figs.expected alloc-figs.txt
+	rm -f alloc-figs.out alloc-figs.txt
 
 # CI gate for the sweep, the compile path and the daemon's simulate path: the
 # fig13-family sweep slice, its pass checked against the committed
