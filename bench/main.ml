@@ -197,7 +197,7 @@ let experiments : (string * string * (ctx -> unit)) list =
           (Crat.Experiments.gpu_scaling ctx.engine fermi
              (Workloads.Suite.find "KMN") ~tlp:2) )
   ; ( "abl-alloc"
-    , "Ablation: allocator extensions (coalescing, remat)"
+    , "Ablation: allocator extension (rematerialisation)"
     , fun ctx ->
         Crat.Experiments.pp_ablation_allocator fmt
           (Crat.Experiments.ablation_allocator ctx.engine fermi

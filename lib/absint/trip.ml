@@ -218,27 +218,3 @@ let loops an =
     let members = Cfg.Loops.natural_loop flow be in
     let exits, trips = prove_trips an flow members v in
     { back_edge = be; header = v; members; exits; trips })
-
-let instr_trips ls (flow : Cfg.Flow.t) i =
-  let b = flow.Cfg.Flow.block_of_instr.(i) in
-  List.fold_left
-    (fun (prod, unproven) l ->
-       if not l.members.(b) then (prod, unproven)
-       else
-         match l.trips with
-         | Some t ->
-           let t = max t 1 in
-           (Some (Option.value ~default:1 prod * t), unproven)
-         | None -> (prod, unproven + 1))
-    (None, 0) ls
-
-let weight_provider an =
-  let flow = Analysis.flow an in
-  let ls = loops an in
-  let w =
-    Array.init (Cfg.Flow.num_instrs flow) (fun i ->
-      let proven, unproven = instr_trips ls flow i in
-      float_of_int (Option.value ~default:1 proven)
-      *. (10. ** float_of_int (min unproven 4)))
-  in
-  fun i -> w.(i)

@@ -21,16 +21,3 @@ type loop =
   }
 
 val loops : Analysis.t -> loop list
-
-val instr_trips : loop list -> Cfg.Flow.t -> int -> int option * int
-(** For instruction [i]: the product of proven trip counts of enclosing
-    loops (None when [i] is in no proven loop) and the number of
-    enclosing loops with no proven count. *)
-
-val weight_provider : Analysis.t -> int -> float
-(** Estimated dynamic execution frequency of instruction [i]: the
-    product of proven trip counts of enclosing loops (each clamped to at
-    least 1), times the [10^depth] heuristic for enclosing loops whose
-    count could not be proven (capped at [10^4] combined, matching the
-    historical {!Cfg.Defuse} weight). Reduces exactly to the heuristic
-    when nothing is provable. *)

@@ -6,16 +6,9 @@ type stats =
 
 let empty = { n_defs = 0; n_uses = 0; weighted = 0. }
 
-let default_weight (flow : Flow.t) =
+let compute (flow : Flow.t) =
   let depths = Loops.instr_depths flow in
-  fun i -> 10. ** float_of_int (min depths.(i) 4)
-
-let compute ?weight (flow : Flow.t) =
-  let weight =
-    match weight with
-    | Some w -> w
-    | None -> default_weight flow
-  in
+  let weight i = 10. ** float_of_int (min depths.(i) 4) in
   let m = ref Ptx.Reg.Map.empty in
   let bump r f =
     let s = Option.value ~default:empty (Ptx.Reg.Map.find_opt r !m) in

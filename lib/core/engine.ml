@@ -95,7 +95,7 @@ let app_kernel_digest app =
     (k, d)
 
 (* pinned by test_regalloc; every allocation key folds it in *)
-let alloc_epoch = "782188b66e27967bc5144b994ddb634a"
+let alloc_epoch = "15babc48d61345e1a8b56f3f9d25fbe4"
 
 (* Config.t is a pure-data record (ints, strings, variants), so
    marshalling gives a stable structural fingerprint. *)

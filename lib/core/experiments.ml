@@ -270,21 +270,20 @@ type fig8_row =
 let fig8 engine cfg app =
   let r = Engine.resource engine cfg app in
   let input = Workloads.App.default_input app in
-  let build ?(policy = `Off) ?(preference = `Cheap_first) ~label reg =
-    let tlp = Gpusim.Occupancy.max_tlp cfg (Resource.usage_at r ~regs:reg) in
-    let shared_policy =
-      match policy with
-      | `Off -> `Off
-      | `Shared ->
-        `Spare
-          (Gpusim.Occupancy.spare_shared_bytes cfg
-             (Resource.usage_at r ~regs:reg)
-             ~tlp)
+  let build ?(shared = false) ?(var1 = false) ~label reg =
+    let usage = Resource.usage_at r ~regs:reg in
+    let tlp = Gpusim.Occupancy.max_tlp cfg usage in
+    let shared_spare =
+      if shared then Gpusim.Occupancy.spare_shared_bytes cfg usage ~tlp else 0
     in
     let a =
-      Regalloc.Allocator.allocate ~shared_policy ~spill_preference:preference
-        ~block_size:app.Workloads.App.block_size ~reg_limit:reg
-        (Workloads.App.kernel app)
+      if var1 then
+        (* the inverted spill heuristic is a knob the engine does not carry *)
+        Regalloc.Allocator.allocate ~shared_policy:(`Spare shared_spare)
+          ~spill_preference:`Expensive_first
+          ~block_size:app.Workloads.App.block_size ~reg_limit:reg
+          (Workloads.App.kernel app)
+      else Engine.allocate engine app ~shared_spare ~reg_limit:reg
     in
     (label, a.Regalloc.Allocator.kernel, tlp)
   in
@@ -293,10 +292,9 @@ let fig8 engine cfg app =
     [ build ~label:(Printf.sprintf "Reg=%d" base_reg) base_reg
     ; build ~label:"Reg=40" 40
     ; build ~label:"Reg=32" 32
-    ; build ~policy:`Shared ~preference:`Expensive_first
+    ; build ~shared:true ~var1:true
         ~label:"Reg=32+shm, spill var1 (high-frequency)" 32
-    ; build ~policy:`Shared ~preference:`Cheap_first
-        ~label:"Reg=32+shm, spill var2 (Algorithm 1 default)" 32
+    ; build ~shared:true ~label:"Reg=32+shm, spill var2 (Algorithm 1 default)" 32
     ]
   in
   let stats =
@@ -741,9 +739,13 @@ let ablation_chunk engine cfg (app : Workloads.App.t) ~reg =
     List.map
       (fun chunk ->
          ( chunk
-         , Regalloc.Allocator.allocate ~shared_policy:(`Spare spare)
-             ~shared_chunk:chunk ~block_size:app.Workloads.App.block_size
-             ~reg_limit:reg (Workloads.App.kernel app) ))
+         , if chunk = 4 then
+             (* Algorithm 1's default chunk: the engine's allocation *)
+             Engine.allocate engine app ~shared_spare:spare ~reg_limit:reg
+           else
+             Regalloc.Allocator.allocate ~shared_policy:(`Spare spare)
+               ~shared_chunk:chunk ~block_size:app.Workloads.App.block_size
+               ~reg_limit:reg (Workloads.App.kernel app) ))
       [ 1; 4; 1000 ]
   in
   let stats =
@@ -830,17 +832,12 @@ let ablation_allocator engine cfg (app : Workloads.App.t) ~reg =
   let tlp = Gpusim.Occupancy.max_tlp cfg (Resource.usage_at r ~regs:reg) in
   let input = Workloads.App.default_input app in
   let builds =
-    List.map
-      (fun (variant, coalesce, remat) ->
-         ( variant
-         , Regalloc.Allocator.allocate ~coalesce ~remat
-             ~block_size:app.Workloads.App.block_size ~reg_limit:reg
-             (Workloads.App.kernel app) ))
-      [ ("paper", false, false)
-      ; ("+coalesce", true, false)
-      ; ("+remat", false, true)
-      ; ("+both", true, true)
-      ]
+    [ ("paper", Engine.allocate engine app ~reg_limit:reg)
+    ; ( "+remat"
+      , Regalloc.Allocator.allocate ~remat:true
+          ~block_size:app.Workloads.App.block_size ~reg_limit:reg
+          (Workloads.App.kernel app) )
+    ]
   in
   let stats =
     Engine.simulate_batch engine
@@ -864,7 +861,7 @@ let ablation_allocator engine cfg (app : Workloads.App.t) ~reg =
 
 let pp_ablation_allocator fmt rows =
   Format.fprintf fmt
-    "Ablation: allocator extensions (copy coalescing, rematerialisation)@.";
+    "Ablation: allocator extension (rematerialisation)@.";
   Format.fprintf fmt "%-10s %8s %8s %8s %10s@." "variant" "instrs" "local"
     "remat" "cycles";
   List.iter

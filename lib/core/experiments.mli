@@ -274,9 +274,8 @@ type abl_alloc_row =
   }
 
 val ablation_allocator : Engine.t -> Gpusim.Config.t -> Workloads.App.t -> reg:int -> abl_alloc_row list
-(** Allocator-quality extensions over the paper: copy coalescing and
-    rematerialisation, separately and together, at a spill-inducing
-    register limit. *)
+(** The allocator-quality extension over the paper, rematerialisation,
+    against the paper's allocator at a spill-inducing register limit. *)
 
 val pp_ablation_allocator : Format.formatter -> abl_alloc_row list -> unit
 

@@ -65,6 +65,8 @@ type ctx =
   ; obligations : int ref
   ; max_paths : int
   ; max_fuel : int
+  ; pinned : Term.t Reg.Map.t
+        (** left registers bound to one term at every cutpoint *)
   }
 
 let fresh ctx ty =
@@ -204,7 +206,11 @@ let cut_states ctx lbl =
         let t = havoc_value ctx i_l v None in
         bind lregs v t;
         slots := Sym.SMap.add key t !slots
-      | Unconstrained -> bind lregs v (havoc_value ctx i_l v None))
+      | Unconstrained ->
+        bind lregs v
+          (match Reg.Map.find_opt v ctx.pinned with
+           | Some t -> t
+           | None -> havoc_value ctx i_l v None))
     ll;
   (* right-side registers live at the header but not produced by the
      correspondence (spill infrastructure, reload temps, dce'd copies) *)
@@ -278,7 +284,14 @@ let check_arrival ctx lbl (sl : Sym.state) (sr : Sym.state) =
           then
             mismatch "cutpoint %s: spilled %s vs untouched slot" lbl
               (Reg.name v))
-      | Unconstrained -> ())
+      | Unconstrained -> (
+        match Reg.Map.find_opt v ctx.pinned with
+        | Some t ->
+          if not (eq_terms ctx (lt, laff, lsing) (t, Dom.aff_opaque, None))
+          then
+            mismatch "cutpoint %s: %s (left %s) vs its only move (%s)" lbl
+              (Reg.name v) (Term.to_string lt) (Term.to_string t)
+        | None -> ()))
     ll
 
 (* ------------------------------------------------------------------ *)
@@ -440,6 +453,31 @@ let co_run ctx =
 (* ------------------------------------------------------------------ *)
 (* Edge entry points                                                  *)
 
+(* A register whose only definition moves an immediate or a special
+   register into it holds that operand's value wherever it is defined.
+   The allocator rematerialises such registers instead of giving them a
+   home, so under [Alloc] they are pinned to the operand's term at every
+   cutpoint; [check_arrival] checks the pin on every arrival, which also
+   covers a path that reaches the header before the move. *)
+let single_moves side =
+  let defs = Hashtbl.create 64 and moves = ref Reg.Map.empty in
+  Cfg.Flow.iter_instrs side.Sym.flow (fun _ ins ->
+    List.iter
+      (fun d ->
+        let key = Sym.reg_key d in
+        Hashtbl.replace defs key
+          (1 + Option.value ~default:0 (Hashtbl.find_opt defs key)))
+      (Instr.defs ins);
+    let pin d ty t =
+      moves := Reg.Map.add d (Term.mk_trunc (Reg.ty d) (Term.mk_trunc ty t)) !moves
+    in
+    match ins with
+    | Instr.Mov (ty, d, Instr.Oimm x) -> pin d ty (Term.cst x)
+    | Instr.Mov (ty, d, Instr.Ofimm f) -> pin d ty (Term.fcst f)
+    | Instr.Mov (ty, d, Instr.Ospecial sp) -> pin d ty (Sym.eval_special side sp)
+    | _ -> ());
+  Reg.Map.filter (fun d _ -> Hashtbl.find defs (Sym.reg_key d) = 1) !moves
+
 let make_ctx l r corr =
   { l
   ; r
@@ -451,6 +489,10 @@ let make_ctx l r corr =
   ; obligations = ref 0
   ; max_paths = 4096
   ; max_fuel = 200_000
+  ; pinned =
+      (match corr with
+       | Same -> Reg.Map.empty
+       | Alloc _ -> single_moves l)
   }
 
 let finish ~edge ~kernel ~block_size ~num_blocks ~left ~right ctx result =

@@ -42,6 +42,11 @@ val reg_key : Ptx.Reg.t -> int
 (** Storage key of a register — width class and id, exactly the aliasing
     the interpreter's register files implement. *)
 
+val eval_special : side -> Ptx.Reg.special -> Term.t
+(** The term of a special register: the launch geometry the side's
+    analysis fixes ([%tid.y], [%ntid.x], ...) as a constant, the rest
+    as {!Term.Special}. *)
+
 type state =
   { regs : Term.t RMap.t
   ; slots : Term.t SMap.t

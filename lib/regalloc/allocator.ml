@@ -8,7 +8,6 @@ type strategy =
 type shared_policy =
   [ `Off
   | `Spare of int
-  | `Spare_inverted of int
   ]
 
 type t =
@@ -154,8 +153,10 @@ let color_vectors p ~reg_limit =
   let k32 = reg_limit - (2 * r64.Coloring.colors_used) in
   if k32 < 3 then
     failwith
-      (Printf.sprintf "Allocator: reg_limit %d too small (needs %d 64-bit regs)"
-         reg_limit r64.Coloring.colors_used);
+      (Printf.sprintf
+         "Allocator: reg_limit %d too small (the 64-bit colours take %d units, \
+          leaving %d of the 3 the 32-bit class needs)"
+         reg_limit (2 * r64.Coloring.colors_used) (max k32 0));
   (r64, p.vec32 k32)
 
 let scalar_units p = p.s32.Coloring.colors_used + (2 * p.s64.Coloring.colors_used)
@@ -173,32 +174,11 @@ let spill_cost ?(infra = RSet.empty) ?(preference = `Cheap_first) defuse r =
     | `Expensive_first -> 1. /. (1. +. w)
 
 let allocate ?(strategy = Chaitin_briggs) ?(shared_policy = `Off)
-    ?(spill_preference = `Cheap_first) ?shared_chunk ?(coalesce = false)
-    ?(remat = false) ?weight_provider ?(scalar = fun _ -> false)
-    ?(scalar_limit = 0) ~block_size ~reg_limit k =
+    ?(spill_preference = `Cheap_first) ?shared_chunk ?(remat = false)
+    ?(scalar = fun _ -> false) ?(scalar_limit = 0) ~block_size ~reg_limit k =
   check_scalar_limit scalar_limit;
-  (* optional pre-pass: conservative copy coalescing on the input *)
-  let k =
-    if not coalesce then k
-    else begin
-      let flow = Cfg.Flow.of_kernel k in
-      let live = Cfg.Liveness.compute flow in
-      let graph = Interference.build flow live in
-      let k_of = function
-        | Ptx.Types.Cpred -> 1024
-        | Ptx.Types.C32 -> max 4 (reg_limit - 10)
-        | Ptx.Types.C64 -> 5
-      in
-      let aliases =
-        Coalesce.build_aliases ~graph ~flow ~k_of ~protected:Ptx.Reg.Set.empty
-      in
-      fst (Coalesce.apply k aliases)
-    end
-  in
   let remat_fn = if remat then remat_candidates k else fun _ -> None in
-  let du_weight flow = Option.map (fun wp -> wp flow) weight_provider in
-  let orig_flow = Cfg.Flow.of_kernel k in
-  let orig_defuse = Cfg.Defuse.compute ?weight:(du_weight orig_flow) orig_flow in
+  let orig_defuse = Cfg.Defuse.compute (Cfg.Flow.of_kernel k) in
   let weighted_gain r =
     match RMap.find_opt r orig_defuse with
     | Some s -> s.Cfg.Defuse.weighted
@@ -220,17 +200,10 @@ let allocate ?(strategy = Chaitin_briggs) ?(shared_policy = `Off)
       match shared_policy with
       | `Off -> fun _ -> false
       | `Spare bytes ->
-        (* with a trip-count-backed weight provider the gain of a
-           sub-stack is its estimated dynamic access count, not the
-           static occurrence count *)
-        let gain =
-          match weight_provider with
-          | Some _ -> weighted_gain
-          | None -> fun r -> float_of_int (static_accesses r)
-        in
         let f =
-          Shared_spill.optimize ?chunk:shared_chunk ~gain ~block_size
-            ~spare_shm_bytes:bytes spills
+          Shared_spill.optimize ?chunk:shared_chunk
+            ~gain:(fun r -> float_of_int (static_accesses r))
+            ~block_size ~spare_shm_bytes:bytes spills
         in
         (* shared spilling needs an extra 64-bit base register plus
            per-thread address setup; decline it when the absorbed
@@ -241,16 +214,12 @@ let allocate ?(strategy = Chaitin_briggs) ?(shared_policy = `Off)
             0 spills
         in
         if absorbed < 16 then fun _ -> false else f
-      | `Spare_inverted bytes ->
-        Shared_spill.optimize ?chunk:shared_chunk
-          ~gain:(fun r -> 1. /. (1. +. float_of_int (static_accesses r)))
-          ~block_size ~spare_shm_bytes:bytes spills
     in
     let spec = Spill.layout ~remat:remat_fn ~to_shared spills in
     let k', stats = Spill.apply ~block_size k spec in
     let flow = Cfg.Flow.of_kernel k' in
     let live = Cfg.Liveness.compute flow in
-    let defuse' = Cfg.Defuse.compute ?weight:(du_weight flow) flow in
+    let defuse' = Cfg.Defuse.compute flow in
     let cost =
       spill_cost ~infra:(Spill.infra_registers k k') ~preference:spill_preference
         defuse'

@@ -21,10 +21,6 @@ type strategy =
 type shared_policy =
   [ `Off
   | `Spare of int
-  | `Spare_inverted of int
-      (** ablation: run Algorithm 1 with inverted gains, i.e. prefer the
-          *least* beneficial sub-stacks — the paper's Figure 8 "spill the
-          high-frequency variable" counter-example *)
   ]
 
 type t =
@@ -76,9 +72,7 @@ val allocate :
   -> ?shared_policy:shared_policy
   -> ?spill_preference:[ `Cheap_first | `Expensive_first ]
   -> ?shared_chunk:int
-  -> ?coalesce:bool
   -> ?remat:bool
-  -> ?weight_provider:(Cfg.Flow.t -> int -> float)
   -> ?scalar:(Ptx.Reg.t -> bool)
   -> ?scalar_limit:int
   -> block_size:int
@@ -89,16 +83,11 @@ val allocate :
     first: [`Cheap_first] (default) spills low-access-frequency, long
     live ranges — the paper's var2; [`Expensive_first] inverts the
     heuristic (the paper's Figure 8 var1 counter-example).
-    [coalesce] (default false) runs conservative Briggs copy coalescing
-    as a pre-pass; [remat] (default false) rematerialises single-def
-    constant/built-in moves instead of spilling them. Both are
-    extensions over the paper's allocator, measured by the
-    [abl-coalesce] ablation benchmark.
-    [weight_provider], given the flow graph of the kernel being
-    costed, returns per-instruction execution-frequency estimates used
-    in place of the [10^depth] heuristic for spill-cost and
-    shared-sub-stack gain estimation (Algorithm 1); wire it to
-    [Absint.Trip.weight_provider] for trip-count-proven weights.
+    [remat] (default false) rematerialises single-def constant/built-in
+    moves instead of spilling them, an extension over the paper's
+    allocator measured by the [abl-alloc] ablation.
+    Spill costs are {!Cfg.Defuse}'s loop-depth weights; Algorithm 1's
+    gain of a sub-stack is its static spill-access count.
     [scalar] with [scalar_limit > 0] (units, at least 8) enables the
     split register-class interface of the machine backend: virtual
     registers the predicate classifies (e.g. proven warp-uniform by

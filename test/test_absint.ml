@@ -1,9 +1,7 @@
 (* Tests for lib/absint and the advisor stack built on it:
 
    - interval-domain unit tests (transfer functions, widening/narrowing)
-   - provable loop trip counts and the derived weight provider
-   - a regression where a proven trip count flips the allocator's spill
-     choice (the Algorithm 1 connection)
+   - provable loop trip counts
    - QCheck soundness: random kernels stepped through the reference
      interpreter; every concrete register value must lie in the claimed
      interval, match the claimed affine form, and respect claimed
@@ -124,76 +122,6 @@ let test_trip_shr () =
   let an = analysis_of (B.finish b) in
   Alcotest.(check (option int)) "shift-reduction trips" (Some 7)
     (the_loop an).Trip.trips
-
-let test_weight_provider () =
-  let k = counted_loop_kernel "trip7w" (B.imm 7) in
-  let an = analysis_of k in
-  let flow = A.flow an in
-  let l = the_loop an in
-  let body_pc = flow.Cfg.Flow.blocks.(l.Trip.header).Cfg.Flow.first in
-  let trips, unproven = Trip.instr_trips [ l ] flow body_pc in
-  Alcotest.(check (option int)) "instr trips" (Some 7) trips;
-  check_int "no unproven enclosing loop" 0 unproven;
-  Alcotest.(check (float 1e-9)) "proven weight" 7.0
-    (Trip.weight_provider an body_pc);
-  (* outside the loop the provider matches the heuristic exactly *)
-  Alcotest.(check (float 1e-9)) "depth-0 weight" 1.0
-    (Trip.weight_provider an 0)
-
-(* ---------- proven weights change the spill choice ---------- *)
-
-(* Two spill candidates interfere across a loop region: [x] is touched
-   once inside a loop that provably runs twice, [y] five times outside
-   any loop. The 10^depth heuristic prices x at ~12 accesses and spills
-   y (~6); the proven trip count prices x at ~4 and spills x instead —
-   the paper's Figure 8 point, now decided by a real bound. *)
-let spill_choice_kernel () =
-  let b = B.create "spillpick" in
-  let out = B.param b "out" T.U64 in
-  let out64 = B.ld_param b T.U64 out in
-  let x = B.mov b T.U32 (B.imm 5) in
-  let y = B.mov b T.U32 (B.imm 7) in
-  let fillers = List.init 4 (fun i -> B.mov b T.U32 (B.imm (20 + i))) in
-  let acc = B.mov b T.U32 (B.imm 0) in
-  B.for_loop b ~from:(B.imm 0) ~below:(B.imm 2) ~step:1 (fun _ ->
-    B.acc_binop b I.Add T.U32 acc (B.reg x));
-  for _ = 1 to 5 do
-    B.acc_binop b I.Add T.U32 acc (B.reg y)
-  done;
-  List.iter
-    (fun f ->
-       for _ = 1 to 8 do
-         B.acc_binop b I.Add T.U32 acc (B.reg f)
-       done)
-    fillers;
-  B.acc_binop b I.Add T.U32 acc (B.reg x);
-  store_u32 b out64 acc;
-  (B.finish b, x, y)
-
-let absint_weights flow = Trip.weight_provider (A.run ~block_size:64 flow)
-
-let test_proven_weight_flips_spill_choice () =
-  let k, x, y = spill_choice_kernel () in
-  let spilled_regs ?weight_provider () =
-    let a =
-      Regalloc.Allocator.allocate ?weight_provider ~block_size:64 ~reg_limit:9
-        k
-    in
-    List.map (fun (p : Regalloc.Spill.placement) -> p.Regalloc.Spill.reg)
-      a.Regalloc.Allocator.spilled
-  in
-  (* The allocator iterates until the pressure fits, so extra registers can
-     ride along with either choice; the flip we are testing is which register
-     is the *cheapest* spill candidate.  The depth heuristic prices x's
-     in-loop use at 10 per trip-agnostic depth level, so it protects x and
-     sacrifices y first; the proven 2-trip weight reveals x as the cheaper
-     spill and it moves to the front of the queue. *)
-  let heuristic = spilled_regs () in
-  let proven = spilled_regs ~weight_provider:absint_weights () in
-  check "heuristic spills y first" true (List.nth_opt heuristic 0 = Some y);
-  check "heuristic keeps x" false (List.mem x heuristic);
-  check "proven trips spill x first" true (List.nth_opt proven 0 = Some x);
-  check "proven trips spill x" true (List.mem x proven)
 
 (* ---------- QCheck soundness against Refinterp ---------- *)
 
@@ -662,11 +590,6 @@ let () =
         ; Alcotest.test_case "zero-trip" `Quick test_trip_zero
         ; Alcotest.test_case "parameter bound" `Quick test_trip_param
         ; Alcotest.test_case "shift reduction" `Quick test_trip_shr
-        ; Alcotest.test_case "weight provider" `Quick test_weight_provider
-        ] )
-    ; ( "weights"
-      , [ Alcotest.test_case "proven trip count flips the spill choice"
-            `Quick test_proven_weight_flips_spill_choice
         ] )
     ; ( "soundness"
       , List.map QCheck_alcotest.to_alcotest
