@@ -2,8 +2,11 @@
     analysis, the CLI and the stage sweeps make goes through
     {!allocate}, so each of them derives the allocator's arguments from
     the backend the same way and runs the same verify-gate checks at
-    each edge. (The ablation drivers in {!Experiments} call the
-    allocator directly: they pass knobs this module does not carry.) *)
+    each edge. The ablation drivers in {!Experiments} build their
+    default-knob allocations through {!Engine.allocate}; only the four
+    builds that pass a knob this module does not carry (fig8's var1,
+    abl-chunk's chunks 1 and 1000, abl-alloc's [+remat]) call the
+    allocator directly. *)
 
 val scalar :
   Machine.Backend.t -> block_size:int -> Ptx.Kernel.t -> (Ptx.Reg.t -> bool) * int
