@@ -62,7 +62,8 @@ bench:
 # lines stripped) against their committed output; then Table 1 (resource
 # analysis, profiled and static OptTLP of the sensitive apps), diffed the
 # same way; then the allocator figures (Fig 8, Fig 12 and the chunk,
-# allocator and type-affinity ablations), diffed the same way
+# allocator and type-affinity ablations), diffed the same way; then Fig 20
+# (profiled against static CRAT plans), diffed the same way
 FIG13 = dune exec bench/main.exe -- --only fig13 --fast
 STRIP_TIMING = grep -v '^(\|^total'
 VARIANT_FIGS = abl-sched,ext-bypass,dyn-tlp,gpu-scale
@@ -89,6 +90,10 @@ bench-smoke:
 	$(STRIP_TIMING) alloc-figs.out > alloc-figs.txt
 	diff test/golden/alloc_figs.expected alloc-figs.txt
 	rm -f alloc-figs.out alloc-figs.txt
+	dune exec bench/main.exe -- --only fig20 --fast --jobs 2 > fig20.out
+	$(STRIP_TIMING) fig20.out > fig20.txt
+	diff test/golden/fig20.expected fig20.txt
+	rm -f fig20.out fig20.txt
 
 # CI gate for the sweep, the compile path and the daemon's simulate path: the
 # fig13-family sweep slice, its pass checked against the committed
