@@ -95,7 +95,7 @@ let app_kernel_digest app =
     (k, d)
 
 (* pinned by test_regalloc; every allocation key folds it in *)
-let alloc_epoch = "15babc48d61345e1a8b56f3f9d25fbe4"
+let alloc_epoch = "f7ee6d9102bc82c60f683d84c296d17a"
 
 (* Config.t is a pure-data record (ints, strings, variants), so
    marshalling gives a stable structural fingerprint. *)

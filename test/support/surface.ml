@@ -87,7 +87,9 @@ let variants () =
     Workloads.Suite.all
 
 (* One allocation's answer: the allocated kernel text and the spill
-   statistics, or the rejection message. *)
+   statistics, or the fact of a rejection. The message's wording is
+   pinned by test/golden/cli_regs.expected, not here, so rewording it
+   leaves every stored allocation valid. *)
 let allocation ~strategy ~shared_policy ~scalar ~scalar_limit ~reg_limit
     (app : Workloads.App.t) =
   match
@@ -99,7 +101,7 @@ let allocation ~strategy ~shared_policy ~scalar ~scalar_limit ~reg_limit
       (Digest.string
          (Ptx.Printer.kernel_to_string a.Regalloc.Allocator.kernel
           ^ Marshal.to_string a.Regalloc.Allocator.stats []))
-  | exception Failure msg -> "rejected: " ^ msg
+  | exception Failure _ -> "rejected"
 
 let alloc_limits = [ 12; 20 ]
 let alloc_spares = [ 0; 512; 8192 ]

@@ -49,9 +49,9 @@ val allocations : unit -> (string * string) list
     to local memory only), 512 and 8192 bytes, and limits 12 (where
     most PTX allocations are rejected) and 20. Each entry is the hex
     digest of the allocated kernel text and its
-    {!Regalloc.Spill.stats}, or ["rejected: "] and the message of the
-    [Failure] the allocator raised. Entries are named e.g.
-    ["KMN/cb/machine/spare512/r20"]. *)
+    {!Regalloc.Spill.stats}, or ["rejected"] when the allocator raised
+    [Failure] (its wording is pinned by [cli_regs.expected]). Entries
+    are named e.g. ["KMN/cb/machine/spare512/r20"]. *)
 
 val digest : (string * 'a) list -> string
 (** Hex digest of the entries' values, in order (names excluded). *)
