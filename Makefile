@@ -63,7 +63,9 @@ bench:
 # analysis, profiled and static OptTLP of the sensitive apps), diffed the
 # same way; then the allocator figures (Fig 8, Fig 12 and the chunk,
 # allocator and type-affinity ablations), diffed the same way; then Fig 20
-# (profiled against static CRAT plans), diffed the same way
+# (profiled against static CRAT plans), diffed the same way; last, every
+# experiment with the verify gate armed, host-time lines and the overhead
+# table stripped, diffed against FIGURES.txt
 FIG13 = dune exec bench/main.exe -- --only fig13 --fast
 STRIP_TIMING = grep -v '^(\|^total'
 VARIANT_FIGS = abl-sched,ext-bypass,dyn-tlp,gpu-scale
@@ -94,6 +96,10 @@ bench-smoke:
 	$(STRIP_TIMING) fig20.out > fig20.txt
 	diff test/golden/fig20.expected fig20.txt
 	rm -f fig20.out fig20.txt
+	CRAT_VERIFY=1 dune exec bench/main.exe -- --jobs 2 > figures.out
+	awk '/^==== overhead:/{skip=1} skip&&/^$$/{skip=0; next} skip{next} /^\([0-9.]+s\)$$/{next} /^total /{next} {print}' figures.out > figures.txt
+	diff FIGURES.txt figures.txt
+	rm -f figures.out figures.txt
 
 # CI gate for the sweep, the compile path and the daemon's simulate path: the
 # fig13-family sweep slice, its pass checked against the committed
