@@ -54,52 +54,25 @@ examples:
 bench:
 	dune exec bench/main.exe
 
-# cheap smoke check of the parallel evaluation path; then the fig13
-# determinism diff: a serial replayed run and a 2-job cold run must print
-# identical results once the timing lines are stripped; then fig13 under
-# the machine register-file backend; then the figures that run Sm/Gpu
-# under LRR, L1 bypassing, dynamic TLP and several SMs, diffed (timing
-# lines stripped) against their committed output; then Table 1 (resource
-# analysis, profiled and static OptTLP of the sensitive apps), diffed the
-# same way; then the allocator figures (Fig 8, Fig 12 and the chunk,
-# allocator and type-affinity ablations), diffed the same way; then Fig 20
-# (profiled against static CRAT plans), diffed the same way; last, every
-# experiment with the verify gate armed, host-time lines and the overhead
-# table stripped, diffed against FIGURES.txt
+# the figure gate: every experiment, with the verify gate armed, must
+# print FIGURES.txt on stdout (host time and the overhead table go to
+# stderr); then the fig13 determinism diff: a serial replayed run and a
+# 2-job cold run must print identical figures; then fig13 under the
+# machine register-file backend; last, every line quoted in a figures
+# fence of EXPERIMENTS.md must be a line of FIGURES.txt
 FIG13 = dune exec bench/main.exe -- --only fig13 --fast
-STRIP_TIMING = grep -v '^(\|^total'
-VARIANT_FIGS = abl-sched,ext-bypass,dyn-tlp,gpu-scale
-ALLOC_FIGS = fig8,fig12,abl-chunk,abl-alloc,abl-type
 
 bench-smoke:
-	dune exec bench/main.exe -- --only fig1 --jobs 2 --fast
-	$(FIG13) --jobs 1 > fig13-jobs1.out
-	$(FIG13) --jobs 2 --no-replay > fig13-jobs2-cold.out
-	$(STRIP_TIMING) fig13-jobs1.out > fig13-jobs1.txt
-	$(STRIP_TIMING) fig13-jobs2-cold.out > fig13-jobs2-cold.txt
-	diff fig13-jobs1.txt fig13-jobs2-cold.txt
-	rm -f fig13-jobs1.out fig13-jobs2-cold.out fig13-jobs1.txt fig13-jobs2-cold.txt
-	$(FIG13) --backend machine
-	dune exec bench/main.exe -- --only $(VARIANT_FIGS) --fast --jobs 2 > variant-figs.out
-	$(STRIP_TIMING) variant-figs.out > variant-figs.txt
-	diff test/golden/variant_figs.expected variant-figs.txt
-	rm -f variant-figs.out variant-figs.txt
-	dune exec bench/main.exe -- --only tab1 > tab1.out
-	$(STRIP_TIMING) tab1.out > tab1.txt
-	diff test/golden/tab1.expected tab1.txt
-	rm -f tab1.out tab1.txt
-	dune exec bench/main.exe -- --only $(ALLOC_FIGS) --fast --jobs 2 > alloc-figs.out
-	$(STRIP_TIMING) alloc-figs.out > alloc-figs.txt
-	diff test/golden/alloc_figs.expected alloc-figs.txt
-	rm -f alloc-figs.out alloc-figs.txt
-	dune exec bench/main.exe -- --only fig20 --fast --jobs 2 > fig20.out
-	$(STRIP_TIMING) fig20.out > fig20.txt
-	diff test/golden/fig20.expected fig20.txt
-	rm -f fig20.out fig20.txt
-	CRAT_VERIFY=1 dune exec bench/main.exe -- --jobs 2 > figures.out
-	awk '/^==== overhead:/{skip=1} skip&&/^$$/{skip=0; next} skip{next} /^\([0-9.]+s\)$$/{next} /^total /{next} {print}' figures.out > figures.txt
+	CRAT_VERIFY=1 dune exec bench/main.exe -- --jobs 2 > figures.txt
 	diff FIGURES.txt figures.txt
-	rm -f figures.out figures.txt
+	rm -f figures.txt
+	$(FIG13) --jobs 1 > fig13-jobs1.txt
+	$(FIG13) --jobs 2 --no-replay > fig13-jobs2-cold.txt
+	diff fig13-jobs1.txt fig13-jobs2-cold.txt
+	rm -f fig13-jobs1.txt fig13-jobs2-cold.txt
+	$(FIG13) --backend machine
+	awk '/^```figures$$/ { q = 1; next } /^```$$/ { q = 0 } q' EXPERIMENTS.md \
+	  | grep -vxF -f FIGURES.txt; test $$? = 1
 
 # CI gate for the sweep, the compile path and the daemon's simulate path: the
 # fig13-family sweep slice, its pass checked against the committed

@@ -1,5 +1,9 @@
 (* Figure harness: regenerates every table and figure of the paper's
    evaluation. Timing and throughput live in perfbench/perf.exe.
+   The figures go to stdout, which FIGURES.txt pins; what times this
+   host (each experiment's seconds, the total line and the overhead
+   table) goes to stderr, so `bench/main.exe --jobs 2 > FIGURES.txt`
+   regenerates the pin.
 
    Usage:
      dune exec bench/main.exe                 # all experiments, full size
@@ -9,7 +13,6 @@
      dune exec bench/main.exe -- --backend machine --only fig13 *)
 
 let fermi = Gpusim.Config.fermi
-let kepler = Gpusim.Config.kepler
 
 type ctx =
   { engine : Crat.Engine.t
@@ -36,8 +39,6 @@ let fast_ctx ?(backend = Machine.Backend.Ptx) engine =
   ; input_apps = [ Workloads.Suite.find "BLK" ]
   }
 
-let fmt = Format.std_formatter
-
 (* fig13 and its companions share one set of comparisons *)
 let comparisons = ref None
 
@@ -51,163 +52,89 @@ let get_comparisons ctx =
     comparisons := Some comps;
     comps
 
-let experiments : (string * string * (ctx -> unit)) list =
-  [ ( "tab2"
-    , "Table 2: simulated configuration"
-    , fun _ ->
-        Format.fprintf fmt "Table 2: simulated GPGPU-Sim-like configuration@.%a@."
-          Gpusim.Config.pp fermi )
-  ; ( "tab3"
-    , "Table 3: applications"
-    , fun _ -> Format.fprintf fmt "Table 3: applications@.%a@." Workloads.Suite.pp_table () )
+let cfd = Workloads.Suite.find "CFD"
+
+let experiments : (string * string * (ctx -> Crat.Figure.t)) list =
+  let open Crat.Experiments in
+  [ ("tab2", "Table 2: simulated configuration", fun _ -> tab2 fermi)
+  ; ("tab3", "Table 3: applications", fun _ -> tab3 ())
   ; ( "tab1"
     , "Table 1: resource-usage parameters"
-    , fun ctx ->
-        Crat.Experiments.pp_tab1 fmt
-          (Crat.Experiments.tab1 ctx.engine fermi ctx.sensitive) )
+    , fun ctx -> tab1 ctx.engine fermi ctx.sensitive )
   ; ( "fig1"
     , "Fig 1: throttling benefit and register waste"
-    , fun ctx ->
-        Crat.Experiments.pp_fig1 fmt
-          (Crat.Experiments.fig1 ctx.engine fermi ctx.sensitive) )
-  ; ( "fig2"
-    , "Fig 2: (reg, TLP) design space for CFD"
-    , fun ctx ->
-        Crat.Experiments.pp_fig2 fmt
-          (Crat.Experiments.fig2 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig3"
-    , "Fig 3: selected design points for CFD"
-    , fun ctx ->
-        Crat.Experiments.pp_fig3 fmt
-          (Crat.Experiments.fig3 ctx.engine fermi (Workloads.Suite.find "CFD")) )
+    , fun ctx -> fig1 ctx.engine fermi ctx.sensitive )
+  ; ("fig2", "Fig 2: (reg, TLP) design space for CFD", fun ctx -> fig2 ctx.engine fermi cfd)
+  ; ("fig3", "Fig 3: selected design points for CFD", fun ctx -> fig3 ctx.engine fermi cfd)
   ; ( "fig5"
     , "Fig 5: throttling impact on the L1"
-    , fun ctx ->
-        Crat.Experiments.pp_fig5 fmt
-          (Crat.Experiments.fig5 ctx.engine fermi ctx.sensitive) )
+    , fun ctx -> fig5 ctx.engine fermi ctx.sensitive )
   ; ( "fig6"
     , "Fig 6: registers vs TLP and instruction count (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_fig6 fmt
-          (Crat.Experiments.fig6 ctx.engine fermi (Workloads.Suite.find "CFD")) )
+    , fun ctx -> fig6 ctx.engine fermi cfd )
   ; ( "fig7"
     , "Fig 7: register vs shared-memory utilization"
-    , fun ctx ->
-        Crat.Experiments.pp_fig7 fmt
-          (Crat.Experiments.fig7 fermi (ctx.sensitive @ ctx.insensitive)) )
+    , fun ctx -> fig7 fermi (ctx.sensitive @ ctx.insensitive) )
   ; ( "fig8"
     , "Fig 8: FDTD register/shared exploration"
-    , fun ctx ->
-        Crat.Experiments.pp_fig8 fmt
-          (Crat.Experiments.fig8 ctx.engine fermi (Workloads.Suite.find "FDTD")) )
+    , fun ctx -> fig8 ctx.engine fermi (Workloads.Suite.find "FDTD") )
   ; ( "fig11"
     , "Fig 11: design-space staircase and pruning (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_fig11 fmt
-          (Crat.Experiments.fig11 ctx.engine fermi (Workloads.Suite.find "CFD")) )
-  ; ( "fig12"
-    , "Fig 12: spill-bytes validation (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_fig12 fmt
-          (Crat.Experiments.fig12 ctx.engine fermi (Workloads.Suite.find "CFD")) )
+    , fun ctx -> fig11 ctx.engine fermi cfd )
+  ; ("fig12", "Fig 12: spill-bytes validation (CFD)", fun ctx -> fig12 ctx.engine fermi cfd)
   ; ( "fig13"
     , "Fig 13: headline performance comparison"
     , fun ctx ->
-        let rows, comps =
-          Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine fermi
-            ctx.sensitive
-        in
+        let fig, comps = fig13 ~backend:ctx.backend ctx.engine fermi ctx.sensitive in
         comparisons := Some comps;
-        Crat.Experiments.pp_fig13 fmt rows )
-  ; ( "fig14"
-    , "Fig 14: selected TLP"
-    , fun ctx -> Crat.Experiments.pp_fig14 fmt (Crat.Experiments.fig14 (get_comparisons ctx)) )
-  ; ( "fig15"
-    , "Fig 15: register utilization"
-    , fun ctx ->
-        Crat.Experiments.pp_fig15 fmt
-          (Crat.Experiments.fig15 fermi (get_comparisons ctx)) )
-  ; ( "fig16"
-    , "Fig 16: local-memory access reduction"
-    , fun ctx -> Crat.Experiments.pp_fig16 fmt (Crat.Experiments.fig16 (get_comparisons ctx)) )
+        fig )
+  ; ("fig14", "Fig 14: selected TLP", fun ctx -> fig14 (get_comparisons ctx))
+  ; ("fig15", "Fig 15: register utilization", fun ctx -> fig15 fermi (get_comparisons ctx))
+  ; ("fig16", "Fig 16: local-memory access reduction", fun ctx -> fig16 (get_comparisons ctx))
   ; ( "fig17"
     , "Fig 17: Kepler-like scalability"
-    , fun ctx ->
-        let rows, _ =
-          Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine kepler
-            ctx.sensitive
-        in
-        Format.fprintf fmt "Fig 17: Kepler-like architecture@.";
-        Crat.Experiments.pp_fig13 fmt rows )
-  ; ( "fig18"
-    , "Fig 18: input sensitivity"
-    , fun ctx ->
-        Crat.Experiments.pp_fig18 fmt
-          (Crat.Experiments.fig18 ctx.engine fermi ctx.input_apps) )
+    , fun ctx -> fig17 ~backend:ctx.backend ctx.engine ctx.sensitive )
+  ; ("fig18", "Fig 18: input sensitivity", fun ctx -> fig18 ctx.engine fermi ctx.input_apps)
   ; ( "fig19"
     , "Fig 19: resource-insensitive applications"
-    , fun ctx ->
-        let rows, _ =
-          Crat.Experiments.fig13 ~backend:ctx.backend ctx.engine fermi
-            ctx.insensitive
-        in
-        Format.fprintf fmt "Fig 19: resource-insensitive applications@.";
-        Crat.Experiments.pp_fig13 fmt rows )
+    , fun ctx -> fig19 ~backend:ctx.backend ctx.engine fermi ctx.insensitive )
   ; ( "fig20"
     , "Fig 20: CRAT-profile vs CRAT-static"
-    , fun ctx ->
-        Crat.Experiments.pp_fig20 fmt
-          (Crat.Experiments.fig20 ctx.engine fermi ctx.sensitive) )
-  ; ( "energy"
-    , "Energy: CRAT vs OptTLP"
-    , fun ctx -> Crat.Experiments.pp_energy fmt (Crat.Experiments.energy (get_comparisons ctx)) )
+    , fun ctx -> fig20 ctx.engine fermi ctx.sensitive )
+  ; ("energy", "Energy: CRAT vs OptTLP", fun ctx -> energy (get_comparisons ctx))
   ; ( "overhead"
     , "Overhead: profiling vs static analysis"
-    , fun ctx ->
-        Crat.Experiments.pp_overhead fmt
-          (Crat.Experiments.overhead ctx.engine fermi ctx.sensitive) )
+    , fun ctx -> overhead ctx.engine fermi ctx.sensitive )
   ; ( "dyn-tlp"
     , "Baseline: online DynCTA-style throttling"
     , fun ctx ->
-        Crat.Experiments.pp_dynamic_tlp fmt
-          (Crat.Experiments.dynamic_tlp ctx.engine fermi
-             (List.map Workloads.Suite.find [ "KMN"; "STM"; "SPMV"; "CFD" ])) )
+        dynamic_tlp ctx.engine fermi (List.map Workloads.Suite.find [ "KMN"; "STM"; "SPMV"; "CFD" ])
+    )
   ; ( "ext-bypass"
     , "Extension: CRAT + static L1 bypassing (CFD)"
-    , fun ctx ->
-        Crat.Experiments.pp_extension_bypass fmt
-          (Crat.Experiments.extension_bypass ctx.engine fermi
-             (Workloads.Suite.find "CFD")) )
+    , fun ctx -> extension_bypass ctx.engine fermi cfd )
   ; ( "abl-sched"
     , "Ablation: GTO vs LRR warp scheduling"
     , fun ctx ->
-        Crat.Experiments.pp_ablation_scheduler fmt
-          (Crat.Experiments.ablation_scheduler ctx.engine fermi
-             (List.map Workloads.Suite.find [ "CFD"; "KMN"; "STM" ])) )
+        ablation_scheduler ctx.engine fermi (List.map Workloads.Suite.find [ "CFD"; "KMN"; "STM" ])
+    )
   ; ( "abl-chunk"
     , "Ablation: Algorithm 1 sub-stack granularity"
-    , fun ctx ->
-        Crat.Experiments.pp_ablation_chunk fmt
-          (Crat.Experiments.ablation_chunk ctx.engine fermi
-             (Workloads.Suite.find "STE") ~reg:40) )
+    , fun ctx -> ablation_chunk ctx.engine fermi (Workloads.Suite.find "STE") ~reg:40 )
   ; ( "gpu-scale"
     , "Multi-SM scaling (KMN, shared memory system)"
-    , fun ctx ->
-        Crat.Experiments.pp_gpu_scaling fmt
-          (Crat.Experiments.gpu_scaling ctx.engine fermi
-             (Workloads.Suite.find "KMN") ~tlp:2) )
+    , fun ctx -> gpu_scaling ctx.engine fermi (Workloads.Suite.find "KMN") ~tlp:2 )
   ; ( "abl-alloc"
     , "Ablation: allocator extension (rematerialisation)"
-    , fun ctx ->
-        Crat.Experiments.pp_ablation_allocator fmt
-          (Crat.Experiments.ablation_allocator ctx.engine fermi
-             (Workloads.Suite.find "CFD") ~reg:48) )
+    , fun ctx -> ablation_allocator ctx.engine fermi cfd ~reg:48 )
   ; ( "abl-type"
     , "Ablation: type-affine colouring (register waste)"
-    , fun ctx ->
-        Crat.Experiments.pp_ablation_type_strict fmt
-          (Crat.Experiments.ablation_type_strict (ctx.sensitive @ ctx.insensitive)) )
+    , fun ctx -> ablation_type_strict (ctx.sensitive @ ctx.insensitive) )
   ]
+
+(* The overhead table times this host: like the seconds each experiment
+   took, it goes to stderr, so stdout is the deterministic figures *)
+let host_timed id = id = "overhead"
 
 (* ---------- driver ---------- *)
 
@@ -268,11 +195,13 @@ let () =
     (fun ((id, descr, run) as e) ->
        if wanted e then begin
          let t0 = Unix.gettimeofday () in
-         Format.fprintf fmt "==== %s: %s ====@." id descr;
-         run ctx;
-         Format.fprintf fmt "(%.1fs)@.@." (Unix.gettimeofday () -. t0)
+         let out = if host_timed id then Format.err_formatter else Format.std_formatter in
+         Format.fprintf out "==== %s: %s ====@." id descr;
+         Crat.Figure.pp out (run ctx);
+         Format.eprintf "(%.1fs)@." (Unix.gettimeofday () -. t0);
+         Format.fprintf out "@."
        end)
     experiments;
-  Format.fprintf fmt "total %.1fs; %a@."
+  Format.eprintf "total %.1fs; %a@."
     (Unix.gettimeofday () -. t_all)
     Crat.Engine.pp_report (Crat.Engine.report engine)

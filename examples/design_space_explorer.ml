@@ -32,13 +32,15 @@ let () =
   Format.printf "@.";
 
   (* the full surface, normalised to MaxTLP (Fig. 2) *)
-  let points = Crat.Experiments.fig2 engine cfg app in
-  let regs =
-    List.sort_uniq compare (List.map (fun p -> p.Crat.Experiments.reg2) points)
+  let points =
+    List.map
+      (function
+        | Crat.Figure.[ Int reg; Int tlp; Float (speedup, _) ] -> (reg, tlp, speedup)
+        | _ -> failwith "fig2: unexpected row")
+      (Crat.Experiments.fig2 engine cfg app).Crat.Figure.rows
   in
-  let tlps =
-    List.sort_uniq compare (List.map (fun p -> p.Crat.Experiments.tlp2) points)
-  in
+  let regs = List.sort_uniq compare (List.map (fun (reg, _, _) -> reg) points) in
+  let tlps = List.sort_uniq compare (List.map (fun (_, tlp, _) -> tlp) points) in
   Format.printf "speedup vs MaxTLP (rows: registers; columns: TLP)@.";
   Format.printf "%6s" "reg";
   List.iter (fun t -> Format.printf " %6s" (Printf.sprintf "TLP%d" t)) tlps;
@@ -48,25 +50,15 @@ let () =
        Format.printf "%6d" reg;
        List.iter
          (fun tlp ->
-            match
-              List.find_opt
-                (fun p ->
-                   p.Crat.Experiments.reg2 = reg && p.Crat.Experiments.tlp2 = tlp)
-                points
-            with
-            | Some p -> Format.printf " %6.2f" p.Crat.Experiments.speedup_vs_max
+            match List.find_opt (fun (r, t, _) -> r = reg && t = tlp) points with
+            | Some (_, _, speedup) -> Format.printf " %6.2f" speedup
             | None -> Format.printf " %6s" "-")
          tlps;
        Format.printf "@.")
     regs;
-  let best =
+  let best_reg, best_tlp, best =
     List.fold_left
-      (fun acc p ->
-         if p.Crat.Experiments.speedup_vs_max > acc.Crat.Experiments.speedup_vs_max
-         then p
-         else acc)
+      (fun ((_, _, s) as acc) ((_, _, s') as p) -> if s' > s then p else acc)
       (List.hd points) points
   in
-  Format.printf "@.best point: reg=%d TLP=%d (%.2fx vs MaxTLP)@."
-    best.Crat.Experiments.reg2 best.Crat.Experiments.tlp2
-    best.Crat.Experiments.speedup_vs_max
+  Format.printf "@.best point: reg=%d TLP=%d (%.2fx vs MaxTLP)@." best_reg best_tlp best

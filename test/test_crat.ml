@@ -518,32 +518,57 @@ let test_engine_cache_hits () =
 (* ---------- experiments plumbing ---------- *)
 
 let test_fig7_structure () =
-  let rows = Crat.Experiments.fig7 fermi Workloads.Suite.all in
+  let rows =
+    List.map
+      (function
+        | Crat.Figure.[ Text abbr; Float (reg, _); Float (shm, _) ] -> (abbr, reg, shm)
+        | _ -> Alcotest.fail "fig7 row shape")
+      (Crat.Experiments.fig7 fermi Workloads.Suite.all).Crat.Figure.rows
+  in
   Alcotest.(check int) "one row per app" 22 (List.length rows);
   List.iter
-    (fun (r : Crat.Experiments.fig7_row) ->
-       check (r.Crat.Experiments.abbr ^ " utils in [0,1]") true
-         (r.Crat.Experiments.reg_util7 >= 0.
-          && r.Crat.Experiments.reg_util7 <= 1.01
-          && r.Crat.Experiments.shm_util7 >= 0.
-          && r.Crat.Experiments.shm_util7 <= 1.01))
+    (fun (abbr, reg, shm) ->
+       check (abbr ^ " utils in [0,1]") true
+         (reg >= 0. && reg <= 1.01 && shm >= 0. && shm <= 1.01))
     rows;
   (* the paper's observation: registers far better utilised than shared *)
   let avg f = List.fold_left (fun a r -> a +. f r) 0. rows /. 22. in
   check "registers much better utilised than shared" true
-    (avg (fun r -> r.Crat.Experiments.reg_util7)
-     > 3. *. avg (fun r -> r.Crat.Experiments.shm_util7))
+    (avg (fun (_, reg, _) -> reg) > 3. *. avg (fun (_, _, shm) -> shm))
+
+let test_figure_rejects_ragged_row () =
+  let columns = Crat.Figure.[ left "app" 6; right "x" 4 ] in
+  let fig = Crat.Figure.make ~title:[ "t" ] columns Crat.Figure.[ [ Text "A"; Int 1 ] ] in
+  Alcotest.(check string) "renders" "t\napp       x\nA         1\n"
+    (Format.asprintf "%a" Crat.Figure.pp fig);
+  match
+    Crat.Figure.make ~title:[ "t" ] columns Crat.Figure.[ [ Text "A"; Int 1 ]; [ Text "B" ] ]
+  with
+  | _ -> Alcotest.fail "a ragged row was accepted"
+  | exception Invalid_argument _ -> ()
+
+(* the (reg, TLP) points of a fig11 row ["label : (reg=R, TLP=T) ..."] *)
+let fig11_points = function
+  | [ Crat.Figure.Text line ] ->
+    List.filter_map
+      (fun s ->
+         match Scanf.sscanf s "reg=%d, TLP=%d)" (fun reg tlp -> (reg, tlp)) with
+         | p -> Some p
+         | exception Scanf.Scan_failure _ | exception End_of_file -> None)
+      (String.split_on_char '(' line)
+  | _ -> Alcotest.fail "fig11 row shape"
 
 let test_fig11_pruned_subset () =
   let a = small_app "KMN" in
-  let stairs, pruned = Crat.Experiments.fig11 engine fermi a in
+  let stairs, pruned =
+    match (Crat.Experiments.fig11 engine fermi a).Crat.Figure.rows with
+    | [ stairs; pruned ] -> (fig11_points stairs, fig11_points pruned)
+    | _ -> Alcotest.fail "fig11 has two rows"
+  in
+  check "both lists parsed" true (stairs <> [] && pruned <> []);
   check "pruned points are stair points (same reg cap per TLP)" true
     (List.for_all
-       (fun (p : Crat.Design_space.point) ->
-          List.exists
-            (fun (q : Crat.Design_space.point) ->
-               q.Crat.Design_space.reg >= p.Crat.Design_space.reg)
-            stairs)
+       (fun (reg, _) -> List.exists (fun (reg', _) -> reg' >= reg) stairs)
        pruned)
 
 let test_mimic_zero_cases () =
@@ -565,29 +590,38 @@ let test_geomean () =
 
 let test_fig6_monotone () =
   let a = Workloads.Suite.find "CFD" in
-  let rows = Crat.Experiments.fig6 engine fermi a in
+  let rows =
+    List.map
+      (function
+        | Crat.Figure.[ Int _; Int tlp; Int instrs ] -> (tlp, instrs)
+        | _ -> Alcotest.fail "fig6 row shape")
+      (Crat.Experiments.fig6 engine fermi a).Crat.Figure.rows
+  in
   check "rows exist" true (List.length rows > 5);
   let rec decreasing = function
-    | (x : Crat.Experiments.fig6_row) :: y :: rest ->
-      x.Crat.Experiments.instr_count >= y.Crat.Experiments.instr_count
-      && x.Crat.Experiments.tlp6 >= y.Crat.Experiments.tlp6
-      && decreasing (y :: rest)
+    | (tlp, instrs) :: ((tlp', instrs') :: _ as rest) ->
+      instrs >= instrs' && tlp >= tlp' && decreasing rest
     | _ -> true
   in
   check "instructions and TLP decrease with registers" true (decreasing rows)
 
 let test_fig12_reference_tracks () =
   let a = Workloads.Suite.find "CFD" in
-  let rows = Crat.Experiments.fig12 engine fermi a in
+  let rows =
+    List.map
+      (function
+        | Crat.Figure.[ Int _; Int reference; Int crat ] -> (reference, crat)
+        | _ -> Alcotest.fail "fig12 row shape")
+      (Crat.Experiments.fig12 engine fermi a).Crat.Figure.rows
+  in
   check "rows exist" true (List.length rows > 5);
   List.iter
-    (fun (r : Crat.Experiments.fig12_row) ->
+    (fun (reference, crat) ->
        check "both allocators spill less with more registers" true
-         (r.Crat.Experiments.bytes_crat >= 0 && r.Crat.Experiments.bytes_reference >= 0))
+         (crat >= 0 && reference >= 0))
     rows;
   let first = List.hd rows and last = List.nth rows (List.length rows - 1) in
-  check "CRAT spill bytes decrease over the sweep" true
-    (first.Crat.Experiments.bytes_crat > last.Crat.Experiments.bytes_crat)
+  check "CRAT spill bytes decrease over the sweep" true (snd first > snd last)
 
 let test_energy_model () =
   let s = Gpusim.Stats.create () in
@@ -649,6 +683,8 @@ let () =
         ; Alcotest.test_case "fig12 tracks" `Quick test_fig12_reference_tracks
         ; Alcotest.test_case "energy model" `Quick test_energy_model
         ; Alcotest.test_case "fig7 structure" `Quick test_fig7_structure
+        ; Alcotest.test_case "figure rejects a ragged row" `Quick
+            test_figure_rejects_ragged_row
         ; Alcotest.test_case "fig11 pruned subset" `Slow test_fig11_pruned_subset
         ; Alcotest.test_case "mimic zero cases" `Quick test_mimic_zero_cases
         ] )

@@ -202,12 +202,12 @@ let test_jobs_determinism () =
   let apps = List.map small_app [ "GAU"; "KMN"; "STM" ] in
   let run jobs =
     let e = Crat.Engine.create ~jobs () in
-    let rows, comps = Crat.Experiments.fig13 e fermi apps in
-    (rows, List.map (fun c -> c.Crat.Experiments.crat.Crat.Baselines.stats) comps)
+    let fig, comps = Crat.Experiments.fig13 e fermi apps in
+    (fig, List.map (fun c -> c.Crat.Experiments.crat.Crat.Baselines.stats) comps)
   in
-  let rows1, stats1 = run 1 in
-  let rows4, stats4 = run 4 in
-  check "fig13 rows bit-identical (jobs=1 vs jobs=4)" true (rows1 = rows4);
+  let fig1, stats1 = run 1 in
+  let fig4, stats4 = run 4 in
+  check "fig13 rows bit-identical (jobs=1 vs jobs=4)" true (fig1 = fig4);
   check "underlying stats bit-identical" true (stats1 = stats4)
 
 let test_design_space_batch_determinism () =

@@ -50,30 +50,32 @@ let test_crat_kernels_semantically_equal () =
 let test_fig13_shape_small () =
   let engine = Crat.Engine.create () in
   let apps = List.map small_app [ "CFD"; "KMN"; "STM" ] in
-  let rows, comps = Crat.Experiments.fig13 engine fermi apps in
+  let fig, comps = Crat.Experiments.fig13 engine fermi apps in
   List.iter
-    (fun (r : Crat.Experiments.fig13_row) ->
-       check (r.Crat.Experiments.abbr ^ ": CRAT >= 0.95x OptTLP") true
-         (r.Crat.Experiments.s_crat >= 0.95);
-       check (r.Crat.Experiments.abbr ^ ": CRAT >= CRAT-local - eps") true
-         (r.Crat.Experiments.s_crat >= r.Crat.Experiments.s_crat_local -. 0.1))
-    rows;
+    (function
+      | Crat.Figure.[ Text abbr; Float _; Float _; Float (s_crat_local, _); Float (s_crat, _) ] ->
+        check (abbr ^ ": CRAT >= 0.95x OptTLP") true (s_crat >= 0.95);
+        check (abbr ^ ": CRAT >= CRAT-local - eps") true (s_crat >= s_crat_local -. 0.1)
+      | _ -> Alcotest.fail "fig13 row shape")
+    fig.Crat.Figure.rows;
   (* fig14 companion: CRAT TLP never exceeds MaxTLP *)
   List.iter
-    (fun (r : Crat.Experiments.fig14_row) ->
-       check "CRAT TLP <= MaxTLP" true
-         (r.Crat.Experiments.tlp_crat <= r.Crat.Experiments.tlp_max))
-    (Crat.Experiments.fig14 comps)
+    (function
+      | Crat.Figure.[ Text _; Int tlp_max; Int tlp_crat ] ->
+        check "CRAT TLP <= MaxTLP" true (tlp_crat <= tlp_max)
+      | _ -> Alcotest.fail "fig14 row shape")
+    (Crat.Experiments.fig14 comps).Crat.Figure.rows
 
 let test_insensitive_apps_flat () =
   let engine = Crat.Engine.create () in
   let apps = List.map small_app [ "GAU"; "PATH" ] in
-  let rows, _ = Crat.Experiments.fig13 engine fermi apps in
+  let _, comps = Crat.Experiments.fig13 engine fermi apps in
   List.iter
-    (fun (r : Crat.Experiments.fig13_row) ->
-       check (r.Crat.Experiments.abbr ^ ": insensitive stays near 1.0") true
-         (r.Crat.Experiments.s_crat >= 0.9 && r.Crat.Experiments.s_crat <= 1.35))
-    rows
+    (fun (c : Crat.Experiments.comparison) ->
+       let s_crat = Crat.Experiments.speedup_vs_opt c c.Crat.Experiments.crat in
+       check (c.Crat.Experiments.app.Workloads.App.abbr ^ ": insensitive stays near 1.0") true
+         (s_crat >= 0.9 && s_crat <= 1.35))
+    comps
 
 let test_kepler_runs () =
   let a = small_app "KMN" in
@@ -110,12 +112,12 @@ let test_static_mode_runs () =
 let test_energy_not_worse () =
   let apps = List.map small_app [ "KMN"; "CFD" ] in
   let _, comps = Crat.Experiments.fig13 (Crat.Engine.create ()) fermi apps in
-  let rows = Crat.Experiments.energy comps in
   List.iter
-    (fun (r : Crat.Experiments.energy_row) ->
-       check (r.Crat.Experiments.abbr ^ ": energy ratio sane") true
-         (r.Crat.Experiments.ratio > 0.2 && r.Crat.Experiments.ratio < 1.2))
-    rows
+    (function
+      | Crat.Figure.[ Text abbr; Float (ratio, _) ] ->
+        check (abbr ^ ": energy ratio sane") true (ratio > 0.2 && ratio < 1.2)
+      | _ -> Alcotest.fail "energy row shape")
+    (Crat.Experiments.energy comps).Crat.Figure.rows
 
 let () =
   Alcotest.run "integration"
