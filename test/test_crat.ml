@@ -422,20 +422,31 @@ let full_ladder_choice cycles ~max_tlp =
   !best
 
 (* the early exits keep the argmax: every app, input and platform, at
-   max_tlp MaxTLP and 32, against the full ladder of the oracle *)
+   max_tlp MaxTLP and 32, against the full ladder of the mimic. "mimic
+   matches its scanning oracle" pins the mimic to the oracle up to
+   MaxTLP; above it, the first app's default trace is checked against
+   the oracle at TLP 32 on each platform *)
 let test_static_matches_full_ladder () =
   List.iter
     (fun (cfg : Gpusim.Config.t) ->
-       List.iter
-         (fun (app : Workloads.App.t) ->
+       let check_oracle (app : Workloads.App.t) tr ~warps_per_block ~tlp =
+         let got = Crat.Opttlp.mimic_cycles cfg tr ~warps_per_block ~tlp in
+         let want = mimic_cycles_oracle cfg tr ~warps_per_block ~tlp in
+         if Int64.bits_of_float got <> Int64.bits_of_float want then
+           Alcotest.failf "%s %s tlp %d: %h, the oracle %h" app.Workloads.App.abbr
+             cfg.Gpusim.Config.name tlp got want
+       in
+       List.iteri
+         (fun i (app : Workloads.App.t) ->
             let warps_per_block = app.Workloads.App.block_size / cfg.Gpusim.Config.warp_size in
             let max_tlp = (Crat.Resource.analyze cfg app).Crat.Resource.max_tlp in
-            List.iter
-              (fun (input : Workloads.App.input) ->
+            List.iteri
+              (fun j (input : Workloads.App.input) ->
                  let tr = Crat.Segments.trace cfg app input in
+                 if i = 0 && j = 0 then check_oracle app tr ~warps_per_block ~tlp:32;
                  let cycles =
                    Array.init (max max_tlp 32) (fun i ->
-                     mimic_cycles_oracle cfg tr ~warps_per_block ~tlp:(i + 1))
+                     Crat.Opttlp.mimic_cycles cfg tr ~warps_per_block ~tlp:(i + 1))
                  in
                  List.iter
                    (fun m ->
