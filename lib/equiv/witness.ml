@@ -35,10 +35,17 @@ let kernel_of = function
   | Run_kernel k -> k
   | Run_machine m -> m.Machine.Lower.image.Gpusim.Image.kernel
 
+(* The warp instructions one side may run on a trial input. A pair
+   whose static match failed may loop for ever on a sampled input (a
+   miscompiled loop exit, say); a side past the budget ends the search
+   without a witness, so the verdict is unknown, never refuted. *)
+let trial_budget = 1_000_000
+
 let exec runner launch =
+  let max_warp_instrs = trial_budget in
   match runner with
-  | Run_kernel _ -> Gpusim.Refinterp.run launch
-  | Run_machine m -> Machine.Exec.run m launch
+  | Run_kernel _ -> Gpusim.Refinterp.run ~max_warp_instrs launch
+  | Run_machine m -> Machine.Exec.run ~max_warp_instrs m launch
 
 (* Observable result: written, non-zero global words below the
    per-thread local heap (local memory is backing store for spills and
@@ -61,6 +68,9 @@ let run_side runner ~block_size ~num_blocks ~params mem =
   in
   match exec runner launch with
   | () -> Ok (final_words mem)
+  | exception Gpusim.Simt.Over_budget ->
+    (* not an outcome of this input: the search stops *)
+    raise Gpusim.Simt.Over_budget
   | exception e -> Error (Printexc.to_string e)
 
 let diff_words l r =
@@ -156,12 +166,15 @@ let search ~left ~right ~block_size ?(num_blocks = 1) ?(trials = 48)
       | Some descr ->
         Some { block_size; num_blocks; params; mem_words; descr }
       | None -> go (trial + 1)
+      | exception Gpusim.Simt.Over_budget -> None
   in
   go 0
 
 let replay ~left ~right (w : t) =
-  try_input ~left ~right ~block_size:w.block_size ~num_blocks:w.num_blocks
-    ~params:w.params ~mem_words:w.mem_words
+  try
+    try_input ~left ~right ~block_size:w.block_size ~num_blocks:w.num_blocks
+      ~params:w.params ~mem_words:w.mem_words
+  with Gpusim.Simt.Over_budget -> None
 
 let pp_params fmt params =
   Format.fprintf fmt "@[<h>%a@]"

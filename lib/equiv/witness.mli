@@ -35,10 +35,13 @@ val search :
 (** Differential search over sampled launches; integer parameters draw
     from a boundary pool extended with path-constraint [seeds], 64-bit
     parameters become distinct buffer bases with seeded contents.
-    Deterministic for a given [salt]. *)
+    Each side of a trial runs under a fixed warp-instruction budget; a
+    side that exceeds it may never end, so the search stops there with
+    no witness. Deterministic for a given [salt]. *)
 
 val replay : left:runner -> right:runner -> t -> string option
-(** Re-run both sides on exactly the witness input; [Some descr] when
-    the final global memories (below the local-heap base) differ. *)
+(** Re-run both sides on exactly the witness input, under the same
+    budget; [Some descr] when the final global memories (below the
+    local-heap base) differ. *)
 
 val pp_params : Format.formatter -> (string * Gpusim.Value.t) list -> unit

@@ -194,9 +194,10 @@ let outcome = function
   | E_exit -> Simt.Exit
   | E_alu _ | E_mem _ -> Simt.Step
 
-let run ?sanitize (l : Launch.t) =
+let run ?sanitize ?max_warp_instrs (l : Launch.t) =
   let lctx = Simt.launch_ctx ?sanitize ~image:(Image.prepare l.Launch.kernel) l in
+  let step = Simt.budget max_warp_instrs (fun w -> outcome (step w)) in
   for ctaid = 0 to l.Launch.num_blocks - 1 do
     let _block, warps = make_block lctx ~ctaid ~warp_size:l.Launch.warp_size in
-    Simt.run_block ~is_done ~warps ~step:(fun w -> outcome (step w))
+    Simt.run_block ~is_done ~warps ~step
   done

@@ -46,8 +46,10 @@ type exec =
 val step : warp -> exec
 val read_reg_values : warp -> Ptx.Reg.t -> Value.t array
 
-val run : ?sanitize:Sancheck.runtime -> Launch.t -> unit
+val run : ?sanitize:Sancheck.runtime -> ?max_warp_instrs:int -> Launch.t -> unit
 (** Whole-launch execution through the reference semantics under
     {!Simt.run_block}, mutating the launch's global memory in place.
     [sanitize] arms the hybrid sanitizer; its counters are the
-    caller's to inspect afterwards. *)
+    caller's to inspect afterwards.
+    @raise Simt.Over_budget after [max_warp_instrs] (default:
+    unbounded) warp instructions, leaving memory part-way. *)

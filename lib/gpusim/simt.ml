@@ -228,3 +228,15 @@ let run_block ~is_done ~warps ~step =
     if !live_blocked then Array.fill waiting 0 (Array.length waiting) false
   done;
   if not (all_done ()) then failwith "Simt.run_block: barrier deadlock"
+
+exception Over_budget
+
+let budget max_warp_instrs step =
+  match max_warp_instrs with
+  | None -> step
+  | Some n ->
+    let issued = ref 0 in
+    fun w ->
+      if !issued >= n then raise Over_budget;
+      incr issued;
+      step w

@@ -96,3 +96,10 @@ val run_block : is_done:('w -> bool) -> warps:'w list -> step:('w -> outcome) ->
     until it reaches a barrier or exits; a barrier is released when
     every warp that has not exited waits at it.
     @raise Failure if warps remain that can make no progress. *)
+
+exception Over_budget
+
+val budget : int option -> ('w -> outcome) -> 'w -> outcome
+(** [budget (Some n) step] is [step] counting the warp instructions it
+    runs, across every block it steps: the one after the [n]th raises
+    {!Over_budget} instead. [budget None step] is [step]. *)

@@ -156,8 +156,9 @@ let step (prog : Lower.t) w =
       S.exit_warp w;
       S.Exit)
 
-let run (prog : Lower.t) (l : Gpusim.Launch.t) =
+let run ?max_warp_instrs (prog : Lower.t) (l : Gpusim.Launch.t) =
   let lctx = S.launch_ctx ~image:prog.Lower.image l in
+  let step = S.budget max_warp_instrs (step prog) in
   let regs () =
     { vregs = Hashtbl.create 64; pregs = Hashtbl.create 8; sregs = Hashtbl.create 16 }
   in
@@ -165,5 +166,5 @@ let run (prog : Lower.t) (l : Gpusim.Launch.t) =
     let _block, warps =
       S.make_block lctx ~ctaid ~warp_size:l.Gpusim.Launch.warp_size regs
     in
-    S.run_block ~is_done:S.is_done ~warps ~step:(step prog)
+    S.run_block ~is_done:S.is_done ~warps ~step
   done

@@ -17,8 +17,10 @@
     code. Geometry, parameters and memory come from the launch, so the
     same {!Gpusim.Launch.t} drives both executors. *)
 
-val run : Lower.t -> Gpusim.Launch.t -> unit
+val run : ?max_warp_instrs:int -> Lower.t -> Gpusim.Launch.t -> unit
 (** Execute every block to completion, mutating the launch's memory —
     the machine-ISA counterpart of {!Gpusim.Refinterp.run}.
     @raise Failure on a divergent [EXIT] or a barrier deadlock, like
-    the reference interpreter. *)
+    the reference interpreter.
+    @raise Gpusim.Simt.Over_budget after [max_warp_instrs] (default:
+    unbounded) warp instructions. *)

@@ -142,6 +142,34 @@ let prop_no_witness_when_equal =
         ~params_ty:k.Ptx.Kernel.params ~seeds:[] ()
       = None)
 
+(* A pair whose static match fails and whose right side never ends on
+   any input: the bounded witness search gives up, so the verdict is
+   unknown, and it says so within a second. *)
+let test_endless_side_unknown () =
+  let kernel loop =
+    Ptx.Parser.parse_kernel_exn
+      (Printf.sprintf
+         {|.entry spin (
+  .param .u64 out
+)
+{
+  .reg .u32 %%r0;
+  .reg .u64 %%d0;
+  mov.u32 %%r0, 1;
+  ld.param.u64 %%d0, [out];
+  st.global.u32 [%%d0], %%r0;
+%s  ret;
+}|}
+         (if loop then "SPIN:\n  bra SPIN;\n" else ""))
+  in
+  let t0 = Unix.gettimeofday () in
+  let o = Check.check_opt ~block_size:64 ~left:(kernel false) ~right:(kernel true) () in
+  let dt = Unix.gettimeofday () -. t0 in
+  (match o.Check.verdict with
+   | Check.Unknown _ -> ()
+   | _ -> Alcotest.failf "expected unknown, got %s" (Format.asprintf "%a" Check.pp_outcome o));
+  if dt > 1. then Alcotest.failf "the verdict took %.2f s" dt
+
 (* ---------- intfold default and the pipeline gate ---------- *)
 
 let test_intfold_default () =
@@ -205,6 +233,8 @@ let () =
     ; ( "witness"
       , [ QCheck_alcotest.to_alcotest prop_witness_replays
         ; QCheck_alcotest.to_alcotest prop_no_witness_when_equal
+        ; Alcotest.test_case "an endless side is unknown within a second" `Quick
+            test_endless_side_unknown
         ] )
     ; ( "wiring"
       , [ Alcotest.test_case "intfold defaults on" `Quick test_intfold_default
