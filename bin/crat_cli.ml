@@ -416,7 +416,7 @@ let lint_cmd =
 let sanitize_options =
   let validate_arg =
     Arg.(value & flag & info [ "validate" ]
-           ~doc:"Run the default input through the reference interpreter \
+           ~doc:"Run the default input through the functional emulator \
                  with the residual checks armed; report what fraction of \
                  dynamic lane accesses the static proofs discharged.")
   in

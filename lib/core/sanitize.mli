@@ -4,10 +4,10 @@
     ([pre-opt], [post-opt], [post-alloc]) — the last one covering the
     allocator's spill code, whose shared spill stack is held to
     per-thread sub-stacks. {!validate} arms the residual checks and
-    runs the default launch through the reference interpreter: the
-    dynamic counters say what fraction of lane accesses still paid a
-    bounds test, and any recorded violation (or proven-OOB static
-    verdict) becomes a failure line. *)
+    runs the default launch through {!Gpusim.Emulator}: the dynamic
+    counters say what fraction of lane accesses still paid a bounds
+    test, and any recorded violation (or proven-OOB static verdict)
+    becomes a failure line. *)
 
 type stage_report =
   { stage : string
@@ -32,6 +32,4 @@ type dynamic =
 val validate :
   ?cfg:Gpusim.Config.t -> ?input:Workloads.App.input -> Workloads.App.t -> dynamic
 (** Execute the app's launch with the sanitizer armed, on a fresh memory
-    image, through the reference interpreter (whose counters are
-    returned) and through the fast one ({!Gpusim.Emulator.run}); a
-    per-pc counter on which the two disagree is a failure. *)
+    image, through {!Gpusim.Emulator.run}, and return its counters. *)

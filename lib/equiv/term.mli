@@ -1,11 +1,12 @@
 (** Shared bitvector term language for the translation validator.
 
     A term denotes the 64-bit {e bit pattern} a register or memory slot
-    holds in [Refinterp]'s value model, together with a statically-known
-    float tag (the [F]/[I] boxing of {!Gpusim.Value}). Terms range over
-    kernel parameters, the launch specials ([%tid.x], [%ctaid.x], ...),
-    uninterpreted per-thread local-frame bases, havoc variables
-    introduced at loop cutpoints, and versioned initial-memory loads.
+    holds in the interpreters' value model, together with a
+    statically-known float tag (the [F]/[I] boxing of {!Gpusim.Value}).
+    Terms range over kernel parameters, the launch specials ([%tid.x],
+    [%ctaid.x], ...), uninterpreted per-thread local-frame bases, havoc
+    variables introduced at loop cutpoints, and versioned initial-memory
+    loads.
 
     Tags are static by construction: registers carry the float tag of
     their declared class, parameters that of their declared type, and a

@@ -44,7 +44,7 @@ let trial_budget = 1_000_000
 let exec runner launch =
   let max_warp_instrs = trial_budget in
   match runner with
-  | Run_kernel _ -> Gpusim.Refinterp.run ~max_warp_instrs launch
+  | Run_kernel _ -> Gpusim.Emulator.run ~max_warp_instrs launch
   | Run_machine m -> Machine.Exec.run ~max_warp_instrs m launch
 
 (* Observable result: written, non-zero global words below the

@@ -15,11 +15,12 @@ val run :
     {!Interp}; its counters belong to the caller. [record] captures
     each issued warp instruction's (pc, active mask, lane addresses)
     into an empty trace created for this launch (with [sanitize] unset:
-    a suppressed lane would leave the trace short of an address). Once
-    more than [max_warp_instrs] (default: unbounded) warp instructions
-    have run, the pass stops where it is: memory is left part-way and
-    [record] holds a truncated trace, which no replay can finish within
-    a cycle budget that issues at most [max_warp_instrs] instructions.
+    a suppressed lane would leave the trace short of an address).
+    @raise Simt.Over_budget once more than [max_warp_instrs] (default:
+    unbounded) warp instructions have issued, leaving memory part-way
+    and [record] holding a truncated trace, which no replay can finish
+    within a cycle budget that issues at most [max_warp_instrs]
+    instructions.
     @raise Failure on barrier deadlock or divergent return. *)
 
 val run_to_memory : Launch.t -> Memory.t

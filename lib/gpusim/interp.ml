@@ -27,9 +27,10 @@
    [step] touches only preallocated state; the returned [exec] blocks
    are preallocated per pc at predecode time.
 
-   Semantics are defined by {!Refinterp} (the original boxed
-   interpreter); the differential tests keep the two in lockstep
-   agreement, instruction by instruction and over random kernels. *)
+   Semantics are defined by the reference interpreter in [test/support]
+   (the original boxed interpreter); the differential tests keep the two
+   in lockstep agreement, instruction by instruction and over random
+   kernels. *)
 
 type launch_ctx = Simt.launch_ctx =
   { image : Image.t
@@ -277,10 +278,10 @@ let[@inline] record_addr w lane a =
 (* The lane addresses [base + off] of an access of [width] bytes go into
    the address buffer, local ones remapped into the interleaved layout;
    returns the lanes that access. Those are the lanes of [mask], less
-   any the armed sanitizer suppresses. Its probes mirror {!Refinterp}:
-   shared addresses are checked as they are, local ones on the naive
-   offset into the thread's own frame (before {!Image.remap_local}
-   could fault). *)
+   any the armed sanitizer suppresses. Its probes mirror the reference
+   interpreter's: shared addresses are checked as they are, local ones
+   on the naive offset into the thread's own frame (before
+   {!Image.remap_local} could fault). *)
 let addresses w ~pc ~mask ~space ~width base off =
   let n = w.nlanes in
   let bo = src w 0 mask base in
@@ -436,7 +437,8 @@ let step w =
        fill w o (mask land lnot t) 0.0;
        write_back w ~ty:Ptx.Types.Pred ~dty ~dst mask
      | Dcode.DSelp { ty; dst; dty; a; b; p } ->
-       (* only the selected operand is evaluated, as in Refinterp *)
+       (* only the selected operand is evaluated, as in the reference
+          interpreter *)
        let t =
          Value.true_lanes ~fmask:(Array.unsafe_get w.ftag p) ~mask ~n rf (p * n)
        in

@@ -11,8 +11,9 @@
     image: flat per-warp register files of raw bit patterns, an array
     reconvergence stack and a reusable lane-address scratch buffer, so
     the steady-state [step] allocates nothing. Semantics are defined by
-    {!Refinterp} (the original boxed interpreter), with differential
-    property tests keeping the two in lockstep agreement.
+    the reference interpreter in [test/support] (the original boxed
+    interpreter), with differential property tests keeping the two in
+    lockstep agreement.
 
     {!Emulator} drives it: that functional pass records the traces
     the cycle-level simulator ({!Sm}) replays, and serves as the

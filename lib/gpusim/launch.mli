@@ -2,11 +2,12 @@
 
     Historically each front-end spelled the same launch differently —
     [Sm.launch], [Gpu.launch], the emulator's record plus a separate
-    memory argument, and labelled-argument tuples on [Refinterp.run] /
-    [Profile.run] / [Trace.warp_trace]. This module is the single
-    spelling: kernel, geometry, parameters and the global memory image,
-    with [warp_size] defaulted to 32 and the TLP knob carried along for
-    the timing layer (functional front-ends ignore it). *)
+    memory argument, and labelled-argument tuples on the reference
+    interpreter's [run] / [Profile.run] / [Trace.warp_trace]. This
+    module is the single spelling: kernel, geometry, parameters and the
+    global memory image, with [warp_size] defaulted to 32 and the TLP
+    knob carried along for the timing layer (functional front-ends
+    ignore it). *)
 
 type t =
   { kernel : Ptx.Kernel.t

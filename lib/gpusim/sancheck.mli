@@ -5,9 +5,10 @@
     shared/local/param access of a kernel as proven-safe, proven-OOB or
     unprovable, and compiles the result into a mask of per-pc {!claim}s
     over the kernel's flat instruction indices. The interpreters
-    ({!Refinterp}, {!Interp}, [Machine.Exec]) consult the mask on every
-    shared and local lane access: accesses whose pc carries a
-    [Proven_safe] claim pay nothing beyond the lookup (the static proof
+    ({!Interp}, [Machine.Exec] and the reference interpreter in
+    [test/support]) consult the mask on every shared and local lane
+    access: accesses whose pc carries a [Proven_safe] claim pay nothing
+    beyond the lookup (the static proof
     {e discharges} the dynamic check), while [Residual] and
     [Proven_oob] pcs pay a bounds test per lane. A failing test is
     recorded in the {!counters} (per-pc, with a first-violation

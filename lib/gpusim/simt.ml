@@ -1,8 +1,8 @@
-(* Boxed SIMT control shared by the reference interpreter (Refinterp)
-   and the machine-ISA executor (Machine.Exec): per-warp reconvergence
-   stacks, the divergent-branch split, thread geometry, the lane-memory
-   path with its sanitizer probes, and the barrier-quantum block
-   scheduler. The clients supply only instruction semantics over their
+(* Boxed SIMT control shared by the reference interpreter in
+   test/support and the machine-ISA executor (Machine.Exec): per-warp
+   reconvergence stacks, the divergent-branch split, thread geometry,
+   the lane-memory path with its sanitizer probes, and the
+   barrier-quantum block scheduler. The clients supply only instruction semantics over their
    own register files. *)
 
 type launch_ctx =

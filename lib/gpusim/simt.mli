@@ -1,5 +1,5 @@
-(** Boxed SIMT control, shared by the reference interpreter
-    ({!Refinterp}) and the machine-ISA executor ([Machine.Exec]).
+(** Boxed SIMT control, shared by the reference interpreter in
+    [test/support] and the machine-ISA executor ([Machine.Exec]).
 
     A warp carries a reconvergence stack of [(next pc, join pc, mask)]
     entries whose join points come from the image's post-dominator
@@ -7,8 +7,8 @@
     registers, the lane-memory path with its sanitizer probes, and the
     barrier-quantum block scheduler. A client supplies only instruction
     semantics over its own register file ['rf]. {!Interp} keeps its own
-    array-stack implementation, so {!Interp} vs {!Refinterp} stays an
-    independent differential oracle. *)
+    array-stack implementation, so {!Interp} vs the reference
+    interpreter stays an independent differential oracle. *)
 
 type launch_ctx =
   { image : Image.t
@@ -98,6 +98,8 @@ val run_block : is_done:('w -> bool) -> warps:'w list -> step:('w -> outcome) ->
     @raise Failure if warps remain that can make no progress. *)
 
 exception Over_budget
+(** A bounded driver ({!Emulator.run}, [Machine.Exec.run]) ran past its
+    warp-instruction bound, leaving memory part-way. *)
 
 val budget : int option -> ('w -> outcome) -> 'w -> outcome
 (** [budget (Some n) step] is [step] counting the warp instructions it

@@ -619,9 +619,11 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
       let tr = match record with Some tr -> tr | None -> Replay.create l in
       (* more instructions than [max_cycles] can issue: the replay
          below is bound to hit the limit, so stop recording *)
-      Emulator.run ~record:tr
-        ~max_warp_instrs:((max_cycles + 1) * cfg.Config.num_schedulers)
-        l;
+      (try
+         Emulator.run ~record:tr
+           ~max_warp_instrs:((max_cycles + 1) * cfg.Config.num_schedulers)
+           l
+       with Simt.Over_budget -> ());
       tr
   in
   let shared = make_shared cfg in

@@ -1,6 +1,6 @@
 (* Executor for the machine ISA. The SIMT control — reconvergence
-   stacks, lane memory, barrier scheduling —
-   is Gpusim.Simt's, shared with Gpusim.Refinterp, so any behavioural
+   stacks, lane memory, barrier scheduling — is Gpusim.Simt's, shared
+   with the reference interpreter in test/support, so any behavioural
    difference between the two executors is attributable to the
    register-file model. *)
 

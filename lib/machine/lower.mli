@@ -17,10 +17,10 @@
 
     Because the mapping is a bijection on storage locations and the
     translation is 1:1, the machine program and the allocated PTX
-    kernel are isomorphic — {!Exec} matches {!Gpusim.Refinterp}
-    bit-for-bit (the differential test), which is what lets the timing
-    simulator keep running the PTX form while the study sweeps
-    machine-backend allocations. *)
+    kernel are isomorphic — {!Exec} matches the reference interpreter
+    in [test/support] bit-for-bit (the differential test), which is what
+    lets the timing simulator keep running the PTX form while the study
+    sweeps machine-backend allocations. *)
 
 type t =
   { name : string

@@ -92,7 +92,8 @@ let check (k : Kernel.t) =
      | Instr.Oimm _ -> ()
      | Instr.Ofimm _ | Instr.Ospecial _ ->
        err ~instr "V106" (Printf.sprintf "%s: invalid address base operand" what));
-    (* space legality mirrors Gpusim.Refinterp's runtime rejections *)
+    (* space legality mirrors the runtime rejections of the reference
+       interpreter in test/support *)
     match space with
     | Types.Param ->
       (match addr.Instr.base with

@@ -23,6 +23,7 @@ module A = Absint.Analysis
 module Dom = Absint.Dom
 module Itv = Absint.Dom.Itv
 module Trip = Absint.Trip
+module Refinterp = Testsupport.Refinterp
 
 let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
@@ -131,17 +132,17 @@ let out_base = 0x2000_0000L
 let soundness_params = [ ("inp", inp_base); ("out", out_base); ("n", 1024L) ]
 
 let check_warp_state an w =
-  match Gpusim.Refinterp.peek w with
+  match Refinterp.peek w with
   | None -> ()
   | Some ins ->
-    let pc = Gpusim.Refinterp.pc w in
-    let mask = Gpusim.Refinterp.active_mask w in
-    let ctaid = (Gpusim.Refinterp.block_of w).Gpusim.Refinterp.ctaid in
-    let warp_base = Gpusim.Refinterp.warp_id w * 32 in
+    let pc = Refinterp.pc w in
+    let mask = Refinterp.active_mask w in
+    let ctaid = (Refinterp.block_of w).Refinterp.ctaid in
+    let warp_base = Refinterp.warp_id w * 32 in
     List.iter
       (fun r ->
          let dv = A.value_at an pc r in
-         let values = Gpusim.Refinterp.read_reg_values w r in
+         let values = Refinterp.read_reg_values w r in
          let seen = ref None in
          Array.iteri
            (fun lane v ->
@@ -190,7 +191,7 @@ let run_checked k =
     (Workloads.Data.uniform_f32 ~seed:5 1024);
   let image = Gpusim.Image.prepare k in
   let lctx =
-    { Gpusim.Refinterp.image
+    { Refinterp.image
     ; global = mem
     ; params =
         [ ("inp", Gpusim.Value.I inp_base)
@@ -202,14 +203,14 @@ let run_checked k =
     }
   in
   for ctaid = 0 to num_blocks - 1 do
-    let _block, warps = Gpusim.Refinterp.make_block lctx ~ctaid ~warp_size:32 in
+    let _block, warps = Refinterp.make_block lctx ~ctaid ~warp_size:32 in
     List.iter
       (fun w ->
          (* generated kernels are barrier-free: run each warp to
             completion, checking the claimed state before every step *)
-         while not (Gpusim.Refinterp.is_done w) do
+         while not (Refinterp.is_done w) do
            check_warp_state an w;
-           ignore (Gpusim.Refinterp.step w)
+           ignore (Refinterp.step w)
          done)
       warps
   done
@@ -258,7 +259,7 @@ let run_sanitized k =
       mem
   in
   let ref_rt = Gpusim.Sancheck.runtime mask in
-  Gpusim.Refinterp.run ~sanitize:ref_rt (launch ());
+  Refinterp.run ~sanitize:ref_rt (launch ());
   let fast_rt = Gpusim.Sancheck.runtime mask in
   Gpusim.Emulator.run ~sanitize:fast_rt (launch ());
   List.iter

@@ -142,11 +142,15 @@ let prop_no_witness_when_equal =
         ~params_ty:k.Ptx.Kernel.params ~seeds:[] ()
       = None)
 
-(* A pair whose static match fails and whose right side never ends on
-   any input: the bounded witness search gives up, so the verdict is
-   unknown, and it says so within a second. *)
+(* Pairs whose static match fails and whose right side never ends on
+   any input, spinning after its store or before it: the bounded
+   witness search gives up, so the verdict is unknown, and it says so
+   within a second. A side that spins before its store must not count
+   its unwritten memory as an outcome: that would refute the pair with
+   a false witness. *)
 let test_endless_side_unknown () =
-  let kernel loop =
+  let kernel ~spin_before ~spin_after =
+    let spin = "SPIN:\n  bra SPIN;\n" in
     Ptx.Parser.parse_kernel_exn
       (Printf.sprintf
          {|.entry spin (
@@ -157,18 +161,27 @@ let test_endless_side_unknown () =
   .reg .u64 %%d0;
   mov.u32 %%r0, 1;
   ld.param.u64 %%d0, [out];
-  st.global.u32 [%%d0], %%r0;
+%s  st.global.u32 [%%d0], %%r0;
 %s  ret;
 }|}
-         (if loop then "SPIN:\n  bra SPIN;\n" else ""))
+         (if spin_before then spin else "")
+         (if spin_after then spin else ""))
   in
-  let t0 = Unix.gettimeofday () in
-  let o = Check.check_opt ~block_size:64 ~left:(kernel false) ~right:(kernel true) () in
-  let dt = Unix.gettimeofday () -. t0 in
-  (match o.Check.verdict with
-   | Check.Unknown _ -> ()
-   | _ -> Alcotest.failf "expected unknown, got %s" (Format.asprintf "%a" Check.pp_outcome o));
-  if dt > 1. then Alcotest.failf "the verdict took %.2f s" dt
+  let left = kernel ~spin_before:false ~spin_after:false in
+  List.iter
+    (fun (name, right) ->
+       let t0 = Unix.gettimeofday () in
+       let o = Check.check_opt ~block_size:64 ~left ~right () in
+       let dt = Unix.gettimeofday () -. t0 in
+       (match o.Check.verdict with
+        | Check.Unknown _ -> ()
+        | _ ->
+          Alcotest.failf "%s: expected unknown, got %s" name
+            (Format.asprintf "%a" Check.pp_outcome o));
+       if dt > 1. then Alcotest.failf "%s: the verdict took %.2f s" name dt)
+    [ ("spin after the store", kernel ~spin_before:false ~spin_after:true)
+    ; ("spin before the store", kernel ~spin_before:true ~spin_after:false)
+    ]
 
 (* ---------- intfold default and the pipeline gate ---------- *)
 

@@ -1,7 +1,7 @@
 (* Differential tests for the allocation-free fast path:
 
    - random kernels stepped through {!Gpusim.Interp} (predecoded,
-     unboxed) and {!Gpusim.Refinterp} (the original boxed interpreter)
+     unboxed) and {!Testsupport.Refinterp} (the original boxed interpreter)
      in lockstep, requiring bit-identical control flow, lane addresses,
      register contents (value bits AND float tags) and final memory;
    - the paged {!Gpusim.Memory} against the old Hashtbl store as a
@@ -9,6 +9,7 @@
      huge) and every scalar type. *)
 
 module G = Gpusim
+module Refinterp = Testsupport.Refinterp
 
 let value_eq a b =
   Int64.equal (G.Value.to_bits a) (G.Value.to_bits b)
@@ -31,22 +32,22 @@ let lane_addrs_match wf (lane_addrs : (int * int64) list) =
        lane_addrs
        (List.init n Fun.id)
 
-let exec_matches wf (f : G.Interp.exec) (r : G.Refinterp.exec) =
+let exec_matches wf (f : G.Interp.exec) (r : Refinterp.exec) =
   match (f, r) with
-  | G.Interp.E_alu c, G.Refinterp.E_alu c' -> c = c'
+  | G.Interp.E_alu c, Refinterp.E_alu c' -> c = c'
   | ( G.Interp.E_mem { space; write; width }
-    , G.Refinterp.E_mem { space = s'; write = w'; width = wd'; lane_addrs } ) ->
+    , Refinterp.E_mem { space = s'; write = w'; width = wd'; lane_addrs } ) ->
     Ptx.Types.equal_space space s' && write = w' && width = wd'
     && lane_addrs_match wf lane_addrs
-  | G.Interp.E_barrier, G.Refinterp.E_barrier -> true
-  | G.Interp.E_exit, G.Refinterp.E_exit -> true
+  | G.Interp.E_barrier, Refinterp.E_barrier -> true
+  | G.Interp.E_exit, Refinterp.E_exit -> true
   | _ -> false
 
 let regs_match regs wf wr =
   List.for_all
     (fun r ->
        let vf = G.Interp.read_reg_values wf r in
-       let vr = G.Refinterp.read_reg_values wr r in
+       let vr = Refinterp.read_reg_values wr r in
        Array.length vf = Array.length vr
        && Array.for_all2 value_eq vf vr)
     regs
@@ -69,13 +70,13 @@ let prop_lockstep =
         { G.Interp.image; global = mem_f; params; block_size = 64; num_blocks = 2 ; san = None}
       in
       let lctx_r =
-        { G.Refinterp.image; global = mem_r; params; block_size = 64
+        { Refinterp.image; global = mem_r; params; block_size = 64
         ; num_blocks = 2 ; san = None}
       in
       let regs = kernel_regs k in
       for ctaid = 0 to 1 do
         let _, warps_f = G.Interp.make_block lctx_f ~ctaid ~warp_size:32 in
-        let _, warps_r = G.Refinterp.make_block lctx_r ~ctaid ~warp_size:32 in
+        let _, warps_r = Refinterp.make_block lctx_r ~ctaid ~warp_size:32 in
         let pairs = List.combine warps_f warps_r in
         let budget = ref 2_000_000 in
         let live = ref true in
@@ -86,14 +87,14 @@ let prop_lockstep =
                if not (G.Interp.is_done wf) then begin
                  live := true;
                  decr budget;
-                 if G.Refinterp.is_done wr then
+                 if Refinterp.is_done wr then
                    QCheck.Test.fail_report "reference warp finished early";
-                 if G.Interp.pc wf <> G.Refinterp.pc wr then
+                 if G.Interp.pc wf <> Refinterp.pc wr then
                    QCheck.Test.fail_report "pc diverged";
-                 if G.Interp.active_mask wf <> G.Refinterp.active_mask wr then
+                 if G.Interp.active_mask wf <> Refinterp.active_mask wr then
                    QCheck.Test.fail_report "active mask diverged";
                  let ef = G.Interp.step wf in
-                 let er = G.Refinterp.step wr in
+                 let er = Refinterp.step wr in
                  if not (exec_matches wf ef er) then
                    QCheck.Test.fail_report "exec/lane addresses diverged"
                end)
@@ -102,7 +103,7 @@ let prop_lockstep =
         done;
         List.iter
           (fun (wf, wr) ->
-             if not (G.Refinterp.is_done wr) then
+             if not (Refinterp.is_done wr) then
                QCheck.Test.fail_report "fast warp finished early";
              if not (regs_match regs wf wr) then
                QCheck.Test.fail_report "register file diverged")
@@ -126,7 +127,7 @@ let prop_ref_vs_sm =
         ; ("n", G.Value.of_int 1024)
         ]
       in
-      G.Refinterp.run
+      Refinterp.run
         (G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:2 ~params mem_r);
       let _ =
         G.Sm.run G.Config.fermi
@@ -550,15 +551,15 @@ let run_case c =
     ; num_blocks = 1; san = san_f }
   in
   let lctx_r =
-    { G.Refinterp.image; global = mem_r; params = c.params; block_size = lanes
+    { Refinterp.image; global = mem_r; params = c.params; block_size = lanes
     ; num_blocks = 1; san = san_r }
   in
   let bf, warps_f = G.Interp.make_block lctx_f ~ctaid:0 ~warp_size:lanes in
-  let br, warps_r = G.Refinterp.make_block lctx_r ~ctaid:0 ~warp_size:lanes in
+  let br, warps_r = Refinterp.make_block lctx_r ~ctaid:0 ~warp_size:lanes in
   List.iter
     (fun (a, ty, v) ->
        G.Memory.write bf.G.Interp.shared a ty v;
-       G.Memory.write br.G.Refinterp.shared a ty v)
+       G.Memory.write br.Refinterp.shared a ty v)
     c.shared_fill;
   let wf = List.hd warps_f and wr = List.hd warps_r in
   let raised f = match f () with x -> Ok x | exception (Invalid_argument _ | Failure _) -> Error () in
@@ -566,14 +567,14 @@ let run_case c =
      instruction aborts the launch, so its partial effects are moot) *)
   let rec loop budget =
     if budget = 0 then `Bad "step budget blown"
-    else if G.Interp.is_done wf || G.Refinterp.is_done wr then
-      if G.Interp.is_done wf && G.Refinterp.is_done wr then `Done
+    else if G.Interp.is_done wf || Refinterp.is_done wr then
+      if G.Interp.is_done wf && Refinterp.is_done wr then `Done
       else `Bad "one warp finished early"
-    else if G.Interp.pc wf <> G.Refinterp.pc wr then `Bad "pc diverged"
-    else if G.Interp.active_mask wf <> G.Refinterp.active_mask wr then
+    else if G.Interp.pc wf <> Refinterp.pc wr then `Bad "pc diverged"
+    else if G.Interp.active_mask wf <> Refinterp.active_mask wr then
       `Bad "active mask diverged"
     else
-      match (raised (fun () -> G.Interp.step wf), raised (fun () -> G.Refinterp.step wr)) with
+      match (raised (fun () -> G.Interp.step wf), raised (fun () -> Refinterp.step wr)) with
       | Error (), Error () -> `Raised
       | Ok _, Error () -> `Bad "only the reference raised"
       | Error (), Ok _ -> `Bad "only the fast path raised"
@@ -608,7 +609,7 @@ let run_case c =
       List.filter_map
         (fun r ->
            let vf = G.Interp.read_reg_values wf r in
-           let vr = G.Refinterp.read_reg_values wr r in
+           let vr = Refinterp.read_reg_values wr r in
            if Array.for_all2 value_eq vf vr then None
            else
              Some
@@ -620,7 +621,7 @@ let run_case c =
       Some (String.concat "\n" ("register bits or float tags diverged" :: reg_diffs))
     else if G.Memory.digest mem_f <> G.Memory.digest mem_r then
       Some "global memory diverged"
-    else if G.Memory.digest bf.G.Interp.shared <> G.Memory.digest br.G.Refinterp.shared
+    else if G.Memory.digest bf.G.Interp.shared <> G.Memory.digest br.Refinterp.shared
     then Some "shared memory diverged"
     else
       match (san_f, san_r) with

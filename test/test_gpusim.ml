@@ -459,7 +459,7 @@ let test_barrier_every_scheduler () =
          (fun (client, f) ->
             check (name (client ^ " matches Emulator")) true
               (G.Memory.equal expected (run f)))
-         [ ("Refinterp", fun l -> G.Refinterp.run l)
+         [ ("Refinterp", fun l -> Testsupport.Refinterp.run l)
          ; ("Machine.Exec", Machine.Exec.run m)
          ; ("Sm", fun l -> ignore (G.Sm.run fermi l))
          ];
@@ -618,8 +618,8 @@ let test_cycle_limit_raised () =
   with G.Sm.Cycle_limit _ -> ()
 
 (* A kernel that never exits: the functional pass in front of the
-   timing model must stop on its own, and both drivers must report the
-   cycle limit rather than hang. *)
+   timing model must stop on its own and say so, and both drivers must
+   report the cycle limit rather than hang. *)
 let test_cycle_limit_on_endless_kernel () =
   let b = B.create "spin" in
   let r = B.mov b T.U32 (B.imm 0) in
@@ -631,6 +631,9 @@ let test_cycle_limit_on_endless_kernel () =
     G.Launch.make ~kernel:(B.finish b) ~block_size:64 ~num_blocks:2 ~tlp_limit:2
       (G.Memory.create ())
   in
+  (match G.Emulator.run ~max_warp_instrs:1000 (launch ()) with
+   | () -> Alcotest.fail "Emulator.run must raise Over_budget"
+   | exception G.Simt.Over_budget -> ());
   (match G.Sm.run ~max_cycles:1000 fermi (launch ()) with
    | _ -> Alcotest.fail "Sm.run must raise Cycle_limit"
    | exception G.Sm.Cycle_limit st ->

@@ -135,7 +135,7 @@ let test_workload_differential () =
          Workloads.App.launch a ~kernel:alloc.A.kernel ~input ()
        in
        let lref = launch () and lmach = launch () in
-       Gpusim.Refinterp.run lref;
+       Testsupport.Refinterp.run lref;
        Machine.Exec.run m lmach;
        check (abbr ^ ": machine execution matches Refinterp") true
          (Gpusim.Memory.equal lref.Gpusim.Launch.memory
@@ -175,7 +175,7 @@ let differential_random =
         f launch;
         mem
       in
-      Gpusim.Memory.equal (run Gpusim.Refinterp.run) (run (Machine.Exec.run m)))
+      Gpusim.Memory.equal (run Testsupport.Refinterp.run) (run (Machine.Exec.run m)))
 
 (* Random kernels also all pass the auditor at a tight, spill-inducing
    limit. *)

@@ -4,6 +4,7 @@
    trace store must key launches correctly. *)
 
 module G = Gpusim
+module Refinterp = Testsupport.Refinterp
 
 let fermi = G.Config.fermi
 let check = Alcotest.(check bool)
@@ -23,25 +24,25 @@ let refinterp_steps (l : G.Launch.t) : steps =
   in
   Array.init l.G.Launch.num_blocks (fun ctaid ->
     let _, warps =
-      G.Refinterp.make_block lctx ~ctaid ~warp_size:l.G.Launch.warp_size
+      Refinterp.make_block lctx ~ctaid ~warp_size:l.G.Launch.warp_size
     in
     let log = Array.make (List.length warps) [] in
-    G.Simt.run_block ~is_done:G.Refinterp.is_done ~warps ~step:(fun w ->
+    G.Simt.run_block ~is_done:Refinterp.is_done ~warps ~step:(fun w ->
       (* [peek] settles the pc first; [None] past the end of the code *)
-      let issues = G.Refinterp.peek w <> None in
-      let pc = G.Refinterp.pc w and mask = G.Refinterp.active_mask w in
-      let exec = G.Refinterp.step w in
+      let issues = Refinterp.peek w <> None in
+      let pc = Refinterp.pc w and mask = Refinterp.active_mask w in
+      let exec = Refinterp.step w in
       let addrs =
         match exec with
-        | G.Refinterp.E_mem { lane_addrs; _ } -> List.map snd lane_addrs
-        | G.Refinterp.E_alu _ | G.Refinterp.E_barrier | G.Refinterp.E_exit -> []
+        | Refinterp.E_mem { lane_addrs; _ } -> List.map snd lane_addrs
+        | Refinterp.E_alu _ | Refinterp.E_barrier | Refinterp.E_exit -> []
       in
-      let wid = G.Refinterp.warp_id w in
+      let wid = Refinterp.warp_id w in
       if issues then log.(wid) <- (pc, mask, addrs) :: log.(wid);
       match exec with
-      | G.Refinterp.E_barrier -> G.Simt.Barrier
-      | G.Refinterp.E_exit -> G.Simt.Exit
-      | G.Refinterp.E_alu _ | G.Refinterp.E_mem _ -> G.Simt.Step);
+      | Refinterp.E_barrier -> G.Simt.Barrier
+      | Refinterp.E_exit -> G.Simt.Exit
+      | Refinterp.E_alu _ | Refinterp.E_mem _ -> G.Simt.Step);
     Array.map List.rev log)
 
 (* the recorder: Emulator.run ~record, read back through cursors *)

@@ -1,13 +1,16 @@
 (* Tests for the hybrid memory-safety sanitizer: the S-code clinic
    kernel renders stably against a golden file, the whole workload
    suite proves clean at every compiler stage with a high discharge
-   rate, the sanitized suite replay observes no violation, and the
-   corpus' data-dependent out-of-bounds store — unprovable statically —
-   is caught dynamically at its exact pc. *)
+   rate, the sanitized suite replay observes no violation, the
+   emulator's per-pc sanitizer counters equal the reference
+   interpreter's on every workload build, and the corpus'
+   data-dependent out-of-bounds store — unprovable statically — is
+   caught dynamically at its exact pc by both. *)
 
 module D = Verify.Diagnostic
 module San = Verify.Sanitize
 module Sancheck = Gpusim.Sancheck
+module App = Workloads.App
 
 let r id ty = Ptx.Reg.make id ty
 let i x = Ptx.Kernel.I x
@@ -155,6 +158,64 @@ let test_suite_validate () =
            (String.concat "; " fs))
     Workloads.Suite.all
 
+(* ---------- the emulator against the reference interpreter ---------- *)
+
+(* the interpreter [Crat.Sanitize.validate] runs, and its oracle *)
+let emulator rt l = Gpusim.Emulator.run ~sanitize:rt l
+let reference rt l = Testsupport.Refinterp.run ~sanitize:rt l
+
+(* Block 0 of every workload's default input, unallocated and at r20
+   with a 512 B and an 8 KB spare (the latter moves spills into the
+   shared sub-stack), each under its own forced mask so every lane
+   access pays a probe: the emulator, which [Crat.Sanitize.validate]
+   runs, and the reference interpreter must count the same lanes seen,
+   checked and violating, and the same first violation, at every pc. *)
+let test_counters_match_reference () =
+  List.iter
+    (fun (app : App.t) ->
+       let input = { (App.default_input app) with App.num_blocks = 1 } in
+       let block_size = app.App.block_size in
+       let alloc spare =
+         (Regalloc.Allocator.allocate ~shared_policy:(`Spare spare) ~block_size
+            ~reg_limit:20 (App.kernel app))
+           .Regalloc.Allocator.kernel
+       in
+       List.iter
+         (fun (label, kernel) ->
+            let mask =
+              San.mask ~force:true
+                (San.sanitize_kernel ~block_size ~num_blocks:1
+                   ~params:(App.int_params app input) kernel)
+            in
+            let counts run =
+              let rt = Sancheck.runtime mask in
+              run rt (App.launch app ~kernel ~input ());
+              List.map
+                (fun (pc, (s : Sancheck.stat)) ->
+                   ( pc
+                   , ( s.Sancheck.seen, s.Sancheck.checked
+                     , s.Sancheck.violations, s.Sancheck.first ) ))
+                (Sancheck.stats rt.Sancheck.counters)
+            in
+            let fast = counts emulator and reference = counts reference in
+            if fast <> reference then
+              let only a b =
+                List.filter (fun e -> not (List.mem e b)) a
+                |> List.map (fun (pc, (seen, checked, violations, _)) ->
+                  Printf.sprintf "pc %d %d/%d/%d" pc seen checked violations)
+                |> String.concat "; "
+              in
+              Alcotest.failf
+                "%s %s: per-pc sanitizer counters differ (seen/checked/\
+                 violating or the first violation): emulator [%s], \
+                 reference [%s]"
+                app.App.abbr label (only fast reference) (only reference fast))
+         [ ("default", App.kernel app)
+         ; ("r20 spare 512", alloc 512)
+         ; ("r20 spare 8192", alloc 8192)
+         ])
+    Workloads.Suite.all
+
 (* ---------- dynamic catch of the unprovable corpus store ---------- *)
 
 let test_dynamic_catch () =
@@ -175,19 +236,25 @@ let test_dynamic_catch () =
     | Some { D.instr = Some pc; _ } -> pc
     | _ -> Alcotest.fail "no located S403 diagnostic on the corpus kernel"
   in
-  let rt = Sancheck.runtime (San.mask report) in
-  Gpusim.Refinterp.run ~sanitize:rt
-    (Gpusim.Launch.make ~kernel:k ~block_size:64 ~num_blocks:1
-       ~params:[ ("idx", Gpusim.Value.of_int 100) ]
-       (Gpusim.Memory.create ()));
-  let c = rt.Sancheck.counters in
-  Alcotest.(check bool) "violations recorded" true (Sancheck.violations c > 0);
-  match Sancheck.first_violation c with
-  | None -> Alcotest.fail "no violation witness"
-  | Some v ->
-    Alcotest.(check int) "caught at the S403 pc" s403_pc v.Sancheck.v_pc;
-    (* idx=100 words = byte offset 400, well past the 32B array *)
-    Alcotest.(check int64) "witness offset" 400L v.Sancheck.v_addr
+  List.iter
+    (fun (name, run) ->
+       let rt = Sancheck.runtime (San.mask report) in
+       run rt
+         (Gpusim.Launch.make ~kernel:k ~block_size:64 ~num_blocks:1
+            ~params:[ ("idx", Gpusim.Value.of_int 100) ]
+            (Gpusim.Memory.create ()));
+       let c = rt.Sancheck.counters in
+       Alcotest.(check bool) (name ^ ": violations recorded") true
+         (Sancheck.violations c > 0);
+       match Sancheck.first_violation c with
+       | None -> Alcotest.failf "%s: no violation witness" name
+       | Some v ->
+         Alcotest.(check int) (name ^ ": caught at the S403 pc") s403_pc
+           v.Sancheck.v_pc;
+         (* idx=100 words = byte offset 400, well past the 32B array *)
+         Alcotest.(check int64) (name ^ ": witness offset") 400L
+           v.Sancheck.v_addr)
+    [ ("emulator", emulator); ("reference", reference) ]
 
 let () =
   Alcotest.run "sanitize"
@@ -201,6 +268,8 @@ let () =
             `Slow test_suite_sweep
         ; Alcotest.test_case "sanitized replay sees no violation" `Slow
             test_suite_validate
+        ; Alcotest.test_case "emulator counters match the reference" `Slow
+            test_counters_match_reference
         ] )
     ; ( "dynamic"
       , [ Alcotest.test_case "unprovable store caught at its pc" `Quick
