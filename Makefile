@@ -56,21 +56,22 @@ bench:
 
 # the figure gate: every experiment, with the verify gate armed, must
 # print FIGURES.txt on stdout (host time and the overhead table go to
-# stderr); then the fig13 determinism diff: a serial replayed run and a
-# 2-job cold run must print identical figures; then fig13 under the
-# machine register-file backend; last, every line quoted in a figures
-# fence of EXPERIMENTS.md must be a line of FIGURES.txt
-FIG13 = dune exec bench/main.exe -- --only fig13 --fast
+# stderr); then the fig13 determinism diff: a serial cold run must print
+# exactly the fig13 block of that 2-job replayed run; then fig13 under
+# the machine register-file backend against FIGURES-machine.txt; last,
+# every line quoted in a figures fence of EXPERIMENTS.md must be a line
+# of FIGURES.txt
+BENCH = dune exec bench/main.exe --
 
 bench-smoke:
-	CRAT_VERIFY=1 dune exec bench/main.exe -- --jobs 2 > figures.txt
+	CRAT_VERIFY=1 $(BENCH) --jobs 2 > figures.txt
 	diff FIGURES.txt figures.txt
-	rm -f figures.txt
-	$(FIG13) --jobs 1 > fig13-jobs1.txt
-	$(FIG13) --jobs 2 --no-replay > fig13-jobs2-cold.txt
-	diff fig13-jobs1.txt fig13-jobs2-cold.txt
-	rm -f fig13-jobs1.txt fig13-jobs2-cold.txt
-	$(FIG13) --backend machine
+	awk '/^====/ { f = /^==== fig13:/ } f' figures.txt > fig13-replayed.txt
+	$(BENCH) --only fig13 --jobs 1 --no-replay > fig13-cold.txt
+	diff fig13-replayed.txt fig13-cold.txt
+	$(BENCH) --only fig13 --fast --backend machine > fig13-machine.txt
+	diff FIGURES-machine.txt fig13-machine.txt
+	rm -f figures.txt fig13-replayed.txt fig13-cold.txt fig13-machine.txt
 	awk '/^```figures$$/ { q = 1; next } /^```$$/ { q = 0 } q' EXPERIMENTS.md \
 	  | grep -vxF -f FIGURES.txt; test $$? = 1
 
