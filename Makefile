@@ -40,16 +40,19 @@ sanitize:
 equiv:
 	dune exec bin/crat_cli.exe -- equiv --all --corpus --out equiv-report.txt
 
-# run each example program on its default app; a non-zero exit fails the
-# target (the examples call the allocator and the engine directly, so this
-# keeps them working as the library's API moves)
+# run each example program on its default app; a non-zero exit, or stdout
+# that differs from EXAMPLES.txt, fails the target (the examples call the
+# allocator, the emulator and the engine directly, so this keeps both
+# their API use and their printed answers pinned as the library moves)
 EXAMPLES = quickstart design_space_explorer spill_tuning custom_kernel multi_sm
 
 examples:
 	dune build $(foreach e,$(EXAMPLES),examples/$(e).exe)
 	set -e; for e in $(EXAMPLES); do \
-	  echo "== examples/$$e"; ./_build/default/examples/$$e.exe > /dev/null; \
-	done
+	  echo "== examples/$$e" >&2; ./_build/default/examples/$$e.exe; \
+	done > examples.txt
+	diff EXAMPLES.txt examples.txt
+	rm -f examples.txt
 
 bench:
 	dune exec bench/main.exe
