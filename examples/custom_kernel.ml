@@ -52,15 +52,17 @@ let run_kernel kernel =
   let mem = Gpusim.Memory.create () in
   Gpusim.Memory.write_f32_array mem ~base:0x1000_0000L
     (Array.init 1024 (fun i -> float_of_int (i mod 10)));
-  Gpusim.Emulator.run
-    (Gpusim.Launch.make ~kernel ~block_size:64 ~num_blocks:2
-       ~params:
-         [ ("inp", Gpusim.Value.I 0x1000_0000L)
-         ; ("out", Gpusim.Value.I 0x2000_0000L)
-         ; ("n", Gpusim.Value.of_int 1024)
-         ]
-       mem);
-  Gpusim.Memory.read_f32_array mem ~base:0x2000_0000L 128
+  let final =
+    Gpusim.Emulator.run
+      (Gpusim.Launch.make ~kernel ~block_size:64 ~num_blocks:2
+         ~params:
+           [ ("inp", Gpusim.Value.I 0x1000_0000L)
+           ; ("out", Gpusim.Value.I 0x2000_0000L)
+           ; ("n", Gpusim.Value.of_int 1024)
+           ]
+         mem)
+  in
+  Gpusim.Memory.read_f32_array final ~base:0x2000_0000L 128
 
 let () =
   let kernel = Ptx.Parser.parse_kernel_exn source in

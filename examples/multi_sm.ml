@@ -31,15 +31,10 @@ let () =
   List.iter
     (fun sms ->
        let grid = sms * input.Workloads.App.num_blocks in
-       let big_input = { input with Workloads.App.num_blocks = grid } in
-       let mem = Workloads.App.memory app big_input in
        let r =
          Gpusim.Gpu.run ~sms cfg
-           (Gpusim.Launch.make ~kernel
-              ~block_size:app.Workloads.App.block_size ~num_blocks:grid
-              ~tlp_limit:2
-              ~params:(Workloads.App.params app big_input)
-              mem)
+           (Workloads.App.launch app ~kernel ~tlp:2
+              ~input:{ input with Workloads.App.num_blocks = grid } ())
        in
        Format.printf "%5d %10d %9.2f %10d %12d@." sms r.Gpusim.Gpu.total_cycles
          (Gpusim.Gpu.aggregate_ipc r) r.Gpusim.Gpu.l2.Gpusim.Cache.reads

@@ -20,9 +20,6 @@ type t =
   ; traces : Gpusim.Replay.t Memo.t
   ; allocs : Regalloc.Allocator.t Memo.t
   ; resources : Resource.t Memo.t  (** in memory only; see {!resource} *)
-  ; mutable launch_keys : (Gpusim.Launch.t * string) list
-      (** physical-identity memo for {!launch_key}: sweep drivers reuse
-          one launch record across many (config, tlp) points *)
   ; mutable sim_runs : int
   ; mutable sim_hits : int
   ; mutable dedup_hits : int
@@ -45,7 +42,6 @@ let create ?(jobs = 1) ?(replay = true) ?(trace_budget = 1 lsl 25) ?store () =
         ?store:(persist "trace") ()
   ; allocs = Memo.create ?store:(persist "alloc") ()
   ; resources = Memo.create ()
-  ; launch_keys = []
   ; sim_runs = 0
   ; sim_hits = 0
   ; dedup_hits = 0
@@ -70,29 +66,29 @@ let digest s = Digest.to_hex (Digest.string s)
    through [kernel_digest] *)
 let model_epoch = "5a15d1eb738764ade30cbe7a8f4a446c"
 
-let kernel_digest k = digest (model_epoch ^ Ptx.Printer.kernel_to_string k)
-
-(* [kernel_digest] of each app's shared SSA kernel, computed once.
-   [Workloads.App.kernel] returns one physical kernel per descriptor and
-   never collects it, so the table is keyed by identity. *)
-module Shared_kernels = Hashtbl.Make (struct
+(* Each kernel's digest, computed once per physical kernel: the shared
+   SSA kernels and every allocated one, which the allocation memo hands
+   out as one physical kernel per key. Ephemerons, so the table keeps no
+   kernel alive. *)
+module Kernel_digests = Ephemeron.K1.Make (struct
   type t = Ptx.Kernel.t
 
   let equal = ( == )
-  let hash (k : t) = Hashtbl.hash k.Ptx.Kernel.name
+  let hash (k : t) = Hashtbl.hash (k.Ptx.Kernel.name, Array.length k.Ptx.Kernel.body)
 end)
 
-let ssa_digests = Shared_kernels.create 32
-let ssa_digests_lock = Mutex.create ()
+let kernel_digests = Kernel_digests.create 64
+let kernel_digests_lock = Mutex.create ()
 
-let app_kernel_digest app =
-  let k = Workloads.App.kernel app in
-  match Mutex.protect ssa_digests_lock (fun () -> Shared_kernels.find_opt ssa_digests k) with
-  | Some d -> (k, d)
+let kernel_digest k =
+  match
+    Mutex.protect kernel_digests_lock (fun () -> Kernel_digests.find_opt kernel_digests k)
+  with
+  | Some d -> d
   | None ->
-    let d = kernel_digest k in
-    Mutex.protect ssa_digests_lock (fun () -> Shared_kernels.replace ssa_digests k d);
-    (k, d)
+    let d = digest (model_epoch ^ Ptx.Printer.kernel_to_string k) in
+    Mutex.protect kernel_digests_lock (fun () -> Kernel_digests.replace kernel_digests k d);
+    d
 
 (* pinned by test_regalloc; every allocation key folds it in *)
 let alloc_epoch = "f7ee6d9102bc82c60f683d84c296d17a"
@@ -103,19 +99,10 @@ let data_digest v = digest (Marshal.to_string v [])
 
 (* The launch's trace key: kernel image, geometry, params and canonical
    initial-memory digest — no Config.t, no TLP (see Replay.launch_key).
-   Memoized on the physical launch record: the engine never mutates a
-   submitted launch's memory (cold runs execute on a copy), so the key
-   stays valid for the record's lifetime. *)
-let launch_key t (l : Gpusim.Launch.t) =
-  match locked t (fun () -> List.assq_opt l t.launch_keys) with
-  | Some k -> k
-  | None ->
-    let kd = kernel_digest l.Gpusim.Launch.kernel in
-    let k = Gpusim.Replay.launch_key ~kernel_digest:kd l in
-    locked t (fun () ->
-      let kept = if List.length t.launch_keys >= 512 then [] else t.launch_keys in
-      t.launch_keys <- (l, k) :: kept);
-    k
+   Both digests are cached (the kernel's above, a shared input image's
+   by [Memory.freeze]), so only geometry and parameters are hashed. *)
+let launch_key (_ : t) (l : Gpusim.Launch.t) =
+  Gpusim.Replay.launch_key ~kernel_digest:(kernel_digest l.Gpusim.Launch.kernel) l
 
 let sim_key t (l : Gpusim.Launch.t) cfg ~tlp =
   digest
@@ -202,7 +189,8 @@ let map t f xs = Array.to_list (pmap t f (Array.of_list xs))
 let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
     ?(backend = Machine.Backend.Ptx) ?(shared_spare = 0)
     (app : Workloads.App.t) ~reg_limit =
-  let kernel, kernel_digest = app_kernel_digest app in
+  let kernel = Workloads.App.kernel app in
+  let kernel_digest = kernel_digest kernel in
   let block_size = app.Workloads.App.block_size in
   let key =
     alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit ~kernel_digest
@@ -247,15 +235,7 @@ type point =
   ; mutable published : bool  (** its statistics are published *)
   }
 
-(* The engine must not mutate a submitted launch (its memory backs the
-   content key), so every functional execution runs on a copy. *)
-let cold_launch (p : point) =
-  { p.launch with
-    Gpusim.Launch.memory = Gpusim.Memory.copy p.launch.Gpusim.Launch.memory
-  ; tlp_limit = p.tlp
-  }
-
-let exec_cold p = Gpusim.Sm.run p.cfg (cold_launch p)
+let exec_cold p = Gpusim.Sm.run p.cfg (Gpusim.Launch.with_tlp p.launch p.tlp)
 
 (* A cold run records its trace in its functional pass before timing
    it; keep the trace, and publish it only after a successful run (a
@@ -264,14 +244,13 @@ let exec_cold p = Gpusim.Sm.run p.cfg (cold_launch p)
    makes "record each launch once ever" hold across processes. *)
 let exec_record t p =
   let tr = Gpusim.Replay.create p.launch in
-  let st = Gpusim.Sm.run ~record:tr p.cfg (cold_launch p) in
+  let st = Gpusim.Sm.run ~record:tr p.cfg (Gpusim.Launch.with_tlp p.launch p.tlp) in
   Gpusim.Replay.finish tr;
   Memo.publish t.traces p.lkey tr;
   locked t (fun () -> t.trace_records <- t.trace_records + 1);
   st
 
-(* Replay leaves the launch memory untouched, so no copy is needed. A
-   trace another caller is still recording is waited for; one missing
+(* A trace another caller is still recording is waited for; one missing
    from memory (evicted, or over the budget) is refetched from the
    persistent store, and only a launch absent from both runs cold. *)
 let exec_replay t p =
@@ -416,7 +395,6 @@ let reset t =
   Memo.clear t.allocs;
   Memo.clear t.resources;
   locked t (fun () ->
-    t.launch_keys <- [];
     t.sim_runs <- 0;
     t.sim_hits <- 0;
     t.dedup_hits <- 0;

@@ -100,9 +100,10 @@ val sim_key : t -> Gpusim.Launch.t -> Gpusim.Config.t -> tlp:int -> string
 
 val launch_key : t -> Gpusim.Launch.t -> string
 (** The trace-memo key: like {!sim_key} but with no configuration and
-    no TLP — all timing points of one launch share it. Memoized on the
-    physical launch record; the engine never mutates a submitted
-    launch. *)
+    no TLP — all timing points of one launch share it. It hashes the
+    geometry and parameters with two cached digests: the kernel's,
+    computed once per physical kernel, and the memory image's, which a
+    frozen image ({!Workloads.App.memory}) carries. *)
 
 val allocate :
   t

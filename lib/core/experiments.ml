@@ -721,16 +721,10 @@ let gpu_scaling engine cfg (app : Workloads.App.t) ~tlp =
     (Engine.map engine
        (fun sms ->
           let grid = sms * input.Workloads.App.num_blocks in
-          let mem = Workloads.App.memory app { input with Workloads.App.num_blocks = grid } in
           let r =
             Gpusim.Gpu.run ~sms cfg
-              (Gpusim.Launch.make ~kernel
-                 ~block_size:app.Workloads.App.block_size ~num_blocks:grid
-                 ~tlp_limit:tlp
-                 ~params:
-                   (Workloads.App.params app
-                      { input with Workloads.App.num_blocks = grid })
-                 mem)
+              (Workloads.App.launch app ~kernel ~tlp
+                 ~input:{ input with Workloads.App.num_blocks = grid } ())
           in
           Figure.[ Int sms; Int r.Gpusim.Gpu.total_cycles; Float (Gpusim.Gpu.aggregate_ipc r, 2) ])
        [ 1; 2; 4; 8; 15 ])

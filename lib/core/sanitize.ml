@@ -38,10 +38,11 @@ let validate ?(cfg = Gpusim.Config.fermi) ?input (app : App.t) =
       ~num_blocks:input.App.num_blocks ~params:(App.int_params app input) kernel
   in
   let rt = Sancheck.runtime (San.mask report) in
-  Gpusim.Emulator.run ~sanitize:rt
-    (Gpusim.Launch.make ~warp_size:cfg.Gpusim.Config.warp_size ~kernel
-       ~block_size:app.App.block_size ~num_blocks:input.App.num_blocks ~params
-       (App.memory app input));
+  ignore
+    (Gpusim.Emulator.run ~sanitize:rt
+       (Gpusim.Launch.make ~warp_size:cfg.Gpusim.Config.warp_size ~kernel
+          ~block_size:app.App.block_size ~num_blocks:input.App.num_blocks ~params
+          (App.memory app input)));
   let failures = ref [] in
   let fail fmt = Printf.ksprintf (fun s -> failures := s :: !failures) fmt in
   List.iter

@@ -31,5 +31,6 @@ type dynamic =
 
 val validate :
   ?cfg:Gpusim.Config.t -> ?input:Workloads.App.input -> Workloads.App.t -> dynamic
-(** Execute the app's launch with the sanitizer armed, on a fresh memory
-    image, through {!Gpusim.Emulator.run}, and return its counters. *)
+(** Execute the app's launch with the sanitizer armed, on a copy of
+    the input's shared image, through {!Gpusim.Emulator.run}, and
+    return its counters. *)

@@ -36,26 +36,27 @@ let of_launch (cfg : Gpusim.Config.t) (launch : Gpusim.Launch.t) =
       cur := 0
     end
   in
-  let budget = ref 2_000_000 in
-  while (not (Gpusim.Interp.is_done w)) && !budget > 0 do
-    decr budget;
-    match Gpusim.Interp.step w with
-    | Gpusim.Interp.E_alu cls -> cur := !cur + Gpusim.Config.latency cfg cls
-    | Gpusim.Interp.E_barrier -> cur := !cur + cfg.Gpusim.Config.alu_latency
-    | Gpusim.Interp.E_exit -> ()
-    | Gpusim.Interp.E_mem { space = Ptx.Types.Shared; _ } ->
-      cur := !cur + cfg.Gpusim.Config.shared_latency
-    | Gpusim.Interp.E_mem _ ->
-      Gpusim.Coalescer.load sc (Gpusim.Interp.mem_addrs w) 0
-        (Gpusim.Interp.mem_count w);
-      let n = Gpusim.Coalescer.segments sc in
-      for j = 0 to n - 1 do
-        Hashtbl.replace lines (Gpusim.Coalescer.segment sc j) ()
-      done;
-      total_refs := !total_refs + n;
-      flush ();
-      segments := Mem n :: !segments
-  done;
+  let step =
+    Gpusim.Simt.budget (Some 2_000_000) (fun w ->
+      (match Gpusim.Interp.step w with
+       | Gpusim.Interp.E_alu cls -> cur := !cur + Gpusim.Config.latency cfg cls
+       | Gpusim.Interp.E_barrier -> cur := !cur + cfg.Gpusim.Config.alu_latency
+       | Gpusim.Interp.E_exit -> ()
+       | Gpusim.Interp.E_mem { space = Ptx.Types.Shared; _ } ->
+         cur := !cur + cfg.Gpusim.Config.shared_latency
+       | Gpusim.Interp.E_mem _ ->
+         Gpusim.Coalescer.load sc (Gpusim.Interp.mem_addrs w) 0
+           (Gpusim.Interp.mem_count w);
+         let n = Gpusim.Coalescer.segments sc in
+         for j = 0 to n - 1 do
+           Hashtbl.replace lines (Gpusim.Coalescer.segment sc j) ()
+         done;
+         total_refs := !total_refs + n;
+         flush ();
+         segments := Mem n :: !segments);
+      Gpusim.Simt.Step)
+  in
+  while not (Gpusim.Interp.is_done w) do ignore (step w) done;
   flush ();
   let distinct = Hashtbl.length lines in
   let reuse =

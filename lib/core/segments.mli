@@ -22,12 +22,14 @@ type trace =
 val of_launch : Gpusim.Config.t -> Gpusim.Launch.t -> trace
 (** Trace warp 0 of block 0 of a launch. Barriers are ignored (a single
     warp cannot synchronise); shared-memory accesses are folded into
-    computation segments at the shared-memory latency. The launch's
-    memory is mutated by the warp's stores. *)
+    computation segments at the shared-memory latency. The warp runs
+    on a copy of the launch's memory.
+    @raise Gpusim.Simt.Over_budget instead of running the warp's
+    instruction 2_000_001 ({!Gpusim.Simt.budget}'s rule). *)
 
 val trace : Gpusim.Config.t -> Workloads.App.t -> Workloads.App.input -> trace
-(** {!of_launch} on the app's launch of [input], with a memory image
-    that holds block 0's input region only; equal to the trace of the
-    full-grid launch. *)
+(** {!of_launch} on the app's launch of [input], with the shared memory
+    image of a one-block grid, which holds block 0's input region only;
+    equal to the trace of the full-grid launch. *)
 
 val pp : Format.formatter -> trace -> unit

@@ -67,7 +67,7 @@ let run_side runner ~block_size ~num_blocks ~params mem =
       ~num_blocks mem
   in
   match exec runner launch with
-  | () -> Ok (final_words mem)
+  | final -> Ok (final_words final)
   | exception Gpusim.Simt.Over_budget ->
     (* not an outcome of this input: the search stops *)
     raise Gpusim.Simt.Over_budget
@@ -90,15 +90,12 @@ let diff_words l r =
   go l r
 
 let try_input ~left ~right ~block_size ~num_blocks ~params ~mem_words =
-  let mem_of () =
-    let m = Gpusim.Memory.create () in
-    List.iter (fun (a, bits) -> Gpusim.Memory.store_bits m a ~isf:false bits)
-      mem_words;
-    m
-  in
+  let mem = Gpusim.Memory.create () in
+  List.iter (fun (a, bits) -> Gpusim.Memory.store_bits mem a ~isf:false bits)
+    mem_words;
   match
-    ( run_side left ~block_size ~num_blocks ~params (mem_of ())
-    , run_side right ~block_size ~num_blocks ~params (mem_of ()) )
+    ( run_side left ~block_size ~num_blocks ~params mem
+    , run_side right ~block_size ~num_blocks ~params mem )
   with
   | Ok wl, Ok wr -> diff_words wl wr
   | _ -> None (* a raising execution is not a semantic divergence *)

@@ -19,10 +19,10 @@ let run ?sanitize ?record ?(max_warp_instrs = max_int) (l : Launch.t) =
       Interp.make_block lctx ~ctaid ~warp_size:l.Launch.warp_size
     in
     Simt.run_block ~is_done:Interp.is_done ~warps ~step:(fun w ->
-      if !issued > max_warp_instrs then raise Simt.Over_budget;
       (* a warp that runs off the end of its code finishes without
          issuing an instruction *)
       let pc = Interp.fetch w in
+      if pc >= 0 && !issued >= max_warp_instrs then raise Simt.Over_budget;
       let mask = Interp.active_mask w in
       let exec = Interp.step w in
       if pc >= 0 then begin
@@ -37,9 +37,5 @@ let run ?sanitize ?record ?(max_warp_instrs = max_int) (l : Launch.t) =
       | Interp.E_barrier -> Simt.Barrier
       | Interp.E_exit -> Simt.Exit
       | Interp.E_alu _ | Interp.E_mem _ -> Simt.Step)
-  done
-
-let run_to_memory (l : Launch.t) =
-  let m = Memory.copy l.Launch.memory in
-  run { l with Launch.memory = m };
-  m
+  done;
+  lctx.Simt.global

@@ -11,13 +11,10 @@ let run ?sms ?(max_cycles = 40_000_000) ?scheduler (cfg : Config.t)
     (l : Launch.t) =
   let n_sms = Option.value ~default:cfg.Config.num_sms sms in
   let trace = Replay.create l in
-  (* past what [max_cycles] can issue the replay below hits the limit,
-     so the truncated trace is all it needs *)
-  (try
-     Emulator.run ~record:trace
-       ~max_warp_instrs:((max_cycles + 1) * cfg.Config.num_schedulers * n_sms)
-       l
-   with Simt.Over_budget -> ());
+  (* one instruction past what [max_cycles] can issue, the replay below
+     hits the limit, so the truncated trace is all it needs *)
+  let max_warp_instrs = ((max_cycles + 1) * cfg.Config.num_schedulers * n_sms) + 1 in
+  (try ignore (Emulator.run ~record:trace ~max_warp_instrs l) with Simt.Over_budget -> ());
   let shared = Sm.make_shared cfg in
   let next = ref 0 in
   let next_block () =

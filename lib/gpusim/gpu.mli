@@ -28,10 +28,10 @@ val run :
   -> Config.t
   -> Launch.t
   -> result
-(** Simulate [sms] SMs (default: the configuration's [num_sms]),
-    mutating the launch's global memory. Blocks are dispatched globally
-    in id order as slots free up; the launch's [tlp_limit] bounds
-    concurrent blocks per SM. As in {!Sm.run}, a kernel that never
+(** Simulate [sms] SMs (default: the configuration's [num_sms]) on
+    the trace {!Emulator.run} records; the launch is not written.
+    Blocks are dispatched globally in id order as slots free up; the
+    launch's [tlp_limit] bounds concurrent blocks per SM. As in {!Sm.run}, a kernel that never
     exits still ends in {!Cycle_limit}.
     @raise Cycle_limit when [max_cycles] (default 40_000_000) elapses.
     @raise Failure on barrier deadlock or divergent return. *)

@@ -15,7 +15,9 @@ type t =
   ; num_blocks : int  (** grid size (total thread blocks) *)
   ; tlp_limit : int  (** concurrent blocks per SM (the TLP knob) *)
   ; params : (string * Value.t) list
-  ; memory : Memory.t  (** global memory, mutated in place by execution *)
+  ; memory : Memory.t
+      (** the initial global memory; never written: each execution runs
+          on its own copy ({!Simt.launch_ctx}) *)
   ; warp_size : int
   }
 

@@ -10,7 +10,8 @@
    observable only through predicate reads, see {!Value}). A one-entry
    page cache makes streaming access a couple of array ops. Unaligned
    or out-of-range addresses — absent from every shipped workload —
-   fall back to a boxed side table with identical semantics. *)
+   fall back to a boxed side table with identical semantics. A frozen
+   image's reads leave the page cache alone, so domains can share it. *)
 
 let page_bits = 10
 let page_slots = 1 lsl page_bits
@@ -27,18 +28,25 @@ type t = {
   mutable last_idx : int;
   mutable last_page : page;
   mutable count : int; (* distinct written locations *)
+  mutable frozen : Digest.t option; (* [Some d]: read-only, with digest [d] *)
 }
 
 let new_page () =
   { vals = Array.make page_slots 0.0; meta = Bytes.make page_slots '\000' }
 
+(* every absent page reads as this one; it is never written *)
+let empty_page = new_page ()
+
 let create () =
   { pages = Hashtbl.create 64
   ; side = Hashtbl.create 16
   ; last_idx = -1
-  ; last_page = new_page () (* dummy; never indexed (-1 can't match) *)
+  ; last_page = empty_page (* never indexed (-1 can't match) *)
   ; count = 0
+  ; frozen = None
   }
+
+let writable t = if Option.is_some t.frozen then invalid_arg "Memory: frozen image"
 
 (* fits in the page table: non-negative, below 2^62 (so the word index
    fits an OCaml int) and 4-byte aligned *)
@@ -47,26 +55,30 @@ let[@inline] in_range addr =
 
 let[@inline] word_of addr = Int64.to_int (Int64.shift_right_logical addr 2)
 
-(* whether page [idx] exists; if it does, it becomes the cached page *)
+(* page [idx], or [empty_page] when it does not exist; an existing page
+   of a writable image becomes the cached page *)
 let find_page t idx =
   match Hashtbl.find t.pages idx with
   | p ->
-    t.last_idx <- idx;
-    t.last_page <- p;
-    true
-  | exception Not_found -> false
+    if Option.is_none t.frozen then begin
+      t.last_idx <- idx;
+      t.last_page <- p
+    end;
+    p
+  | exception Not_found -> empty_page
 
-let[@inline] has_page t idx = idx = t.last_idx || find_page t idx
+let[@inline] page_of t idx =
+  if idx = t.last_idx then t.last_page else find_page t idx
 
 let get_page t idx =
-  if has_page t idx then t.last_page
-  else begin
+  match page_of t idx with
+  | p when p != empty_page -> p
+  | _ ->
     let p = new_page () in
     Hashtbl.replace t.pages idx p;
     t.last_idx <- idx;
     t.last_page <- p;
     p
-  end
 
 (* The per-address code below is [@inline] so the warp-wide loops keep
    addresses and values unboxed; only the side table boxes. *)
@@ -90,17 +102,16 @@ let side_store t addr ~isf bits =
 let[@inline] load_raw t addr =
   if in_range addr then begin
     let word = word_of addr in
-    if has_page t (word lsr page_bits) then
-      Array.unsafe_get t.last_page.vals (word land slot_mask)
-    else 0.0
+    Array.unsafe_get (page_of t (word lsr page_bits)).vals (word land slot_mask)
   end
   else Int64.float_of_bits (side_bits t addr)
 
 let[@inline] load_isf t addr =
   if in_range addr then begin
     let word = word_of addr in
-    has_page t (word lsr page_bits)
-    && Bytes.get_uint8 t.last_page.meta (word land slot_mask) land 2 <> 0
+    Bytes.get_uint8 (page_of t (word lsr page_bits)).meta (word land slot_mask)
+    land 2
+    <> 0
   end
   else side_isf t addr
 
@@ -117,7 +128,9 @@ let[@inline] store_raw t addr ~isf x =
   else side_store t addr ~isf (Int64.bits_of_float x)
 
 let load_bits t addr = Int64.bits_of_float (load_raw t addr)
-let store_bits t addr ~isf bits = store_raw t addr ~isf (Int64.float_of_bits bits)
+let store_bits t addr ~isf bits =
+  writable t;
+  store_raw t addr ~isf (Int64.float_of_bits bits)
 
 let load_lanes t ~addrs ~lanes ~n d doff =
   let fmask = ref 0 in
@@ -130,6 +143,7 @@ let load_lanes t ~addrs ~lanes ~n d doff =
   !fmask
 
 let store_lanes t ~isf ~addrs ~lanes ~n s soff =
+  writable t;
   for k = 0 to n - 1 do
     let lane = Array.unsafe_get lanes k in
     store_raw t
@@ -158,8 +172,9 @@ let copy t =
   { pages
   ; side = Hashtbl.copy t.side
   ; last_idx = -1
-  ; last_page = new_page ()
+  ; last_page = empty_page
   ; count = t.count
+  ; frozen = None
   }
 
 let value_at p slot =
@@ -202,7 +217,7 @@ let equal a b =
    unwritten ones, so they must not perturb the digest. The boxed side
    table (disjoint address range) is appended in sorted address order
    under the same filter. *)
-let digest t =
+let compute_digest t =
   let b = Buffer.create 4096 in
   let add_entry addr bits isf =
     Buffer.add_int64_le b addr;
@@ -234,6 +249,13 @@ let digest t =
        if bits <> 0L || isf then add_entry addr bits isf)
     side;
   Digest.string (Buffer.contents b)
+
+let digest t =
+  match t.frozen with
+  | Some d -> d
+  | None -> compute_digest t
+
+let freeze t = if Option.is_none t.frozen then t.frozen <- Some (compute_digest t)
 
 let write_f32_array t ~base xs =
   Array.iteri

@@ -8,6 +8,13 @@ val create : unit -> t
 val read : t -> int64 -> Ptx.Types.scalar -> Value.t
 val write : t -> int64 -> Ptx.Types.scalar -> Value.t -> unit
 val copy : t -> t
+(** A writable copy (also of a frozen image); the copy caches no digest. *)
+
+val freeze : t -> unit
+(** Make the image read-only for good: every writer raises
+    [Invalid_argument] from now on, {!digest} returns the digest
+    computed here, and domains may share it. *)
+
 val size : t -> int
 (** Number of distinct locations written. *)
 
@@ -21,7 +28,7 @@ val digest : t -> Digest.t
 (** Canonical content fingerprint: two memories that read back
     identically digest identically, regardless of page-table layout,
     insertion order or written-zero slots. Keys the trace-replay
-    launch store. *)
+    launch store; a frozen image's is computed once, by {!freeze}. *)
 
 (** {2 Raw accessors}
 

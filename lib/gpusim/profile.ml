@@ -53,7 +53,7 @@ let record_branch t c pc mask =
 
 let run ?(line = 128) ?(banks = 32) (l : Launch.t) =
   let tr = Replay.create l in
-  Emulator.run ~record:tr l;
+  ignore (Emulator.run ~record:tr l);
   let code = (Replay.image tr).Image.code.Dcode.code in
   let t = { mem_tbl = Hashtbl.create 64; branch_tbl = Hashtbl.create 16 } in
   let sc = Coalescer.create ~lanes:l.Launch.warp_size ~line ~banks in

@@ -34,8 +34,9 @@ type branch_stat =
 type t
 
 val run : ?line:int -> ?banks:int -> Launch.t -> t
-(** Record the launch (mutating its global memory in place) and
-    collect the counters. Geometry defaults match {!Config.fermi}. *)
+(** Record the launch through {!Emulator.run} (which leaves the
+    launch's memory alone) and collect the counters. Geometry defaults
+    match {!Config.fermi}. *)
 
 val mems : t -> (int * mem_stat) list
 (** Per-pc memory counters, ascending by pc. *)

@@ -16,7 +16,7 @@ type launch_ctx =
 
 let launch_ctx ?sanitize ~image (l : Launch.t) =
   { image
-  ; global = l.Launch.memory
+  ; global = Memory.copy l.Launch.memory
   ; params = l.Launch.params
   ; block_size = l.Launch.block_size
   ; num_blocks = l.Launch.num_blocks

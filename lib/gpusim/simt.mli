@@ -12,7 +12,7 @@
 
 type launch_ctx =
   { image : Image.t
-  ; global : Memory.t
+  ; global : Memory.t  (** this execution's global memory *)
   ; params : (string * Value.t) list
   ; block_size : int
   ; num_blocks : int
@@ -22,7 +22,9 @@ type launch_ctx =
   }
 
 val launch_ctx : ?sanitize:Sancheck.runtime -> image:Image.t -> Launch.t -> launch_ctx
-(** The launch's memory, parameters and geometry, executing [image]. *)
+(** The launch's parameters and geometry, executing [image] on a
+    private copy of the launch's memory: every executor turns a launch
+    into execution state here, so no execution writes a launch. *)
 
 type block_ctx =
   { launch : launch_ctx
@@ -98,10 +100,11 @@ val run_block : is_done:('w -> bool) -> warps:'w list -> step:('w -> outcome) ->
     @raise Failure if warps remain that can make no progress. *)
 
 exception Over_budget
-(** A bounded driver ({!Emulator.run}, [Machine.Exec.run]) ran past its
-    warp-instruction bound, leaving memory part-way. *)
+(** A bounded driver ({!Emulator.run}, [Machine.Exec.run],
+    [Crat.Segments.of_launch]) reached its warp-instruction bound. *)
 
 val budget : int option -> ('w -> outcome) -> 'w -> outcome
 (** [budget (Some n) step] is [step] counting the warp instructions it
     runs, across every block it steps: the one after the [n]th raises
-    {!Over_budget} instead. [budget None step] is [step]. *)
+    {!Over_budget} instead, so exactly [n] run. Every bounded driver
+    follows this rule. [budget None step] is [step]. *)

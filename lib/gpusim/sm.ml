@@ -617,13 +617,10 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
     | None, Some tr -> tr
     | record, None ->
       let tr = match record with Some tr -> tr | None -> Replay.create l in
-      (* more instructions than [max_cycles] can issue: the replay
+      (* one instruction more than [max_cycles] can issue: the replay
          below is bound to hit the limit, so stop recording *)
-      (try
-         Emulator.run ~record:tr
-           ~max_warp_instrs:((max_cycles + 1) * cfg.Config.num_schedulers)
-           l
-       with Simt.Over_budget -> ());
+      let max_warp_instrs = ((max_cycles + 1) * cfg.Config.num_schedulers) + 1 in
+      (try ignore (Emulator.run ~record:tr ~max_warp_instrs l) with Simt.Over_budget -> ());
       tr
   in
   let shared = make_shared cfg in

@@ -102,9 +102,9 @@ val run :
   -> Stats.t
 (** Single-SM convenience: private memory hierarchy, sequential block
     ids [0 .. num_blocks-1]; the launch's [tlp_limit] bounds concurrent
-    blocks. With [replay], that finished trace is timed and global
-    memory is left untouched. Otherwise the launch first executes
-    functionally (mutating its memory) into [record] — an empty trace
+    blocks. The launch's memory is never written. With [replay], that
+    finished trace is timed. Otherwise the launch first executes
+    functionally ({!Emulator.run}) into [record] — an empty trace
     for the launch, or a fresh one — which is then timed. The pass stops
     once it has recorded more warp instructions than [max_cycles] can
     issue, so a kernel that never exits still ends in {!Cycle_limit}.

@@ -167,4 +167,5 @@ let run ?max_warp_instrs (prog : Lower.t) (l : Gpusim.Launch.t) =
       S.make_block lctx ~ctaid ~warp_size:l.Gpusim.Launch.warp_size regs
     in
     S.run_block ~is_done:S.is_done ~warps ~step
-  done
+  done;
+  lctx.S.global

@@ -17,10 +17,12 @@
     code. Geometry, parameters and memory come from the launch, so the
     same {!Gpusim.Launch.t} drives both executors. *)
 
-val run : ?max_warp_instrs:int -> Lower.t -> Gpusim.Launch.t -> unit
-(** Execute every block to completion, mutating the launch's memory —
-    the machine-ISA counterpart of the reference interpreter's [run].
+val run : ?max_warp_instrs:int -> Lower.t -> Gpusim.Launch.t -> Gpusim.Memory.t
+(** Execute every block to completion on a copy of the launch's memory
+    and return that memory — the machine-ISA counterpart of
+    {!Gpusim.Emulator.run}; the launch is not written.
     @raise Failure on a divergent [EXIT] or a barrier deadlock, like
     the reference interpreter.
-    @raise Gpusim.Simt.Over_budget after [max_warp_instrs] (default:
-    unbounded) warp instructions. *)
+    @raise Gpusim.Simt.Over_budget instead of issuing warp instruction
+    [max_warp_instrs + 1] (default: unbounded), {!Gpusim.Simt.budget}'s
+    rule. *)

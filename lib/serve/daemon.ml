@@ -22,9 +22,6 @@ type t =
   ; store : Store.t option
   ; sweep : (kind:string -> apps:string list -> (string * bool) option) option
   ; lock : Mutex.t
-  ; records : Gpusim.Launch.t Crat.Memo.t
-      (* one physical launch record per "abbr|regs": keeps the engine's
-         physical-identity launch-key memo hot across requests *)
   ; mutable listen_fd : Unix.file_descr option
   ; socket_path : string
   ; started : float
@@ -52,8 +49,7 @@ let find_app abbr =
 
 (* (launch, config, tlp) of one protocol point. Allocation and the
    default TLP's resource analysis go through the engine's memos; the
-   launch record is memoized so repeated requests share one physical
-   record. *)
+   launch shares the app's input image, whose digest is cached. *)
 let resolve t (p : Protocol.point) =
   let app = find_app p.Protocol.abbr in
   let regs =
@@ -65,13 +61,10 @@ let resolve t (p : Protocol.point) =
      raise (Bad_request (Printf.sprintf "tlp %d < 1" tlp))
    | _ -> ());
   let cfg = config_of_kepler p.Protocol.kepler in
-  let launch, _ =
-    Crat.Memo.get_or_compute t.records
-      (Printf.sprintf "%s|%d" p.Protocol.abbr regs)
-      (fun () ->
-         let a = Crat.Engine.allocate t.engine app ~reg_limit:regs in
-         Workloads.App.launch app ~kernel:a.Regalloc.Allocator.kernel
-           ~input:(Workloads.App.default_input app) ())
+  let a = Crat.Engine.allocate t.engine app ~reg_limit:regs in
+  let launch =
+    Workloads.App.launch app ~kernel:a.Regalloc.Allocator.kernel
+      ~input:(Workloads.App.default_input app) ()
   in
   let tlp =
     match p.Protocol.tlp with
@@ -223,7 +216,6 @@ let run ?(socket = Protocol.default_socket) ?store_dir ?budget ?(jobs = 1)
     ; store
     ; sweep
     ; lock = Mutex.create ()
-    ; records = Crat.Memo.create ()
     ; listen_fd = Some fd
     ; socket_path = socket
     ; started = Unix.gettimeofday ()

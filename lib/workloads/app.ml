@@ -39,24 +39,23 @@ let build a =
   | Reduction -> Shapes.reduction ~name ~shm_words:a.shm_words a.knobs
   | Gather -> Shapes.gather ~name a.knobs
 
-(* One kernel per distinct builder input, built on first use. Worker
-   domains share the table, so it sits behind a mutex; a kernel is built
+(* One value per distinct builder input, built on first use. Worker
+   domains share the table, so it sits behind a mutex; a value is built
    under the lock, which makes every caller of one key get the same
-   physical kernel. *)
-let kernels : (string * shape * Shapes.knobs * int, Ptx.Kernel.t) Hashtbl.t =
-  Hashtbl.create 32
+   physical value. *)
+let shared () =
+  let tbl = Hashtbl.create 32 and lock = Mutex.create () in
+  fun key build ->
+    Mutex.protect lock (fun () ->
+      match Hashtbl.find_opt tbl key with
+      | Some v -> v
+      | None ->
+        let v = build () in
+        Hashtbl.add tbl key v;
+        v)
 
-let kernels_lock = Mutex.create ()
-
-let kernel a =
-  let key = (a.kernel_name, a.shape, a.knobs, a.shm_words) in
-  Mutex.protect kernels_lock (fun () ->
-    match Hashtbl.find_opt kernels key with
-    | Some k -> k
-    | None ->
-      let k = build a in
-      Hashtbl.add kernels key k;
-      k)
+let kernels = shared ()
+let kernel a = kernels (a.kernel_name, a.shape, a.knobs, a.shm_words) (fun () -> build a)
 
 let default_input a =
   match a.inputs with
@@ -73,16 +72,22 @@ let uses_aux a =
   | Gather -> true
   | Tiled | Streaming | Stencil | Shared_tile | Reduction -> false
 
+(* keyed by exactly the fields the image reads *)
+let images = shared ()
+
 let memory a (i : input) =
-  (* +32: per-block region padding (see Shapes prologue) *)
-  let words = i.num_blocks * (i.ws_words + 32) in
-  let m = Gpusim.Memory.create () in
-  Gpusim.Memory.write_f32_array m ~base:Data.inp_base
-    (Data.uniform_f32 ~seed:i.seed words);
-  if uses_aux a then
-    Gpusim.Memory.write_u32_array m ~base:Data.aux_base
-      (Data.uniform_u32 ~seed:(i.seed + 7) ~bound:(max 1 i.ws_words) i.ws_words);
-  m
+  let aux = uses_aux a in
+  images (aux, i.num_blocks, i.ws_words, i.seed) (fun () ->
+    (* +32: per-block region padding (see Shapes prologue) *)
+    let words = i.num_blocks * (i.ws_words + 32) in
+    let m = Gpusim.Memory.create () in
+    Gpusim.Memory.write_f32_array m ~base:Data.inp_base
+      (Data.uniform_f32 ~seed:i.seed words);
+    if aux then
+      Gpusim.Memory.write_u32_array m ~base:Data.aux_base
+        (Data.uniform_u32 ~seed:(i.seed + 7) ~bound:(max 1 i.ws_words) i.ws_words);
+    Gpusim.Memory.freeze m;
+    m)
 
 let params a (i : input) =
   let base =

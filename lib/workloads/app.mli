@@ -54,7 +54,10 @@ val memory : t -> input -> Gpusim.Memory.t
     block after block, plus a gather app's index array. Each word's
     value depends only on its index and the input's seed, so the image
     of a smaller grid is the same regions as a larger grid's first
-    ones. *)
+    ones. The image is built once per distinct (gather, [num_blocks],
+    [ws_words], [seed]), frozen ({!Gpusim.Memory.freeze}, which
+    computes its digest) and shared from then on: every call with the
+    same fields, from any domain, returns the same physical image. *)
 
 val params : t -> input -> (string * Gpusim.Value.t) list
 
@@ -67,11 +70,11 @@ val shared_decl_bytes : t -> int
 
 val launch :
   t -> ?kernel:Ptx.Kernel.t -> ?tlp:int -> input:input -> unit -> Gpusim.Launch.t
-(** Build a launch with a fresh memory image. The optional [kernel]
-    substitutes an allocated kernel for the SSA one; [tlp] (default 1)
-    sets the launch's TLP limit. Calling twice with the same arguments
-    yields structurally identical launches (the memory image is a
-    deterministic function of the input). *)
+(** Build a launch on the input's shared {!memory} image. The optional
+    [kernel] substitutes an allocated kernel for the SSA one; [tlp]
+    (default 1) sets the launch's TLP limit. Calling twice with the
+    same arguments yields launches that share their kernel and memory
+    image. *)
 
 val output_words : t -> input -> int
 val pp : Format.formatter -> t -> unit

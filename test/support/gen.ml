@@ -267,8 +267,8 @@ let run_emulated ?(block_size = 64) ?(num_blocks = 2) k =
         ]
       mem
   in
-  Gpusim.Emulator.run launch;
-  Gpusim.Memory.read_f32_array mem ~base:0x2000_0000L (block_size * num_blocks)
+  Gpusim.Memory.read_f32_array (Gpusim.Emulator.run launch) ~base:0x2000_0000L
+    (block_size * num_blocks)
 
 let outputs_equal a b =
   Array.length a = Array.length b

@@ -201,4 +201,5 @@ let run ?sanitize (l : Launch.t) =
   for ctaid = 0 to l.Launch.num_blocks - 1 do
     let _block, warps = make_block lctx ~ctaid ~warp_size:l.Launch.warp_size in
     Simt.run_block ~is_done ~warps ~step:(fun w -> outcome (step w))
-  done
+  done;
+  lctx.Simt.global

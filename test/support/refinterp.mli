@@ -48,8 +48,8 @@ type exec =
 val step : warp -> exec
 val read_reg_values : warp -> Ptx.Reg.t -> Value.t array
 
-val run : ?sanitize:Sancheck.runtime -> Launch.t -> unit
+val run : ?sanitize:Sancheck.runtime -> Launch.t -> Memory.t
 (** Whole-launch execution through the reference semantics under
-    {!Gpusim.Simt.run_block}, mutating the launch's global memory in
-    place. [sanitize] arms the hybrid sanitizer; its counters are the
-    caller's to inspect afterwards. *)
+    {!Gpusim.Simt.run_block}, on a copy of the launch's global memory,
+    which it returns. [sanitize] arms the hybrid sanitizer; its
+    counters are the caller's to inspect afterwards. *)

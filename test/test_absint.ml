@@ -259,9 +259,9 @@ let run_sanitized k =
       mem
   in
   let ref_rt = Gpusim.Sancheck.runtime mask in
-  Refinterp.run ~sanitize:ref_rt (launch ());
+  ignore (Refinterp.run ~sanitize:ref_rt (launch ()));
   let fast_rt = Gpusim.Sancheck.runtime mask in
-  Gpusim.Emulator.run ~sanitize:fast_rt (launch ());
+  ignore (Gpusim.Emulator.run ~sanitize:fast_rt (launch ()));
   List.iter
     (fun (pc, (s : Gpusim.Sancheck.stat)) ->
        if s.Gpusim.Sancheck.violations > 0 then

@@ -111,32 +111,31 @@ let prop_lockstep =
       done;
       G.Memory.equal mem_f mem_r)
 
-(* whole-launch: the boxed reference semantics vs the fast path driven
-   by the timing simulator (whose scheduler interleaves warps
-   differently, so only the per-thread output buffer is compared) *)
+(* whole-launch: the boxed reference semantics vs the fast path that
+   the timing simulator's functional pass runs (the recording
+   emulator), whose trace the timing simulator then times; only the
+   per-thread output buffer is compared *)
 let prop_ref_vs_sm =
   QCheck.Test.make ~count:15 ~name:"timing sim on fast path matches reference run"
     Testsupport.Gen.arbitrary_kernel (fun k ->
-      let mem_r = G.Memory.create () in
-      G.Memory.write_f32_array mem_r ~base:0x1000_0000L
+      let mem = G.Memory.create () in
+      G.Memory.write_f32_array mem ~base:0x1000_0000L
         (Workloads.Data.uniform_f32 ~seed:7 1024);
-      let mem_f = G.Memory.copy mem_r in
       let params =
         [ ("inp", G.Value.I 0x1000_0000L)
         ; ("out", G.Value.I 0x2000_0000L)
         ; ("n", G.Value.of_int 1024)
         ]
       in
-      Refinterp.run
-        (G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:2 ~params mem_r);
-      let _ =
-        G.Sm.run G.Config.fermi
-          (G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:2 ~tlp_limit:2
-             ~params mem_f)
-      in
-      Testsupport.Gen.outputs_equal
-        (G.Memory.read_f32_array mem_r ~base:0x2000_0000L 128)
-        (G.Memory.read_f32_array mem_f ~base:0x2000_0000L 128))
+      let l = G.Launch.make ~kernel:k ~block_size:64 ~num_blocks:2 ~tlp_limit:2 ~params mem in
+      let mem_r = Refinterp.run l in
+      let tr = G.Replay.create l in
+      let mem_f = G.Emulator.run ~record:tr l in
+      G.Replay.finish tr;
+      G.Sm.run ~replay:tr G.Config.fermi l = G.Sm.run G.Config.fermi l
+      && Testsupport.Gen.outputs_equal
+           (G.Memory.read_f32_array mem_r ~base:0x2000_0000L 128)
+           (G.Memory.read_f32_array mem_f ~base:0x2000_0000L 128))
 
 (* ---------- Interp vs Refinterp, one instruction at a time ---------- *)
 
@@ -804,7 +803,7 @@ let test_record_allocation () =
          let l = launch () in
          let tr = G.Replay.create l in
          let before = Gc.minor_words () in
-         G.Emulator.run ~record:tr l;
+         ignore (G.Emulator.run ~record:tr l);
          (tr, Gc.minor_words () -. before)
        in
        ignore (record ());

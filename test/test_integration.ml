@@ -30,14 +30,9 @@ let test_crat_kernels_semantically_equal () =
        let _, plan = Crat.Baselines.crat (Crat.Engine.create ()) fermi a () in
        let chosen = plan.Crat.Optimizer.chosen in
        let run kernel =
-         let mem = Workloads.App.memory a i in
-         Gpusim.Emulator.run
-           (Gpusim.Launch.make ~kernel
-              ~block_size:a.Workloads.App.block_size
-              ~num_blocks:i.Workloads.App.num_blocks
-              ~params:(Workloads.App.params a i) mem);
-         Gpusim.Memory.read_f32_array mem ~base:Workloads.Data.out_base
-           (Workloads.App.output_words a i)
+         Gpusim.Memory.read_f32_array
+           (Gpusim.Emulator.run (Workloads.App.launch a ~kernel ~input:i ()))
+           ~base:Workloads.Data.out_base (Workloads.App.output_words a i)
        in
        let reference = run (Workloads.App.kernel a) in
        let allocated = run chosen.Crat.Optimizer.alloc.Regalloc.Allocator.kernel in

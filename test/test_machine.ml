@@ -134,12 +134,9 @@ let test_workload_differential () =
        let launch () =
          Workloads.App.launch a ~kernel:alloc.A.kernel ~input ()
        in
-       let lref = launch () and lmach = launch () in
-       Testsupport.Refinterp.run lref;
-       Machine.Exec.run m lmach;
        check (abbr ^ ": machine execution matches Refinterp") true
-         (Gpusim.Memory.equal lref.Gpusim.Launch.memory
-            lmach.Gpusim.Launch.memory))
+         (Gpusim.Memory.equal (Testsupport.Refinterp.run (launch ()))
+            (Machine.Exec.run m (launch ()))))
     [ "BLK"; "KMN"; "BFS"; "HST"; "GAU" ]
 
 (* Differential testing on random kernels (the acceptance criterion):
@@ -172,8 +169,7 @@ let differential_random =
               ]
             mem
         in
-        f launch;
-        mem
+        f launch
       in
       Gpusim.Memory.equal (run Testsupport.Refinterp.run) (run (Machine.Exec.run m)))
 

@@ -161,8 +161,8 @@ let test_suite_validate () =
 (* ---------- the emulator against the reference interpreter ---------- *)
 
 (* the interpreter [Crat.Sanitize.validate] runs, and its oracle *)
-let emulator rt l = Gpusim.Emulator.run ~sanitize:rt l
-let reference rt l = Testsupport.Refinterp.run ~sanitize:rt l
+let emulator rt l = ignore (Gpusim.Emulator.run ~sanitize:rt l)
+let reference rt l = ignore (Testsupport.Refinterp.run ~sanitize:rt l)
 
 (* Block 0 of every workload's default input, unallocated and at r20
    with a 512 B and an 8 KB spare (the latter moves spills into the
