@@ -399,6 +399,116 @@ let test_selp_pred_roundtrip () =
   let k2 = Ptx.Parser.parse_kernel_exn s in
   check_str "selp/setp round-trip" s (Ptx.Printer.kernel_to_string k2)
 
+(* ---------- printed text ---------- *)
+
+(* Every constructor and operator of the instruction syntax, with the
+   float immediates whose spelling is easiest to get wrong: negative
+   zero, subnormals, integer-valued floats, nan and the infinities. *)
+let syntax_kernel =
+  let f i = r i T.F32 and d i = r i T.F64 and u i = r i T.U32 and p i = r i T.Pred in
+  let fl x = I.Ofimm x in
+  let floats =
+    [ -0.; 0.; 4.9e-324; 1e-310; 3.; -1024.; 0.1; 1e300; nan; infinity
+    ; neg_infinity ]
+  in
+  let body =
+    List.mapi (fun i x -> I.Mov (T.F64, d i, fl x)) floats
+    @ [ I.Mov (T.U32, u 0, I.Oimm (-5L)); I.Mov (T.S64, r 1 T.S64, I.Oimm Int64.min_int) ]
+    @ List.map
+        (fun op -> I.Binop (op, T.F32, f 2, I.Oreg (f 3), fl (-0.)))
+        [ I.Add; I.Sub; I.Mul_lo; I.Div; I.Rem; I.Min; I.Max; I.And; I.Or; I.Xor
+        ; I.Shl; I.Shr ]
+    @ List.map
+        (fun op -> I.Unop (op, T.F32, f 4, fl 2.))
+        [ I.Neg; I.Not; I.Abs; I.Sqrt; I.Rcp; I.Ex2; I.Lg2 ]
+    @ List.map
+        (fun c -> I.Setp (c, T.F64, p 0, I.Oreg (d 5), fl 1e-310))
+        [ I.Eq; I.Ne; I.Lt; I.Le; I.Gt; I.Ge ]
+    @ List.map
+        (fun s -> I.Mov (T.U32, u 6, I.Ospecial s))
+        Ptx.Reg.
+          [ Tid_x; Tid_y; Ctaid_x; Ctaid_y; Ntid_x; Ntid_y; Nctaid_x; Nctaid_y
+          ; Laneid; Warpid ]
+    @ [ I.Mad (T.F32, f 7, I.Oreg (f 8), fl 0.5, fl nan)
+      ; I.Cvt (T.F64, T.F32, d 9, I.Oreg (f 7))
+      ; I.Selp (T.F32, f 10, fl infinity, fl (-3.), p 0)
+      ; I.Ld (T.Param, T.U64, r 11 T.U64, { I.base = I.Oparam "out"; offset = 0 })
+      ; I.Mov (T.U64, r 12 T.U64, I.Osym "stack")
+      ; I.Ld (T.Local, T.F32, f 13, { I.base = I.Osym "stack"; offset = 8 })
+      ; I.St (T.Shared, T.F32, { I.base = I.Oreg (u 0); offset = 0 }, fl (-0.))
+      ; I.St (T.Global, T.F64, { I.base = I.Oreg (r 11 T.U64); offset = 16 }, fl 4.9e-324)
+      ; I.Bra_pred (p 0, true, "L1")
+      ; I.Bra_pred (p 0, false, "L1")
+      ; I.Bar_sync
+      ; I.Bra "L1"
+      ]
+  in
+  { Ptx.Kernel.name = "syntax"
+  ; params = [ ("out", T.U64); ("n", T.U32) ]
+  ; decls =
+      [ { Ptx.Kernel.dname = "stack"; dspace = T.Local; delem = T.F32; dcount = 4; dalign = 4 }
+      ; { dname = "tile"; dspace = T.Shared; delem = T.U32; dcount = 64; dalign = 16 }
+      ]
+  ; body = Array.of_list (List.map (fun i -> Ptx.Kernel.I i) body @ [ Ptx.Kernel.L "L1"; I I.Ret ])
+  }
+
+(* The 22 apps as built (SSA), after the cleanup pipeline, at the
+   default-register allocation and at r20 with an 8 KB shared spare. *)
+let app_kernels () =
+  let alloc = function Ok a -> [ a.Regalloc.Allocator.kernel ] | Error _ -> [] in
+  List.concat_map
+    (fun app ->
+       let ssa, opt, dflt = Crat.Compile.stages app in
+       let _, _, r20 = Crat.Compile.stages ~shared_spare:8192 ~regs:20 app in
+       (ssa :: opt :: alloc dflt) @ alloc r20)
+    Workloads.Suite.all
+
+(* The verify and equiv corpora's kernels, both sides of each edge. *)
+let corpus_kernels () =
+  let allocation (a : Regalloc.Allocator.t) =
+    [ a.Regalloc.Allocator.virtual_kernel; a.Regalloc.Allocator.kernel ]
+  in
+  List.concat_map
+    (fun (c : Verify.Corpus.case) ->
+       match c.Verify.Corpus.subject with
+       | Verify.Corpus.Kernel k -> [ k ]
+       | Verify.Corpus.Allocation a -> allocation a)
+    (Verify.Corpus.cases ())
+  @ List.concat_map
+      (fun (c : Equiv.Corpus.case) ->
+         match c.Equiv.Corpus.subject with
+         | Equiv.Corpus.Opt_pair { left; right; _ } -> [ left; right ]
+         | Equiv.Corpus.Allocation a -> allocation a)
+      (Equiv.Corpus.cases ())
+
+(* The text of every printed kernel and of each of its instructions
+   ([Instr.to_string], the diagnostics' spelling), digested together.
+   A change to the printers must leave it alone: kernel text is what
+   every allocation and launch key digests. *)
+let printed_digest = "bb972fed8df4a2fe32086e042fec664a"
+
+let test_printed_text_pinned () =
+  let apps = app_kernels () in
+  check_int "every app build printed" (4 * List.length Workloads.Suite.all)
+    (List.length apps);
+  let b = Buffer.create (1 lsl 20) in
+  List.iter
+    (fun k ->
+       Buffer.add_string b (Ptx.Printer.kernel_to_string k);
+       List.iter
+         (fun i ->
+            let s = I.to_string i in
+            if not (String.equal s (Format.asprintf "%a" I.pp i)) then
+              Alcotest.failf "Instr.pp and Instr.to_string differ on %s" s;
+            Buffer.add_string b s;
+            Buffer.add_char b '\n')
+         (Ptx.Kernel.instrs k))
+    (apps @ corpus_kernels () @ [ syntax_kernel ]);
+  check_str
+    "printed text digest (a change meant to move the PTX spelling pins the new value here)"
+    printed_digest
+    (Digest.to_hex (Digest.string (Buffer.contents b)))
+
 (* qcheck: print/parse round-trip over random kernels *)
 let prop_roundtrip =
   QCheck.Test.make ~count:60 ~name:"printer/parser round-trip"
@@ -476,6 +586,7 @@ let () =
         ; Alcotest.test_case "multiple declarations" `Quick test_multi_decl_roundtrip
         ; Alcotest.test_case "comments and CRLF" `Quick test_parser_comments_and_crlf
         ; Alcotest.test_case "selp/setp round-trip" `Quick test_selp_pred_roundtrip
+        ; Alcotest.test_case "printed text pinned" `Quick test_printed_text_pinned
         ] )
     ; ( "properties"
       , List.map QCheck_alcotest.to_alcotest
