@@ -260,9 +260,11 @@ let simulate_cmd =
           ~block_size:app.Workloads.App.block_size ~reg_limit:regs
           (Workloads.App.kernel app))
     in
-    let r = Crat.Resource.analyze cfg app in
-    let occ = Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage_at r ~regs) in
-    let tlp = Option.value ~default:occ tlp in
+    let tlp =
+      match tlp with
+      | Some tlp -> tlp
+      | None -> Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage app ~regs)
+    in
     let launch =
       Workloads.App.launch app ~kernel:a.Regalloc.Allocator.kernel ~tlp ~input ()
     in

@@ -91,9 +91,6 @@ let crat ?mode ?backend ?shared_spilling ?profile_input engine cfg
 
 let register_utilization cfg (app : Workloads.App.t) e =
   Gpusim.Occupancy.register_utilization cfg
-    { Gpusim.Occupancy.regs_per_thread = e.alloc.Regalloc.Allocator.units_used
-    ; sregs_per_warp = e.alloc.Regalloc.Allocator.scalar_units_used
-    ; block_size = app.Workloads.App.block_size
-    ; shared_per_block = Workloads.App.shared_decl_bytes app
-    }
+    (Resource.usage ~sregs_per_warp:e.alloc.Regalloc.Allocator.scalar_units_used app
+       ~regs:e.alloc.Regalloc.Allocator.units_used)
     ~tlp:e.tlp

@@ -31,6 +31,20 @@ let probe_max_reg probe ~scalar_limit ~max_live ~cap =
   if scalar_limit > 0 && (confirmed || spill_free lo) then (down lo, true)
   else (lo, confirmed)
 
+(* The occupancy facts of Section 4.1: registers per thread, block
+   size, shared memory per block, and the scalar file per warp that
+   only the machine backend fills. *)
+let occupancy ~block_size ~shm_size ~sregs_per_warp ~regs =
+  { Gpusim.Occupancy.regs_per_thread = regs
+  ; sregs_per_warp
+  ; block_size
+  ; shared_per_block = shm_size
+  }
+
+let usage ?(sregs_per_warp = 0) (app : Workloads.App.t) ~regs =
+  occupancy ~block_size:app.Workloads.App.block_size
+    ~shm_size:(Workloads.App.shared_decl_bytes app) ~sregs_per_warp ~regs
+
 let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
     (app : Workloads.App.t) =
   let kernel = Workloads.App.kernel app in
@@ -54,31 +68,20 @@ let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
          ~reg_limit:max_reg kernel)
         .Regalloc.Allocator.scalar_units_used
   in
-  let shm_size = Workloads.App.shared_decl_bytes app in
-  let max_tlp =
-    Gpusim.Occupancy.max_tlp cfg
-      { Gpusim.Occupancy.regs_per_thread = app.Workloads.App.default_regs
-      ; sregs_per_warp
-      ; block_size
-      ; shared_per_block = shm_size
-      }
-  in
+  let usage = usage ~sregs_per_warp app ~regs:app.Workloads.App.default_regs in
   { max_reg
   ; min_reg = Gpusim.Config.min_reg cfg
   ; block_size
-  ; shm_size
-  ; max_tlp
+  ; shm_size = usage.Gpusim.Occupancy.shared_per_block
+  ; max_tlp = Gpusim.Occupancy.max_tlp cfg usage
   ; default_regs = app.Workloads.App.default_regs
   ; max_live_units
   ; sregs_per_warp
   }
 
 let usage_at t ~regs =
-  { Gpusim.Occupancy.regs_per_thread = regs
-  ; sregs_per_warp = t.sregs_per_warp
-  ; block_size = t.block_size
-  ; shared_per_block = t.shm_size
-  }
+  occupancy ~block_size:t.block_size ~shm_size:t.shm_size
+    ~sregs_per_warp:t.sregs_per_warp ~regs
 
 let pp fmt t =
   Format.fprintf fmt

@@ -31,7 +31,18 @@ val analyze : ?backend:Machine.Backend.t -> Gpusim.Config.t -> Workloads.App.t -
     lower [MaxReg] below MaxLive — the backend's TLP headroom — and
     reports the resulting scalar footprint in [sregs_per_warp]. *)
 
+val usage : ?sregs_per_warp:int -> Workloads.App.t -> regs:int -> Gpusim.Occupancy.usage
+(** The occupancy facts of Section 4.1 for [app] at [regs] registers
+    per thread: its block size, its declared shared bytes per block and
+    [sregs_per_warp] (default 0, the PTX backend's). Nothing is
+    analysed, so under the PTX backend [Occupancy.max_tlp cfg (usage app
+    ~regs)] is the MaxTLP at [regs] without {!analyze}'s liveness and
+    colouring probe. The machine backend still needs {!analyze}: its
+    [sregs_per_warp] is the scalar footprint the colouring probe
+    finds. *)
+
 val usage_at : t -> regs:int -> Gpusim.Occupancy.usage
-(** Occupancy usage record for a candidate register count. *)
+(** {!usage} with the analysis's [sregs_per_warp], for a candidate
+    register count. *)
 
 val pp : Format.formatter -> t -> unit

@@ -15,7 +15,12 @@
    is recorded once ever: first contact records the trace to disk, every
    later point of the same launch — same client, another client, or
    another daemon process reusing the store directory — replays or reads
-   statistics back. *)
+   statistics back.
+
+   A point without a TLP runs at its MaxTLP, which reads only the
+   Section 4.1 occupancy facts ([Crat.Resource.usage]: registers per
+   thread, block size, shared bytes per block); the protocol serves the
+   PTX backend only, so no point pays a resource analysis. *)
 
 type t =
   { engine : Crat.Engine.t
@@ -47,9 +52,9 @@ let find_app abbr =
   try Workloads.Suite.find abbr
   with Not_found -> raise (Bad_request (Printf.sprintf "unknown app %S" abbr))
 
-(* (launch, config, tlp) of one protocol point. Allocation and the
-   default TLP's resource analysis go through the engine's memos; the
-   launch shares the app's input image, whose digest is cached. *)
+(* (launch, config, tlp) of one protocol point. Allocation goes through
+   the engine's memo; the launch shares the app's input image, whose
+   digest is cached. *)
 let resolve t (p : Protocol.point) =
   let app = find_app p.Protocol.abbr in
   let regs =
@@ -69,9 +74,7 @@ let resolve t (p : Protocol.point) =
   let tlp =
     match p.Protocol.tlp with
     | Some tlp -> tlp
-    | None ->
-      let r = Crat.Engine.resource t.engine cfg app in
-      max 1 (Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage_at r ~regs))
+    | None -> max 1 (Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage app ~regs))
   in
   (launch, cfg, tlp)
 

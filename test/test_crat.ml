@@ -106,6 +106,26 @@ let test_resource_matches_reference () =
          [ Machine.Backend.Ptx; Machine.Backend.Machine ])
     [ fermi; Gpusim.Config.kepler ]
 
+(* the daemon's and [crat simulate]'s default TLP: [Resource.usage]
+   skips the analysis, and under the PTX backend it must give the same
+   occupancy as the analysis at every register count *)
+let test_usage_matches_analysis () =
+  List.iter
+    (fun (cfg : Gpusim.Config.t) ->
+       List.iter
+         (fun (a : Workloads.App.t) ->
+            let r = Crat.Resource.analyze cfg a in
+            List.iter
+              (fun regs ->
+                 check_int
+                   (Printf.sprintf "%s %s regs=%d: MaxTLP" a.Workloads.App.abbr
+                      cfg.Gpusim.Config.name regs)
+                   (Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage_at r ~regs))
+                   (Gpusim.Occupancy.max_tlp cfg (Crat.Resource.usage a ~regs)))
+              [ r.Crat.Resource.min_reg; 20; r.Crat.Resource.default_regs; 63 ])
+         Workloads.Suite.all)
+    [ fermi; Gpusim.Config.kepler ]
+
 (* ---------- design space ---------- *)
 
 let test_stairs_structure () =
@@ -656,6 +676,8 @@ let () =
             test_resource_maxreg_is_no_spill_point
         ; Alcotest.test_case "matches per-limit allocation" `Slow
             test_resource_matches_reference
+        ; Alcotest.test_case "occupancy without the analysis" `Quick
+            test_usage_matches_analysis
         ] )
     ; ( "design-space"
       , [ Alcotest.test_case "staircase structure" `Quick test_stairs_structure
