@@ -223,49 +223,49 @@ let cmp_to_string = function
   | Gt -> "gt"
   | Ge -> "ge"
 
-let pp_operand fmt = function
-  | Oreg r -> Reg.pp fmt r
-  | Oimm i -> Format.fprintf fmt "%Ld" i
-  | Ofimm f -> Format.fprintf fmt "%h" f
-  | Ospecial s -> Reg.pp_special fmt s
-  | Osym s -> Format.pp_print_string fmt s
-  | Oparam p -> Format.pp_print_string fmt p
+(* The one emitter of the instruction syntax, shared by the kernel
+   printer and the diagnostics; [float] spells float immediates. *)
+let emit ~float b i =
+  let str = Buffer.add_string b in
+  let reg = Reg.add_name b in
+  let operand = function
+    | Oreg r -> reg r
+    | Oimm n -> str (Int64.to_string n)
+    | Ofimm f -> str (float f)
+    | Ospecial s -> str (Reg.special_to_string s)
+    | Osym s | Oparam s -> str s
+  in
+  let op o = str ", "; operand o in
+  let ty t = Buffer.add_char b '.'; str (Types.scalar_to_string t); Buffer.add_char b ' ' in
+  let space s = Buffer.add_char b '.'; str (Types.space_to_string s) in
+  let address a =
+    Buffer.add_char b '[';
+    operand a.base;
+    if a.offset <> 0 then (Buffer.add_char b '+'; str (string_of_int a.offset));
+    Buffer.add_char b ']'
+  in
+  (match i with
+   | Mov (t, d, a) -> str "mov"; ty t; reg d; op a
+   | Unop (o, t, d, a) -> str (unop_to_string o); ty t; reg d; op a
+   | Binop (o, t, d, a, c) -> str (binop_to_string o); ty t; reg d; op a; op c
+   | Mad (t, d, a, c, e) -> str "mad.lo"; ty t; reg d; op a; op c; op e
+   | Cvt (dt, st, d, a) ->
+     str "cvt."; str (Types.scalar_to_string dt); ty st; reg d; op a
+   | Setp (c, t, d, a, e) ->
+     str "setp."; str (cmp_to_string c); ty t; reg d; op a; op e
+   | Selp (t, d, a, c, p) -> str "selp"; ty t; reg d; op a; op c; op (Oreg p)
+   | Ld (s, t, d, a) -> str "ld"; space s; ty t; reg d; str ", "; address a
+   | St (s, t, a, v) -> str "st"; space s; ty t; address a; op v
+   | Bra l -> str "bra "; str l
+   | Bra_pred (p, sense, l) ->
+     str (if sense then "@" else "@!"); reg p; str " bra "; str l
+   | Bar_sync -> str "bar.sync 0"
+   | Ret -> str "ret");
+  Buffer.add_char b ';'
 
-let pp_address fmt a =
-  if a.offset = 0 then Format.fprintf fmt "[%a]" pp_operand a.base
-  else Format.fprintf fmt "[%a+%d]" pp_operand a.base a.offset
+let to_string i =
+  let b = Buffer.create 48 in
+  emit ~float:(Printf.sprintf "%h") b i;
+  Buffer.contents b
 
-let pp fmt = function
-  | Mov (t, d, a) ->
-    Format.fprintf fmt "mov.%a %a, %a;" Types.pp_scalar t Reg.pp d pp_operand a
-  | Binop (op, t, d, a, b) ->
-    Format.fprintf fmt "%s.%a %a, %a, %a;" (binop_to_string op)
-      Types.pp_scalar t Reg.pp d pp_operand a pp_operand b
-  | Mad (t, d, a, b, c) ->
-    Format.fprintf fmt "mad.lo.%a %a, %a, %a, %a;" Types.pp_scalar t Reg.pp d
-      pp_operand a pp_operand b pp_operand c
-  | Unop (op, t, d, a) ->
-    Format.fprintf fmt "%s.%a %a, %a;" (unop_to_string op) Types.pp_scalar t
-      Reg.pp d pp_operand a
-  | Cvt (dt, st, d, a) ->
-    Format.fprintf fmt "cvt.%a.%a %a, %a;" Types.pp_scalar dt Types.pp_scalar
-      st Reg.pp d pp_operand a
-  | Setp (c, t, d, a, b) ->
-    Format.fprintf fmt "setp.%s.%a %a, %a, %a;" (cmp_to_string c)
-      Types.pp_scalar t Reg.pp d pp_operand a pp_operand b
-  | Selp (t, d, a, b, p) ->
-    Format.fprintf fmt "selp.%a %a, %a, %a, %a;" Types.pp_scalar t Reg.pp d
-      pp_operand a pp_operand b Reg.pp p
-  | Ld (s, t, d, addr) ->
-    Format.fprintf fmt "ld.%a.%a %a, %a;" Types.pp_space s Types.pp_scalar t
-      Reg.pp d pp_address addr
-  | St (s, t, addr, v) ->
-    Format.fprintf fmt "st.%a.%a %a, %a;" Types.pp_space s Types.pp_scalar t
-      pp_address addr pp_operand v
-  | Bra l -> Format.fprintf fmt "bra %s;" l
-  | Bra_pred (p, sense, l) ->
-    Format.fprintf fmt "@%s%a bra %s;" (if sense then "" else "!") Reg.pp p l
-  | Bar_sync -> Format.pp_print_string fmt "bar.sync 0;"
-  | Ret -> Format.pp_print_string fmt "ret;"
-
-let to_string i = Format.asprintf "%a" pp i
+let pp fmt i = Format.pp_print_string fmt (to_string i)

@@ -125,6 +125,12 @@ val equal : t -> t -> bool
 val binop_to_string : binop -> string
 val unop_to_string : unop -> string
 val cmp_to_string : cmp -> string
-val pp : Format.formatter -> t -> unit
+
+val emit : float:(float -> string) -> Buffer.t -> t -> unit
+(** Append the instruction's PTX spelling, e.g. ["add.u32 %r2, %r0, 4;"],
+    to the buffer. [float] spells float immediates. This is the one
+    emitter of the instruction syntax: {!Printer} passes a spelling that
+    round-trips ([%.17g]), {!to_string} the hexadecimal one ([%h]). *)
+
 val to_string : t -> string
-val pp_operand : Format.formatter -> operand -> unit
+val pp : Format.formatter -> t -> unit

@@ -90,7 +90,7 @@ let check_operand_ty what inst_ty op =
     if width_compatible inst_ty (Reg.ty r) then Ok ()
     else
       Error
-        (Printf.sprintf "%s: register %s of type %s used with type %s" what
+        (Printf.sprintf "%t: register %s of type %s used with type %s" what
            (Reg.name r)
            (Types.scalar_to_string (Reg.ty r))
            (Types.scalar_to_string inst_ty))
@@ -103,16 +103,16 @@ let check_address what k addr =
     (match Types.reg_class (Reg.ty r) with
      | Types.C64 | Types.C32 -> Ok ()
      | Types.Cpred ->
-       Error (Printf.sprintf "%s: predicate register used as address" what))
+       Error (Printf.sprintf "%t: predicate register used as address" what))
   | Instr.Osym s ->
     if List.exists (fun d -> d.dname = s) k.decls then Ok ()
-    else Error (Printf.sprintf "%s: undeclared symbol %s" what s)
+    else Error (Printf.sprintf "%t: undeclared symbol %s" what s)
   | Instr.Oparam p ->
     if List.mem_assoc p k.params then Ok ()
-    else Error (Printf.sprintf "%s: unknown parameter %s" what p)
+    else Error (Printf.sprintf "%t: unknown parameter %s" what p)
   | Instr.Oimm _ -> Ok ()
   | Instr.Ofimm _ | Instr.Ospecial _ ->
-    Error (Printf.sprintf "%s: invalid address base" what)
+    Error (Printf.sprintf "%t: invalid address base" what)
 
 let ( let* ) = Result.bind
 
@@ -123,12 +123,13 @@ let rec check_all f = function
     check_all f rest
 
 let check_instr k label_set idx (i : Instr.t) =
-  let what = Printf.sprintf "instr %d (%s)" idx (Instr.to_string i) in
+  (* spelled only when a check fails *)
+  let what () = Printf.sprintf "instr %d (%s)" idx (Instr.to_string i) in
   let check_ops ty ops = check_all (check_operand_ty what ty) ops in
   let check_dst ty d = check_operand_ty what ty (Instr.Oreg d) in
   let check_target l =
     if List.mem l label_set then Ok ()
-    else Error (Printf.sprintf "%s: unknown label %s" what l)
+    else Error (Printf.sprintf "%t: unknown label %s" what l)
   in
   match i with
   | Instr.Mov (ty, d, a) | Instr.Unop (_, ty, d, a) ->
@@ -146,14 +147,14 @@ let check_instr k label_set idx (i : Instr.t) =
   | Instr.Setp (_, ty, d, a, b) ->
     let* () =
       if Types.equal_scalar (Reg.ty d) Types.Pred then Ok ()
-      else Error (Printf.sprintf "%s: setp destination must be a predicate" what)
+      else Error (Printf.sprintf "%t: setp destination must be a predicate" what)
     in
     check_ops ty [ a; b ]
   | Instr.Selp (ty, d, a, b, p) ->
     let* () = check_dst ty d in
     let* () = check_ops ty [ a; b ] in
     if Types.equal_scalar (Reg.ty p) Types.Pred then Ok ()
-    else Error (Printf.sprintf "%s: selp guard must be a predicate" what)
+    else Error (Printf.sprintf "%t: selp guard must be a predicate" what)
   | Instr.Ld (_, ty, d, addr) ->
     let* () = check_dst ty d in
     check_address what k addr
@@ -164,7 +165,7 @@ let check_instr k label_set idx (i : Instr.t) =
   | Instr.Bra_pred (p, _, l) ->
     let* () =
       if Types.equal_scalar (Reg.ty p) Types.Pred then Ok ()
-      else Error (Printf.sprintf "%s: branch guard must be a predicate" what)
+      else Error (Printf.sprintf "%t: branch guard must be a predicate" what)
     in
     check_target l
   | Instr.Bar_sync | Instr.Ret -> Ok ()

@@ -2,113 +2,49 @@
    parser can rebuild the typed register environment. Float immediates are
    printed with full precision (%.17g) to round-trip exactly. *)
 
-let pp_operand fmt = function
-  | Instr.Ofimm f -> Format.fprintf fmt "%.17g" f
-  | (Instr.Oreg _ | Instr.Oimm _ | Instr.Ospecial _ | Instr.Osym _
-    | Instr.Oparam _) as o -> Instr.pp_operand fmt o
+(* [Printf.sprintf "%.17g"] less the format interpreter: the same C
+   formatter that [Printf] and [string_of_float] end in *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let pp_address fmt (a : Instr.address) =
-  if a.offset = 0 then Format.fprintf fmt "[%a]" pp_operand a.base
-  else Format.fprintf fmt "[%a+%d]" pp_operand a.base a.offset
+let exact = format_float "%.17g"
 
-let pp_instr fmt (i : Instr.t) =
-  match i with
-  | Instr.Mov (t, d, a) ->
-    Format.fprintf fmt "mov.%a %a, %a;" Types.pp_scalar t Reg.pp d pp_operand a
-  | Instr.Unop (op, t, d, a) ->
-    Format.fprintf fmt "%s.%a %a, %a;"
-      (match op with
-       | Instr.Neg -> "neg"
-       | Instr.Not -> "not"
-       | Instr.Abs -> "abs"
-       | Instr.Sqrt -> "sqrt"
-       | Instr.Rcp -> "rcp"
-       | Instr.Ex2 -> "ex2"
-       | Instr.Lg2 -> "lg2")
-      Types.pp_scalar t Reg.pp d pp_operand a
-  | Instr.Binop (op, t, d, a, b) ->
-    Format.fprintf fmt "%s.%a %a, %a, %a;"
-      (match op with
-       | Instr.Add -> "add"
-       | Instr.Sub -> "sub"
-       | Instr.Mul_lo -> "mul.lo"
-       | Instr.Div -> "div"
-       | Instr.Rem -> "rem"
-       | Instr.Min -> "min"
-       | Instr.Max -> "max"
-       | Instr.And -> "and"
-       | Instr.Or -> "or"
-       | Instr.Xor -> "xor"
-       | Instr.Shl -> "shl"
-       | Instr.Shr -> "shr")
-      Types.pp_scalar t Reg.pp d pp_operand a pp_operand b
-  | Instr.Mad (t, d, a, b, c) ->
-    Format.fprintf fmt "mad.lo.%a %a, %a, %a, %a;" Types.pp_scalar t Reg.pp d
-      pp_operand a pp_operand b pp_operand c
-  | Instr.Cvt (dt, st, d, a) ->
-    Format.fprintf fmt "cvt.%a.%a %a, %a;" Types.pp_scalar dt Types.pp_scalar
-      st Reg.pp d pp_operand a
-  | Instr.Setp (c, t, d, a, b) ->
-    Format.fprintf fmt "setp.%s.%a %a, %a, %a;"
-      (match c with
-       | Instr.Eq -> "eq"
-       | Instr.Ne -> "ne"
-       | Instr.Lt -> "lt"
-       | Instr.Le -> "le"
-       | Instr.Gt -> "gt"
-       | Instr.Ge -> "ge")
-      Types.pp_scalar t Reg.pp d pp_operand a pp_operand b
-  | Instr.Selp (t, d, a, b, p) ->
-    Format.fprintf fmt "selp.%a %a, %a, %a, %a;" Types.pp_scalar t Reg.pp d
-      pp_operand a pp_operand b Reg.pp p
-  | Instr.Ld (s, t, d, addr) ->
-    Format.fprintf fmt "ld.%a.%a %a, %a;" Types.pp_space s Types.pp_scalar t
-      Reg.pp d pp_address addr
-  | Instr.St (s, t, addr, v) ->
-    Format.fprintf fmt "st.%a.%a %a, %a;" Types.pp_space s Types.pp_scalar t
-      pp_address addr pp_operand v
-  | Instr.Bra l -> Format.fprintf fmt "bra %s;" l
-  | Instr.Bra_pred (p, sense, l) ->
-    Format.fprintf fmt "@%s%a bra %s;" (if sense then "" else "!") Reg.pp p l
-  | Instr.Bar_sync -> Format.pp_print_string fmt "bar.sync 0;"
-  | Instr.Ret -> Format.pp_print_string fmt "ret;"
-
-let reg_groups k =
-  let regs = Reg.Set.elements (Kernel.registers k) in
-  List.fold_left
-    (fun acc r ->
-       let ty = Reg.ty r in
-       let existing = try List.assoc ty acc with Not_found -> [] in
-       (ty, r :: existing) :: List.remove_assoc ty acc)
-    [] regs
-  |> List.map (fun (ty, rs) -> (ty, List.rev rs))
-  |> List.sort compare
-
-let pp_kernel fmt (k : Kernel.t) =
-  Format.fprintf fmt ".entry %s (@." k.name;
+let kernel_to_string (k : Kernel.t) =
+  let b = Buffer.create 4096 in
+  let str = Buffer.add_string b in
+  let strs = List.iter str in
+  let scalar = Types.scalar_to_string in
+  strs [ ".entry "; k.name; " (\n" ];
   let n = List.length k.params in
   List.iteri
     (fun i (name, ty) ->
-       Format.fprintf fmt "  .param .%a %s%s@." Types.pp_scalar ty name
-         (if i = n - 1 then "" else ","))
+       strs [ "  .param ."; scalar ty; " "; name; (if i = n - 1 then "\n" else ",\n") ])
     k.params;
-  Format.fprintf fmt ")@.{@.";
+  str ")\n{\n";
   List.iter
     (fun (d : Kernel.decl) ->
-       Format.fprintf fmt "  .%a .align %d .%a %s[%d];@." Types.pp_space
-         d.dspace d.dalign Types.pp_scalar d.delem d.dname d.dcount)
+       strs
+         [ "  ."; Types.space_to_string d.dspace; " .align "; string_of_int d.dalign
+         ; " ."; scalar d.delem; " "; d.dname; "["; string_of_int d.dcount; "];\n" ])
     k.decls;
+  (* one [.reg] line per type, in declaration order, ids ascending *)
+  let regs = Reg.Set.elements (Kernel.registers k) in
   List.iter
-    (fun (ty, rs) ->
-       Format.fprintf fmt "  .reg .%a %s;@." Types.pp_scalar ty
-         (String.concat ", " (List.map Reg.name rs)))
-    (reg_groups k);
+    (fun ty ->
+       match List.filter (fun r -> Types.equal_scalar (Reg.ty r) ty) regs with
+       | [] -> ()
+       | r :: rs ->
+         strs [ "  .reg ."; scalar ty; " " ];
+         Reg.add_name b r;
+         List.iter (fun r -> str ", "; Reg.add_name b r) rs;
+         str ";\n")
+    Types.all_scalars;
   Array.iter
-    (fun s ->
-       match s with
-       | Kernel.L l -> Format.fprintf fmt "%s:@." l
-       | Kernel.I i -> Format.fprintf fmt "  %a@." pp_instr i)
+    (function
+      | Kernel.L l -> strs [ l; ":\n" ]
+      | Kernel.I i ->
+        str "  ";
+        Instr.emit ~float:exact b i;
+        str "\n")
     k.body;
-  Format.fprintf fmt "}@."
-
-let kernel_to_string k = Format.asprintf "%a" pp_kernel k
+  str "}\n";
+  Buffer.contents b

@@ -29,13 +29,22 @@ let compare a b =
   if c <> 0 then c else Int.compare (ty_rank a.ty) (ty_rank b.ty)
 let hash a = Hashtbl.hash (a.id, a.ty)
 
-let name r =
+let prefix r =
   match Types.reg_class r.ty with
-  | Types.Cpred -> Printf.sprintf "%%p%d" r.id
-  | Types.C32 -> Printf.sprintf "%%r%d" r.id
-  | Types.C64 -> Printf.sprintf "%%d%d" r.id
+  | Types.Cpred -> "%p"
+  | Types.C32 -> "%r"
+  | Types.C64 -> "%d"
 
-let pp fmt r = Format.pp_print_string fmt (name r)
+let name r = prefix r ^ string_of_int r.id
+
+(* digit by digit: [string_of_int] goes through the C formatter *)
+let rec add_digits b n =
+  if n >= 10 then add_digits b (n / 10);
+  Buffer.add_char b (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_name b r =
+  Buffer.add_string b (prefix r);
+  if r.id >= 0 then add_digits b r.id else Buffer.add_string b (string_of_int r.id)
 
 type special =
   | Tid_x
@@ -68,7 +77,6 @@ let all_specials =
 let special_of_string s =
   List.find_opt (fun x -> special_to_string x = s) all_specials
 
-let pp_special fmt s = Format.pp_print_string fmt (special_to_string s)
 let equal_special (a : special) (b : special) = a = b
 
 module Ord = struct

@@ -23,7 +23,8 @@ val name : t -> string
 (** PTX-style spelling, determined by the width class: ["%r3"] for 32-bit,
     ["%d1"] for 64-bit, ["%p0"] for predicates. *)
 
-val pp : Format.formatter -> t -> unit
+val add_name : Buffer.t -> t -> unit
+(** Append {!name} to the buffer. *)
 
 (** Built-in read-only special registers. *)
 type special =
@@ -42,7 +43,6 @@ val special_to_string : special -> string
 (** PTX spelling, e.g. ["%tid.x"]. *)
 
 val special_of_string : string -> special option
-val pp_special : Format.formatter -> special -> unit
 val equal_special : special -> special -> bool
 
 module Set : Set.S with type elt = t
