@@ -82,8 +82,6 @@ let space_to_string = function
 
 let all_spaces = [ Reg; Local; Shared; Global; Param; Const ]
 let space_of_string s = List.find_opt (fun x -> space_to_string x = s) all_spaces
-let pp_scalar fmt t = Format.pp_print_string fmt (scalar_to_string t)
-let pp_space fmt s = Format.pp_print_string fmt (space_to_string s)
 
 let equal_scalar (a : scalar) (b : scalar) = a = b
 let equal_space (a : space) (b : space) = a = b

@@ -56,8 +56,6 @@ val scalar_to_string : scalar -> string
 val scalar_of_string : string -> scalar option
 val space_to_string : space -> string
 val space_of_string : string -> space option
-val pp_scalar : Format.formatter -> scalar -> unit
-val pp_space : Format.formatter -> space -> unit
 val equal_scalar : scalar -> scalar -> bool
 val equal_space : space -> space -> bool
 val all_scalars : scalar list
