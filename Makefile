@@ -8,37 +8,53 @@ build:
 test:
 	dune runtest
 
+# The sweeps below gate on their reports: each writes its report to a
+# scratch file, which must equal the committed one (as bench-smoke
+# diffs FIGURES.txt). A change that moves a diagnostic on purpose
+# regenerates the committed report in the same commit, with the
+# sweep's command and --out set to the committed file.
+
 # static-verifier sweep: every workload kernel at every compiler stage,
 # plus the seeded known-bad corpus; then every workload again at r20,
 # once with a 512 B shared spare (which fits no sub-stack at r20, so every
 # spill goes to local memory) and once with 8 KB, where Algorithm 1 moves
 # spills into the per-thread shared sub-stack; fails on any error-severity
-# diagnostic. The reports land in verify-report.txt, verify-r20-report.txt
-# and verify-shared-report.txt
+# diagnostic, or on a report that differs from verify-report.txt,
+# verify-r20-report.txt or verify-shared-report.txt
 verify:
-	dune exec bin/crat_cli.exe -- verify --all --corpus --out verify-report.txt
-	dune exec bin/crat_cli.exe -- verify --all --regs 20 --shared-spare 512 --out verify-r20-report.txt
-	dune exec bin/crat_cli.exe -- verify --all --regs 20 --shared-spare 8192 --out verify-shared-report.txt
+	dune exec bin/crat_cli.exe -- verify --all --corpus --out verify-report.out
+	diff verify-report.txt verify-report.out
+	dune exec bin/crat_cli.exe -- verify --all --regs 20 --shared-spare 512 --out verify-r20-report.out
+	diff verify-r20-report.txt verify-r20-report.out
+	dune exec bin/crat_cli.exe -- verify --all --regs 20 --shared-spare 8192 --out verify-shared-report.out
+	diff verify-shared-report.txt verify-shared-report.out
+	rm -f verify-report.out verify-r20-report.out verify-shared-report.out
 
 # static performance advisor over every workload, with each "may"/"must"
 # claim cross-checked against the per-pc counters of the recorded launch;
-# the P-code report lands in lint-report.txt
+# the P-code report must equal lint-report.txt
 lint:
-	dune exec bin/crat_cli.exe -- lint --all --validate --out lint-report.txt
+	dune exec bin/crat_cli.exe -- lint --all --validate --out lint-report.out
+	diff lint-report.txt lint-report.out
+	rm -f lint-report.out
 
 # hybrid memory-safety sweep: every workload at pre-opt/post-opt/post-alloc,
 # then a sanitized replay of each default launch (static proofs discharge the
 # dynamic checks; only the residue pays a bounds test); the S-code +
-# discharge-table report lands in sanitize-report.txt
+# discharge-table report must equal sanitize-report.txt
 sanitize:
-	dune exec bin/crat_cli.exe -- sanitize --all --validate --out sanitize-report.txt
+	dune exec bin/crat_cli.exe -- sanitize --all --validate --out sanitize-report.out
+	diff sanitize-report.txt sanitize-report.out
+	rm -f sanitize-report.out
 
 # translation-validation sweep: symbolically prove every workload's three
 # transformation edges (optimization, allocation, machine lowering), plus
 # the seeded miscompile corpus, each refutation replayed on the reference
-# interpreter; the E-code report lands in equiv-report.txt
+# interpreter; the E-code report must equal equiv-report.txt
 equiv:
-	dune exec bin/crat_cli.exe -- equiv --all --corpus --out equiv-report.txt
+	dune exec bin/crat_cli.exe -- equiv --all --corpus --out equiv-report.out
+	diff equiv-report.txt equiv-report.out
+	rm -f equiv-report.out
 
 # run each example program on its default app; a non-zero exit, or stdout
 # that differs from EXAMPLES.txt, fails the target (the examples call the

@@ -8,20 +8,13 @@ let scalar backend ~block_size kernel =
     , Machine.Backend.default_scalar_limit )
 
 (* every gate run is a no-op unless CRAT_VERIFY / Verify.Gate.set arms it *)
-let allocate ?(strategy = Regalloc.Allocator.Chaitin_briggs)
-    ?(backend = Machine.Backend.Ptx) ?(shared_spare = 0) ~label ~block_size
-    ~reg_limit kernel =
+let gated ?(backend = Machine.Backend.Ptx) ~label ~block_size kernel allocation =
   let block = Some block_size in
   Gate.run ~stage:(label ^ ":pre-alloc")
     [ Gate.Kernel { block_size = block; kernel }
     ; Gate.Sanitize { block_size = block; kernel }
     ];
-  let scalar, scalar_limit = scalar backend ~block_size kernel in
-  let shared_policy = if shared_spare > 0 then `Spare shared_spare else `Off in
-  let a =
-    Regalloc.Allocator.allocate ~strategy ~shared_policy ~scalar ~scalar_limit
-      ~block_size ~reg_limit kernel
-  in
+  let a = allocation () in
   Gate.run ~stage:(label ^ ":post-alloc")
     [ Gate.Allocation a
     ; Gate.Equiv_alloc a
@@ -33,6 +26,15 @@ let allocate ?(strategy = Regalloc.Allocator.Chaitin_briggs)
       [ Gate.Machine m; Gate.Equiv_lower m ]
   end;
   a
+
+let allocate ?(strategy = Regalloc.Allocator.Chaitin_briggs)
+    ?(backend = Machine.Backend.Ptx) ?(shared_spare = 0) ~label ~block_size
+    ~reg_limit kernel =
+  gated ~backend ~label ~block_size kernel (fun () ->
+    let scalar, scalar_limit = scalar backend ~block_size kernel in
+    let shared_policy = if shared_spare > 0 then `Spare shared_spare else `Off in
+    Regalloc.Allocator.allocate ~strategy ~shared_policy ~scalar ~scalar_limit
+      ~block_size ~reg_limit kernel)
 
 let stages ?strategy ?shared_spare ?regs (app : Workloads.App.t) =
   let block_size = app.Workloads.App.block_size in

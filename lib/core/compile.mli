@@ -2,7 +2,9 @@
     analysis, the CLI and the stage sweeps make goes through
     {!allocate}, so each of them derives the allocator's arguments from
     the backend the same way and runs the same verify-gate checks at
-    each edge. The ablation drivers in {!Experiments} build their
+    each edge. The one allocation made elsewhere, the MaxReg allocation
+    a resource analysis finishes, passes the same checks through
+    {!gated} before the engine hands it out. The ablation drivers in {!Experiments} build their
     default-knob allocations through {!Engine.allocate}; only the four
     builds that pass a knob this module does not carry (fig8's var1,
     abl-chunk's chunks 1 and 1000, abl-alloc's [+remat]) call the
@@ -39,6 +41,21 @@ val allocate :
     @raise Failure as the allocator does, when [reg_limit] is below the
     kernel's feasible minimum.
     @raise Verify.Gate.Rejected at the first failing check. *)
+
+val gated :
+  ?backend:Machine.Backend.t
+  -> label:string
+  -> block_size:int
+  -> Ptx.Kernel.t
+  -> (unit -> Regalloc.Allocator.t)
+  -> Regalloc.Allocator.t
+(** [gated ~backend ~label ~block_size kernel allocation] runs the
+    stages of {!allocate} around [allocation ()], which must allocate
+    [kernel] under [backend] (default [Ptx]): pre-alloc before it,
+    post-alloc and post-lower after it. {!allocate} is [gated] around
+    one allocator call; {!Engine.allocate} also gates the allocation
+    {!Resource.analyze_and_finish} kept, so an allocation the engine
+    hands out passes the same checks however it was made. *)
 
 val stages :
   ?strategy:Regalloc.Allocator.strategy

@@ -20,6 +20,12 @@ type t =
   ; traces : Gpusim.Replay.t Memo.t
   ; allocs : Regalloc.Allocator.t Memo.t
   ; resources : Resource.t Memo.t  (** in memory only; see {!resource} *)
+  ; kept : (string * Machine.Backend.t * int * int, Regalloc.Allocator.t) Hashtbl.t
+      (** under [lock]: the Chaitin-Briggs allocations that resource
+          analyses finished at MaxReg, by kernel digest, backend, block
+          size and limit, each until the allocation memo answers a key
+          of theirs. They are spill-free, so one answers every shared
+          spare. *)
   ; mutable sim_runs : int
   ; mutable sim_hits : int
   ; mutable dedup_hits : int
@@ -42,6 +48,7 @@ let create ?(jobs = 1) ?(replay = true) ?(trace_budget = 1 lsl 25) ?store () =
         ?store:(persist "trace") ()
   ; allocs = Memo.create ?store:(persist "alloc") ()
   ; resources = Memo.create ()
+  ; kept = Hashtbl.create 16
   ; sim_runs = 0
   ; sim_hits = 0
   ; dedup_hits = 0
@@ -195,9 +202,27 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
   let key =
     alloc_key ~strategy ~backend ~shared_spare ~block_size ~reg_limit ~kernel_digest
   in
+  let label = app.Workloads.App.abbr in
+  (* the allocation a resource analysis finished at this limit, if any,
+     goes with the first answer to this key: a miss takes it instead of
+     allocating, a hit drops it *)
+  let kept =
+    match strategy with
+    | Regalloc.Allocator.Chaitin_briggs -> Some (kernel_digest, backend, block_size, reg_limit)
+    | Regalloc.Allocator.Linear_scan -> None
+  in
+  let drop_kept () = Option.iter (Hashtbl.remove t.kept) kept in
   let compute () =
-    Compile.allocate ~strategy ~backend ~shared_spare
-      ~label:app.Workloads.App.abbr ~block_size ~reg_limit kernel
+    match
+      locked t (fun () ->
+        let a = Option.bind kept (Hashtbl.find_opt t.kept) in
+        drop_kept ();
+        a)
+    with
+    | Some a -> Compile.gated ~backend ~label ~block_size kernel (fun () -> a)
+    | None ->
+      Compile.allocate ~strategy ~backend ~shared_spare ~label ~block_size ~reg_limit
+        kernel
   in
   (* with the gate armed, never answer allocations from disk: the gate's
      audits must run on every allocation this process hands out *)
@@ -208,19 +233,34 @@ let allocate t ?(strategy = Regalloc.Allocator.Chaitin_briggs)
   locked t (fun () ->
     match how with
     | `Computed -> t.alloc_runs <- t.alloc_runs + 1
-    | `Hit | `Waited -> t.alloc_hits <- t.alloc_hits + 1);
+    | `Hit | `Waited ->
+      drop_kept ();
+      t.alloc_hits <- t.alloc_hits + 1);
   a
 
 (* ---------- resource analysis ---------- *)
 
 (* App descriptors, configurations and backends are pure data, so the
    marshalled triple is a structural key. The analysis is not written to
-   the store: no key could name the code that computes it. *)
+   the store: no key could name the code that computes it. The MaxReg
+   allocation it finishes is kept for {!allocate}. *)
 let resource t ?(backend = Machine.Backend.Ptx) cfg (app : Workloads.App.t) =
   fst
     (Memo.get_or_compute t.resources
        (data_digest (app, cfg, backend))
-       (fun () -> Resource.analyze ~backend cfg app))
+       (fun () ->
+          let r, finished = Resource.analyze_and_finish ~backend cfg app in
+          Option.iter
+            (fun a ->
+               let k =
+                 ( kernel_digest (Workloads.App.kernel app)
+                 , backend
+                 , r.Resource.block_size
+                 , r.Resource.max_reg )
+               in
+               locked t (fun () -> Hashtbl.replace t.kept k a))
+            finished;
+          r))
 
 (* ---------- simulation ---------- *)
 
@@ -395,6 +435,7 @@ let reset t =
   Memo.clear t.allocs;
   Memo.clear t.resources;
   locked t (fun () ->
+    Hashtbl.reset t.kept;
     t.sim_runs <- 0;
     t.sim_hits <- 0;
     t.dedup_hits <- 0;

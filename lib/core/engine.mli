@@ -120,14 +120,21 @@ val allocate :
     [backend] (default [Ptx]) joins the memo key; [Machine] colours the
     proven-uniform registers against the scalar file ({!Compile.scalar}).
     A miss is computed by {!Compile.allocate} under the app's
-    abbreviation, so the armed verify gate checks every edge of it. *)
+    abbreviation, so the armed verify gate checks every edge of it.
+    When {!resource} kept the app's MaxReg allocation for this backend
+    and limit (Chaitin-Briggs only), the miss takes it instead and runs
+    the same gate stages on it ({!Compile.gated}): it is the value
+    {!Compile.allocate} would return, at any [shared_spare]. The first
+    answer to the key, a miss or a hit, drops the kept allocation. *)
 
 val resource :
   t -> ?backend:Machine.Backend.t -> Gpusim.Config.t -> Workloads.App.t -> Resource.t
 (** {!Resource.analyze}, memoized in memory on the app descriptor,
     configuration and [backend] (default [Ptx]): a sweep that compares
     several techniques on one kernel and target analyses it once. Never
-    written to the store. *)
+    written to the store. The analysis runs as
+    {!Resource.analyze_and_finish}, and the engine keeps the MaxReg
+    allocation it finishes for the next {!allocate} at MaxReg. *)
 
 val simulate :
   ?cache:bool
@@ -178,8 +185,8 @@ val map : t -> ('a -> 'b) -> 'a list -> 'b list
 
 val report : t -> report
 val reset : t -> unit
-(** Drop all memos (stats, traces, allocations, resources) and zero
-    counters. *)
+(** Drop all memos (stats, traces, allocations, resources), every kept
+    MaxReg allocation, and zero counters. *)
 
 val pp_report : Format.formatter -> report -> unit
 (** One-line summary, e.g. for the end of an experiment run. *)

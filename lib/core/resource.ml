@@ -45,7 +45,7 @@ let usage ?(sregs_per_warp = 0) (app : Workloads.App.t) ~regs =
   occupancy ~block_size:app.Workloads.App.block_size
     ~shm_size:(Workloads.App.shared_decl_bytes app) ~sregs_per_warp ~regs
 
-let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
+let analysis ~finish ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
     (app : Workloads.App.t) =
   let kernel = Workloads.App.kernel app in
   let block_size = app.Workloads.App.block_size in
@@ -69,15 +69,21 @@ let analyze ?(backend = Machine.Backend.Ptx) (cfg : Gpusim.Config.t)
         .Regalloc.Allocator.scalar_units_used
   in
   let usage = usage ~sregs_per_warp app ~regs:app.Workloads.App.default_regs in
-  { max_reg
-  ; min_reg = Gpusim.Config.min_reg cfg
-  ; block_size
-  ; shm_size = usage.Gpusim.Occupancy.shared_per_block
-  ; max_tlp = Gpusim.Occupancy.max_tlp cfg usage
-  ; default_regs = app.Workloads.App.default_regs
-  ; max_live_units
-  ; sregs_per_warp
-  }
+  ( { max_reg
+    ; min_reg = Gpusim.Config.min_reg cfg
+    ; block_size
+    ; shm_size = usage.Gpusim.Occupancy.shared_per_block
+    ; max_tlp = Gpusim.Occupancy.max_tlp cfg usage
+    ; default_regs = app.Workloads.App.default_regs
+    ; max_live_units
+    ; sregs_per_warp
+    }
+  , if finish && spill_free then
+      Regalloc.Allocator.finish probe ~block_size ~reg_limit:max_reg
+    else None )
+
+let analyze ?backend cfg app = fst (analysis ~finish:false ?backend cfg app)
+let analyze_and_finish ?backend cfg app = analysis ~finish:true ?backend cfg app
 
 let usage_at t ~regs =
   occupancy ~block_size:t.block_size ~shm_size:t.shm_size

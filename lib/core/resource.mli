@@ -31,6 +31,20 @@ val analyze : ?backend:Machine.Backend.t -> Gpusim.Config.t -> Workloads.App.t -
     lower [MaxReg] below MaxLive — the backend's TLP headroom — and
     reports the resulting scalar footprint in [sregs_per_warp]. *)
 
+val analyze_and_finish :
+  ?backend:Machine.Backend.t
+  -> Gpusim.Config.t
+  -> Workloads.App.t
+  -> t * Regalloc.Allocator.t option
+(** {!analyze}, plus the allocation at [max_reg] when the probe
+    confirmed [max_reg] spill-free: the probe's last colouring, ended by
+    {!Regalloc.Allocator.finish} at the app's block size. It equals
+    [Compile.allocate ~backend ~block_size ~reg_limit:max_reg] of the
+    app's kernel at any [shared_spare] (round 1 places no spill), but
+    no gate stage has run on it. [None] when [max_reg] is the cap and
+    the cap spills. {!Engine.resource} keeps it for the engine's next
+    allocation at [max_reg]. *)
+
 val usage : ?sregs_per_warp:int -> Workloads.App.t -> regs:int -> Gpusim.Occupancy.usage
 (** The occupancy facts of Section 4.1 for [app] at [regs] registers
     per thread: its block size, its declared shared bytes per block and

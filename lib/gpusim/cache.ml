@@ -38,7 +38,7 @@ module Dram = struct
     { latency; bytes_per_cycle; next_free = 0; bytes = 0 }
 
   let request t ~cycle ~bytes =
-    let start = max cycle t.next_free in
+    let start = Int.max cycle t.next_free in
     let service = (bytes + t.bytes_per_cycle - 1) / t.bytes_per_cycle in
     t.next_free <- start + service;
     t.bytes <- t.bytes + bytes;
@@ -48,7 +48,7 @@ module Dram = struct
 end
 
 type line =
-  { mutable tag : int64
+  { mutable tag : int  (** the line number *)
   ; mutable valid : bool
   ; mutable valid_at : int  (** fill completion cycle (in-flight if > now) *)
   ; mutable last_use : int
@@ -58,10 +58,9 @@ type line =
 type t =
   { name : string
   ; sets : line array array
-  ; line_bytes : int
   ; num_sets : int
   ; hit_latency : int
-  ; next : cycle:int -> addr:int64 -> result
+  ; next : cycle:int -> lineno:int -> result
   ; inflight : int array
       (** one slot per MSHR: completion cycles of outstanding fills, in
           [0 .. n_inflight-1] *)
@@ -73,10 +72,9 @@ type t =
 let create ~name ~bytes ~assoc ~line ~mshrs ~hit_latency ~next =
   let num_sets = bytes / (assoc * line) in
   assert (num_sets > 0);
-  let mk _ = { tag = -1L; valid = false; valid_at = 0; last_use = 0; dirty = false } in
+  let mk _ = { tag = -1; valid = false; valid_at = 0; last_use = 0; dirty = false } in
   { name
   ; sets = Array.init num_sets (fun _ -> Array.init assoc mk)
-  ; line_bytes = line
   ; num_sets
   ; hit_latency
   ; next
@@ -114,17 +112,14 @@ let add_inflight t c =
   t.n_inflight <- t.n_inflight + 1;
   if c < t.first_done then t.first_done <- c
 
-let set_and_tag t addr =
-  let lineno = Int64.div addr (Int64.of_int t.line_bytes) in
-  let set = Int64.to_int (Int64.rem lineno (Int64.of_int t.num_sets)) in
-  (t.sets.(set), lineno)
-
-let find_way ways tag =
+(* The way of [ways] holding line [lineno], or -1. *)
+let find_way ways lineno =
   let n = Array.length ways in
   let rec loop i =
-    if i >= n then None
-    else if ways.(i).valid && Int64.equal ways.(i).tag tag then Some ways.(i)
-    else loop (i + 1)
+    if i >= n then -1
+    else
+      let w = Array.unsafe_get ways i in
+      if w.valid && w.tag = lineno then i else loop (i + 1)
   in
   loop 0
 
@@ -151,11 +146,12 @@ let count_hit t ~write =
 let count_miss t ~write =
   if write then t.st.writes <- t.st.writes + 1 else t.st.reads <- t.st.reads + 1
 
-let access t ~cycle ~addr ~write ~write_alloc =
+let access t ~cycle ~lineno ~write ~write_alloc =
   purge_inflight t cycle;
-  let ways, tag = set_and_tag t addr in
-  match find_way ways tag with
-  | Some line ->
+  let ways = t.sets.(lineno mod t.num_sets) in
+  let way = find_way ways lineno in
+  if way >= 0 then begin
+    let line = ways.(way) in
     line.last_use <- cycle;
     if write then line.dirty <- line.dirty || write_alloc;
     if line.valid_at <= cycle then begin
@@ -167,44 +163,44 @@ let access t ~cycle ~addr ~write ~write_alloc =
       count_miss t ~write;
       Miss line.valid_at
     end
-  | None ->
-    if write && not write_alloc then begin
-      (* write-through, no allocate: pass through to the next level's
-         bandwidth without occupying an MSHR *)
-      count_miss t ~write;
-      match t.next ~cycle ~addr with
-      | Hit -> Miss (cycle + t.hit_latency)
-      | Miss c -> Miss c
-      | Reserve_fail -> Reserve_fail
-    end
-    else if t.n_inflight >= Array.length t.inflight then begin
-      t.st.reserve_fails <- t.st.reserve_fails + 1;
-      Reserve_fail
-    end
-    else begin
-      count_miss t ~write;
-      let v = victim ways in
-      if v.valid && v.dirty then t.st.writebacks <- t.st.writebacks + 1;
-      (match t.next ~cycle ~addr with
-       | Hit ->
-         (* next level hit still pays its transfer: modelled by next *)
-         v.tag <- tag;
-         v.valid <- true;
-         v.dirty <- write && write_alloc;
-         v.last_use <- cycle;
-         v.valid_at <- cycle + t.hit_latency;
-         t.st.fills <- t.st.fills + 1;
-         Miss v.valid_at
-       | Miss c ->
-         v.tag <- tag;
-         v.valid <- true;
-         v.dirty <- write && write_alloc;
-         v.last_use <- cycle;
-         v.valid_at <- c;
-         add_inflight t c;
-         t.st.fills <- t.st.fills + 1;
-         Miss c
-       | Reserve_fail ->
-         t.st.reserve_fails <- t.st.reserve_fails + 1;
-         Reserve_fail)
-    end
+  end
+  else if write && not write_alloc then begin
+    (* write-through, no allocate: pass through to the next level's
+       bandwidth without occupying an MSHR *)
+    count_miss t ~write;
+    match t.next ~cycle ~lineno with
+    | Hit -> Miss (cycle + t.hit_latency)
+    | Miss c -> Miss c
+    | Reserve_fail -> Reserve_fail
+  end
+  else if t.n_inflight >= Array.length t.inflight then begin
+    t.st.reserve_fails <- t.st.reserve_fails + 1;
+    Reserve_fail
+  end
+  else begin
+    count_miss t ~write;
+    let v = victim ways in
+    if v.valid && v.dirty then t.st.writebacks <- t.st.writebacks + 1;
+    (match t.next ~cycle ~lineno with
+     | Hit ->
+       (* next level hit still pays its transfer: modelled by next *)
+       v.tag <- lineno;
+       v.valid <- true;
+       v.dirty <- write && write_alloc;
+       v.last_use <- cycle;
+       v.valid_at <- cycle + t.hit_latency;
+       t.st.fills <- t.st.fills + 1;
+       Miss v.valid_at
+     | Miss c ->
+       v.tag <- lineno;
+       v.valid <- true;
+       v.dirty <- write && write_alloc;
+       v.last_use <- cycle;
+       v.valid_at <- c;
+       add_inflight t c;
+       t.st.fills <- t.st.fills + 1;
+       Miss c
+     | Reserve_fail ->
+       t.st.reserve_fails <- t.st.reserve_fails + 1;
+       Reserve_fail)
+  end

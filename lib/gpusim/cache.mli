@@ -44,14 +44,17 @@ val create :
   -> line:int
   -> mshrs:int
   -> hit_latency:int
-  -> next:(cycle:int -> addr:int64 -> result)
+  -> next:(cycle:int -> lineno:int -> result)
   -> t
-(** [next] is the next level in the hierarchy: it returns the completion
-    result for a line fill (a [Dram.request] wrapped as [Miss], or an L2
-    access). *)
+(** [line] is the line size in bytes. [next] is the next level in the
+    hierarchy: it returns the completion result for a fill of line
+    [lineno] (a [Dram.request] wrapped as [Miss], or an L2 access with
+    the same line size). *)
 
-val access : t -> cycle:int -> addr:int64 -> write:bool -> write_alloc:bool -> result
-(** One access to the line containing [addr]. Global stores use
+val access : t -> cycle:int -> lineno:int -> write:bool -> write_alloc:bool -> result
+(** One access to line number [lineno] (the byte address divided by
+    the line size, as {!Coalescer.segment} gives it; at least 0). It
+    lives in set [lineno mod sets]. Global stores use
     [write_alloc:false] (write-through, no allocate); local-memory spill
     traffic uses [write_alloc:true] (write-back with allocate), matching
     GPGPU-Sim's local-memory policy. *)

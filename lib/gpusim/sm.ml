@@ -69,8 +69,7 @@ let make_shared (cfg : Config.t) =
     Cache.Dram.create ~latency:cfg.Config.dram_latency
       ~bytes_per_cycle:cfg.Config.dram_bytes_per_cycle
   in
-  let l2_next ~cycle ~addr =
-    ignore addr;
+  let l2_next ~cycle ~lineno:_ =
     Cache.Miss (Cache.Dram.request dram ~cycle ~bytes:cfg.Config.l1_line)
   in
   let l2 =
@@ -85,11 +84,10 @@ let shared_l2_stats m = Cache.stats m.l2
 
 (* ---------- SM state ---------- *)
 
-(* The LSU segment queue is a ring of parallel arrays (addresses as bit
-   patterns in a float array; write/write_alloc/bypass packed into flag
-   bits) so the steady state pushes and pops without allocating. The
-   shared [pending_load option] is allocated once per load instruction,
-   not per segment. *)
+(* The LSU segment queue is a ring of parallel arrays (L1 line numbers;
+   write/write_alloc/bypass packed into flag bits) so the steady state
+   pushes and pops without allocating. The shared [pending_load option]
+   is allocated once per load instruction, not per segment. *)
 type t =
   { cfg : Config.t
   ; st : Stats.t
@@ -98,7 +96,7 @@ type t =
   ; nwarps : int  (* warps per block *)
   ; shared : shared_memsys
   ; l1 : Cache.t
-  ; remote : cycle:int -> addr:int64 -> Cache.result
+  ; remote : cycle:int -> lineno:int -> Cache.result
   ; bypass_global : bool
   ; dynamic_tlp : bool
   ; mutable window_mem_stall : int
@@ -108,7 +106,7 @@ type t =
   ; pools : pool array
   ; mutable pools_dirty : bool
   ; mutable live_blocks : bstate list
-  ; mutable lsu_addr : float array  (* segment address bit patterns *)
+  ; mutable lsu_line : int array  (* segment line numbers *)
   ; mutable lsu_flags : int array  (* bit0 write, bit1 write_alloc, bit2 bypass *)
   ; mutable lsu_load : pending_load option array
   ; mutable lsu_head : int
@@ -197,11 +195,11 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     Cache.Dram.create ~latency:cfg.Config.l2_latency
       ~bytes_per_cycle:cfg.Config.icnt_bytes_per_cycle
   in
-  let l1_next ~cycle ~addr =
+  let l1_next ~cycle ~lineno =
     let t_icnt = Cache.Dram.request icnt ~cycle ~bytes:cfg.Config.l1_line in
-    match Cache.access shared.l2 ~cycle ~addr ~write:false ~write_alloc:true with
+    match Cache.access shared.l2 ~cycle ~lineno ~write:false ~write_alloc:true with
     | Cache.Hit -> Cache.Miss t_icnt
-    | Cache.Miss c -> Cache.Miss (max t_icnt c)
+    | Cache.Miss c -> Cache.Miss (Int.max t_icnt c)
     | Cache.Reserve_fail -> Cache.Reserve_fail
   in
   let l1 =
@@ -228,7 +226,7 @@ let create ?(scheduler = `Gto) ?(dynamic_tlp = false) ?(bypass_global = false)
     ; pools = Array.make cfg.Config.num_schedulers empty_pool
     ; pools_dirty = true
     ; live_blocks = []
-    ; lsu_addr = Array.make lsu_cap 0.0
+    ; lsu_line = Array.make lsu_cap 0
     ; lsu_flags = Array.make lsu_cap 0
     ; lsu_load = Array.make lsu_cap None
     ; lsu_head = 0
@@ -253,27 +251,27 @@ let busy sm = sm.active_blocks > 0 || not sm.dispenser_dry
 (* ---------- LSU ring ---------- *)
 
 let lsu_grow sm =
-  let cap = Array.length sm.lsu_addr in
+  let cap = Array.length sm.lsu_line in
   let ncap = 2 * cap in
-  let gaddr = Array.make ncap 0.0 in
+  let gline = Array.make ncap 0 in
   let gflags = Array.make ncap 0 in
   let gload = Array.make ncap None in
   for i = 0 to sm.lsu_len - 1 do
     let j = (sm.lsu_head + i) mod cap in
-    gaddr.(i) <- sm.lsu_addr.(j);
+    gline.(i) <- sm.lsu_line.(j);
     gflags.(i) <- sm.lsu_flags.(j);
     gload.(i) <- sm.lsu_load.(j)
   done;
-  sm.lsu_addr <- gaddr;
+  sm.lsu_line <- gline;
   sm.lsu_flags <- gflags;
   sm.lsu_load <- gload;
   sm.lsu_head <- 0
 
-let lsu_push sm addr ~write ~write_alloc ~bypass load =
-  if sm.lsu_len = Array.length sm.lsu_addr then lsu_grow sm;
-  let cap = Array.length sm.lsu_addr in
+let lsu_push sm lineno ~write ~write_alloc ~bypass load =
+  if sm.lsu_len = Array.length sm.lsu_line then lsu_grow sm;
+  let cap = Array.length sm.lsu_line in
   let i = (sm.lsu_head + sm.lsu_len) mod cap in
-  sm.lsu_addr.(i) <- Int64.float_of_bits addr;
+  sm.lsu_line.(i) <- lineno;
   sm.lsu_flags.(i) <-
     (if write then 1 else 0)
     lor (if write_alloc then 2 else 0)
@@ -283,7 +281,7 @@ let lsu_push sm addr ~write ~write_alloc ~bypass load =
 
 let lsu_pop sm =
   sm.lsu_load.(sm.lsu_head) <- None;
-  sm.lsu_head <- (sm.lsu_head + 1) mod Array.length sm.lsu_addr;
+  sm.lsu_head <- (sm.lsu_head + 1) mod Array.length sm.lsu_line;
   sm.lsu_len <- sm.lsu_len - 1
 
 (* ---------- per-cycle machinery ---------- *)
@@ -411,11 +409,9 @@ let issue sm ws =
     if local then st.Stats.local_segments <- st.Stats.local_segments + nsegs
     else st.Stats.global_segments <- st.Stats.global_segments + nsegs;
     let bypass = sm.bypass_global && not local in
-    let line = Int64.of_int cfg.Config.l1_line in
     if write then
       for i = 0 to nsegs - 1 do
-        let a = Int64.mul (Int64.of_int (Coalescer.segment sc i)) line in
-        lsu_push sm a ~write:true ~write_alloc:local ~bypass None
+        lsu_push sm (Coalescer.segment sc i) ~write:true ~write_alloc:local ~bypass None
       done
     else begin
       let pl = Some { defs; wslot = ws; remaining = nsegs; ready_at = 0 } in
@@ -423,8 +419,7 @@ let issue sm ws =
         set_pending ws defs.(i) infinity_cycle
       done;
       for i = 0 to nsegs - 1 do
-        let a = Int64.mul (Int64.of_int (Coalescer.segment sc i)) line in
-        lsu_push sm a ~write:false ~write_alloc:true ~bypass pl
+        lsu_push sm (Coalescer.segment sc i) ~write:false ~write_alloc:true ~bypass pl
       done
     end
   | Dcode.E_barrier ->
@@ -445,12 +440,12 @@ let service_lsu sm =
   let blocked = ref false in
   while (not !blocked) && !ports > 0 && sm.lsu_len > 0 do
     let h = sm.lsu_head in
-    let addr = Int64.bits_of_float sm.lsu_addr.(h) in
+    let lineno = sm.lsu_line.(h) in
     let flags = sm.lsu_flags.(h) in
     let outcome =
-      if flags land 4 <> 0 then sm.remote ~cycle:sm.now ~addr
+      if flags land 4 <> 0 then sm.remote ~cycle:sm.now ~lineno
       else
-        Cache.access sm.l1 ~cycle:sm.now ~addr ~write:(flags land 1 <> 0)
+        Cache.access sm.l1 ~cycle:sm.now ~lineno ~write:(flags land 1 <> 0)
           ~write_alloc:(flags land 2 <> 0)
     in
     (match outcome with
@@ -465,7 +460,7 @@ let service_lsu sm =
             | Cache.Miss c -> c
             | Cache.Reserve_fail -> assert false
           in
-          pl.ready_at <- max pl.ready_at c;
+          pl.ready_at <- Int.max pl.ready_at c;
           pl.remaining <- pl.remaining - 1;
           if pl.remaining = 0 then begin
             for i = 0 to Array.length pl.defs - 1 do
@@ -671,7 +666,7 @@ let run ?(max_cycles = 40_000_000) ?scheduler ?bypass_global ?dynamic_tlp
         (sm.now + rebuild_period - 1) / rebuild_period * rebuild_period
       in
       let target =
-        min (min sm.wake_min next_rebuild) (min (max_cycles + 1) lsu_until)
+        Int.min (Int.min sm.wake_min next_rebuild) (Int.min (max_cycles + 1) lsu_until)
       in
       let span = target - sm.now in
       if span > 0 then begin

@@ -78,6 +78,7 @@ type prepared =
   { vec64 : int -> Coloring.result
   ; vec32 : int -> Coloring.result
   ; is_scalar : Ptx.Reg.t -> bool
+  ; scalar_limit : int
   ; need64 : int
   ; rp : Coloring.result
   ; s64 : Coloring.result
@@ -129,6 +130,7 @@ let prepare ~strategy ~scalar ~scalar_limit ~cost flow live =
   { vec64 = color ~member:is_vector Ptx.Types.C64
   ; vec32 = color ~member:is_vector Ptx.Types.C32
   ; is_scalar
+  ; scalar_limit
   ; need64
   ; rp
   ; s64
@@ -159,7 +161,7 @@ let color_vectors p ~reg_limit =
          reg_limit (2 * r64.Coloring.colors_used) (max k32 0));
   (r64, p.vec32 k32)
 
-let scalar_units p = p.s32.Coloring.colors_used + (2 * p.s64.Coloring.colors_used)
+let scalar_file_units p = p.s32.Coloring.colors_used + (2 * p.s64.Coloring.colors_used)
 
 let spill_cost ?(infra = RSet.empty) ?(preference = `Cheap_first) defuse r =
   if RSet.mem r infra then infinity
@@ -173,140 +175,178 @@ let spill_cost ?(infra = RSet.empty) ?(preference = `Cheap_first) defuse r =
     | `Cheap_first -> w
     | `Expensive_first -> 1. /. (1. +. w)
 
-let allocate ?(strategy = Chaitin_briggs) ?(shared_policy = `Off)
-    ?(spill_preference = `Cheap_first) ?shared_chunk ?(remat = false)
-    ?(scalar = fun _ -> false) ?(scalar_limit = 0) ~block_size ~reg_limit k =
-  check_scalar_limit scalar_limit;
-  let remat_fn = if remat then remat_candidates k else fun _ -> None in
-  let orig_defuse = Cfg.Defuse.compute (Cfg.Flow.of_kernel k) in
-  let weighted_gain r =
-    match RMap.find_opt r orig_defuse with
-    | Some s -> s.Cfg.Defuse.weighted
-    | None -> 0.
-  in
-  let static_accesses r =
-    match RMap.find_opt r orig_defuse with
-    | Some s -> s.Cfg.Defuse.n_defs + s.Cfg.Defuse.n_uses
-    | None -> 0
-  in
-  let cumulative = ref RSet.empty in
-  let rec round i =
-    if i > max_rounds then
-      failwith "Allocator: spilling did not reach a fixpoint";
-    let spills = RSet.elements !cumulative in
-    (* Algorithm 1 decides which sub-stacks move to shared memory; the
-       gain of a sub-stack is the number of spill accesses it absorbs. *)
-    let to_shared =
-      match shared_policy with
-      | `Off -> fun _ -> false
-      | `Spare bytes ->
-        let f =
-          Shared_spill.optimize ?chunk:shared_chunk
-            ~gain:(fun r -> float_of_int (static_accesses r))
-            ~block_size ~spare_shm_bytes:bytes spills
-        in
-        (* shared spilling needs an extra 64-bit base register plus
-           per-thread address setup; decline it when the absorbed
-           traffic would not pay for that infrastructure *)
-        let absorbed =
-          List.fold_left
-            (fun acc r -> if f r then acc + static_accesses r else acc)
-            0 spills
-        in
-        if absorbed < 16 then fun _ -> false else f
-    in
-    let spec = Spill.layout ~remat:remat_fn ~to_shared spills in
-    let k', stats = Spill.apply ~block_size k spec in
-    let flow = Cfg.Flow.of_kernel k' in
-    let live = Cfg.Liveness.compute flow in
-    let defuse' = Cfg.Defuse.compute flow in
-    let cost =
-      spill_cost ~infra:(Spill.infra_registers k k') ~preference:spill_preference
-        defuse'
-    in
-    let p = prepare ~strategy ~scalar ~scalar_limit ~cost flow live in
-    let { is_scalar; rp; s64; s32; _ } = p in
-    let r64, r32 = color_vectors p ~reg_limit in
-    let new_spills =
-      r64.Coloring.spilled @ r32.Coloring.spilled @ s64.Coloring.spilled
-      @ s32.Coloring.spilled
-    in
-    if new_spills = [] then begin
-      (* finalize: substitute physical registers for virtual ones.
-         Scalar-file colours are offset by [reg_limit], so physical ids
-         partition cleanly: id < reg_limit is a vector register, id >=
-         reg_limit a scalar one (per class; predicates untouched). *)
-      let lookup r =
-        let asg, base =
-          match Ptx.Types.reg_class (Ptx.Reg.ty r) with
-          | Ptx.Types.C64 ->
-            if is_scalar r then (s64.Coloring.assignment, reg_limit)
-            else (r64.Coloring.assignment, 0)
-          | Ptx.Types.C32 ->
-            if is_scalar r then (s32.Coloring.assignment, reg_limit)
-            else (r32.Coloring.assignment, 0)
-          | Ptx.Types.Cpred -> (rp.Coloring.assignment, 0)
-        in
-        match RMap.find_opt r asg with
-        | Some c -> Ptx.Reg.make (base + c) (Ptx.Reg.ty r)
-        | None -> r
+(* Round 1 of an allocation: no spill code yet, so the round kernel is
+   the input itself and no register is unspillable. It depends on the
+   strategy, the spill preference and the scalar partition, never on
+   the spill options, which only shape later rounds. *)
+type probe =
+  { input : Ptx.Kernel.t
+  ; defuse : Cfg.Defuse.stats RMap.t  (** the input's, for later rounds' gains *)
+  ; first : prepared
+  }
+
+let start ~strategy ~preference ~scalar ~scalar_limit flow live =
+  let defuse = Cfg.Defuse.compute flow in
+  { input = flow.Cfg.Flow.kernel
+  ; defuse
+  ; first =
+      prepare ~strategy ~scalar ~scalar_limit ~cost:(spill_cost ~preference defuse)
+        flow live
+  }
+
+let new_spills (r64 : Coloring.result) (r32 : Coloring.result) p =
+  r64.spilled @ r32.spilled @ p.s64.Coloring.spilled @ p.s32.Coloring.spilled
+
+(* The end of a round: colour the vector classes of [p] against
+   [reg_limit]; when nothing spills, substitute physical registers for
+   virtual ones in [virtual_kernel], else hand back the new spills.
+   Scalar-file colours are offset by [reg_limit], so physical ids
+   partition cleanly: id < reg_limit is a vector register, id >=
+   reg_limit a scalar one (per class; predicates untouched). *)
+let conclude p ~original ~virtual_kernel ~(spec : Spill.spec) ~stats ~weighted_gain
+    ~block_size ~reg_limit ~round =
+  let r64, r32 = color_vectors p ~reg_limit in
+  match new_spills r64 r32 p with
+  | _ :: _ as spills -> Error spills
+  | [] ->
+    let { is_scalar; scalar_limit; rp; s64; s32; _ } = p in
+    let lookup r =
+      let asg, base =
+        match Ptx.Types.reg_class (Ptx.Reg.ty r) with
+        | Ptx.Types.C64 ->
+          if is_scalar r then (s64.Coloring.assignment, reg_limit)
+          else (r64.Coloring.assignment, 0)
+        | Ptx.Types.C32 ->
+          if is_scalar r then (s32.Coloring.assignment, reg_limit)
+          else (r32.Coloring.assignment, 0)
+        | Ptx.Types.Cpred -> (rp.Coloring.assignment, 0)
       in
-      let allocated = Ptx.Kernel.map_instrs (Ptx.Instr.map_regs lookup) k' in
-      let assignment =
-        RSet.fold
-          (fun r acc -> RMap.add r (lookup r) acc)
-          (Ptx.Kernel.registers k') RMap.empty
-      in
-      let weighted space =
-        List.fold_left
-          (fun acc (p : Spill.placement) ->
-             if Ptx.Types.equal_space p.space space then acc +. weighted_gain p.reg
-             else acc)
-          0. spec.placements
-      in
+      match RMap.find_opt r asg with
+      | Some c -> Ptx.Reg.make (base + c) (Ptx.Reg.ty r)
+      | None -> r
+    in
+    let allocated = Ptx.Kernel.map_instrs (Ptx.Instr.map_regs lookup) virtual_kernel in
+    let assignment =
+      RSet.fold
+        (fun r acc -> RMap.add r (lookup r) acc)
+        (Ptx.Kernel.registers virtual_kernel) RMap.empty
+    in
+    let weighted space =
+      List.fold_left
+        (fun acc (pl : Spill.placement) ->
+           if Ptx.Types.equal_space pl.space space then acc +. weighted_gain pl.reg
+           else acc)
+        0. spec.placements
+    in
+    Ok
       { kernel = allocated
-      ; original = k
-      ; virtual_kernel = k'
+      ; original
+      ; virtual_kernel
       ; assignment
       ; block_size
       ; reg_limit
       ; units_used = r32.Coloring.colors_used + (2 * r64.Coloring.colors_used)
       ; pred_used = rp.Coloring.colors_used
       ; scalar_limit
-      ; scalar_units_used = scalar_units p
+      ; scalar_units_used = scalar_file_units p
       ; scalarized =
-          RMap.cardinal s32.Coloring.assignment
-          + RMap.cardinal s64.Coloring.assignment
+          RMap.cardinal s32.Coloring.assignment + RMap.cardinal s64.Coloring.assignment
       ; spilled = spec.placements
       ; stats
       ; weighted_local = weighted Ptx.Types.Local
       ; weighted_shared = weighted Ptx.Types.Shared
       ; spill_local_bytes = spec.local_bytes
       ; spill_shared_bytes_per_block = spec.shared_bytes_per_thread * block_size
-      ; rounds = i
+      ; rounds = round
       }
-    end
-    else begin
-      List.iter (fun r -> cumulative := RSet.add r !cumulative) new_spills;
-      round (i + 1)
-    end
+
+let no_spills = Spill.layout ~to_shared:(fun _ -> false) []
+
+(* Round 1 ends on the input kernel itself, with no spill code. *)
+let first_round pr ~block_size ~reg_limit =
+  let k', stats = Spill.apply ~block_size pr.input no_spills in
+  conclude pr.first ~original:pr.input ~virtual_kernel:k' ~spec:no_spills ~stats
+    ~weighted_gain:(fun _ -> 0.) ~block_size ~reg_limit ~round:1
+
+let allocate ?(strategy = Chaitin_briggs) ?(shared_policy = `Off)
+    ?(spill_preference = `Cheap_first) ?shared_chunk ?(remat = false)
+    ?(scalar = fun _ -> false) ?(scalar_limit = 0) ~block_size ~reg_limit k =
+  check_scalar_limit scalar_limit;
+  let flow = Cfg.Flow.of_kernel k in
+  let pr =
+    start ~strategy ~preference:spill_preference ~scalar ~scalar_limit flow
+      (Cfg.Liveness.compute flow)
   in
-  round 1
+  match first_round pr ~block_size ~reg_limit with
+  | Ok a -> a
+  | Error first_spills ->
+    let remat_fn = if remat then remat_candidates k else fun _ -> None in
+    let weighted_gain r =
+      match RMap.find_opt r pr.defuse with
+      | Some s -> s.Cfg.Defuse.weighted
+      | None -> 0.
+    in
+    let static_accesses r =
+      match RMap.find_opt r pr.defuse with
+      | Some s -> s.Cfg.Defuse.n_defs + s.Cfg.Defuse.n_uses
+      | None -> 0
+    in
+    let rec round i cumulative =
+      if i > max_rounds then
+        failwith "Allocator: spilling did not reach a fixpoint";
+      let spills = RSet.elements cumulative in
+      (* Algorithm 1 decides which sub-stacks move to shared memory; the
+         gain of a sub-stack is the number of spill accesses it absorbs. *)
+      let to_shared =
+        match shared_policy with
+        | `Off -> fun _ -> false
+        | `Spare bytes ->
+          let f =
+            Shared_spill.optimize ?chunk:shared_chunk
+              ~gain:(fun r -> float_of_int (static_accesses r))
+              ~block_size ~spare_shm_bytes:bytes spills
+          in
+          (* shared spilling needs an extra 64-bit base register plus
+             per-thread address setup; decline it when the absorbed
+             traffic would not pay for that infrastructure *)
+          let absorbed =
+            List.fold_left
+              (fun acc r -> if f r then acc + static_accesses r else acc)
+              0 spills
+          in
+          if absorbed < 16 then fun _ -> false else f
+      in
+      let spec = Spill.layout ~remat:remat_fn ~to_shared spills in
+      let k', stats = Spill.apply ~block_size k spec in
+      let flow = Cfg.Flow.of_kernel k' in
+      let live = Cfg.Liveness.compute flow in
+      let cost =
+        spill_cost ~infra:(Spill.infra_registers k k') ~preference:spill_preference
+          (Cfg.Defuse.compute flow)
+      in
+      let p = prepare ~strategy ~scalar ~scalar_limit ~cost flow live in
+      match
+        conclude p ~original:k ~virtual_kernel:k' ~spec ~stats ~weighted_gain ~block_size
+          ~reg_limit ~round:i
+      with
+      | Ok a -> a
+      | Error new_spills ->
+        round (i + 1) (List.fold_left (fun s r -> RSet.add r s) cumulative new_spills)
+    in
+    round 2 (RSet.of_list first_spills)
 
-type probe = prepared
-
-(* Round 1 of [allocate] with default options: no spill code yet, so
-   the round kernel is the input and no register is unspillable. *)
 let probe ?(scalar = fun _ -> false) ?(scalar_limit = 0) flow live =
   check_scalar_limit scalar_limit;
-  prepare ~strategy:Chaitin_briggs ~scalar ~scalar_limit
-    ~cost:(spill_cost (Cfg.Defuse.compute flow)) flow live
+  start ~strategy:Chaitin_briggs ~preference:`Cheap_first ~scalar ~scalar_limit flow live
 
-let spill_free p ~reg_limit =
-  let r64, r32 = color_vectors p ~reg_limit in
-  List.for_all
-    (fun (r : Coloring.result) -> r.spilled = [])
-    [ r64; r32; p.s64; p.s32 ]
+let spill_free pr ~reg_limit =
+  let r64, r32 = color_vectors pr.first ~reg_limit in
+  new_spills r64 r32 pr.first = []
+
+let finish pr ~block_size ~reg_limit =
+  Result.to_option (first_round pr ~block_size ~reg_limit)
+
+let scalar_units pr = scalar_file_units pr.first
 
 let spill_bytes t =
   let orig_flow = Cfg.Flow.of_kernel t.original in

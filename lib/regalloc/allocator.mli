@@ -108,7 +108,9 @@ val allocate :
     [reg_limit]. The second colours the vector classes against
     [reg_limit]. Whether a limit is spill-free is decided by round 1
     alone, so a probe runs the first step of round 1 once and the second
-    step once per queried limit. It never builds spill code. *)
+    step once per queried limit. It never builds spill code. Round 1 of
+    {!allocate} is itself a probe (under its strategy and spill
+    preference) ended by {!finish}, so the two cannot disagree. *)
 
 type probe
 
@@ -132,6 +134,17 @@ val spill_free : probe -> reg_limit:int -> bool
     limit is below the feasible minimum). When round 1 spills, the
     probe answers [false] without running the later rounds, even where
     {!allocate} would go on to raise [Failure] in one of them. *)
+
+val finish : probe -> block_size:int -> reg_limit:int -> t option
+(** [finish (probe ~scalar ~scalar_limit flow live) ~block_size
+    ~reg_limit] ends round 1 at [reg_limit]: [Some a] exactly when
+    {!spill_free} holds there, and then [a] equals [allocate ~scalar
+    ~scalar_limit ~block_size ~reg_limit flow.kernel] with every other
+    option at its default ([rounds = 1], no spill code, [virtual_kernel]
+    physically the input). A spill-free allocation is the same value
+    under any [shared_policy], since Algorithm 1 has nothing to place.
+    [None] when round 1 spills: the later rounds need {!allocate}.
+    @raise Failure as {!spill_free} does. *)
 
 val scalar_units : probe -> int
 (** Round 1's scalar-file units per warp: [scalar_units_used] of the

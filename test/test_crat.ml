@@ -126,6 +126,86 @@ let test_usage_matches_analysis () =
          Workloads.Suite.all)
     [ fermi; Gpusim.Config.kepler ]
 
+(* Every field of an allocation, kernels as printed text. *)
+let alloc_view (a : Regalloc.Allocator.t) =
+  ( ( Ptx.Printer.kernel_to_string a.kernel
+    , Ptx.Printer.kernel_to_string a.original
+    , Ptx.Printer.kernel_to_string a.virtual_kernel
+    , Ptx.Reg.Map.bindings a.assignment )
+  , (a.block_size, a.reg_limit, a.units_used, a.pred_used)
+  , (a.scalar_limit, a.scalar_units_used, a.scalarized, a.spilled, a.stats)
+  , (a.weighted_local, a.weighted_shared, a.spill_local_bytes)
+  , (a.spill_shared_bytes_per_block, a.rounds) )
+
+(* The resource analysis finishes the MaxReg allocation its probe
+   coloured, and the engine's next allocation at MaxReg takes it: that
+   allocation must be the one a fresh compile makes, at a zero and at a
+   positive shared spare, whichever comes first. Where round 1 spills
+   (FDTD on Fermi, PTX: the cap of 63) nothing is kept, and the
+   allocation still goes through every round. *)
+let test_kept_allocation_is_compiled () =
+  List.iter
+    (fun (cfg : Gpusim.Config.t) ->
+       List.iter
+         (fun backend ->
+            List.iter
+              (fun (a : Workloads.App.t) ->
+                 let kernel = Workloads.App.kernel a in
+                 let block_size = a.Workloads.App.block_size in
+                 let name spare =
+                   Printf.sprintf "%s %s %s spare %d" a.Workloads.App.abbr
+                     cfg.Gpusim.Config.name (Machine.Backend.to_string backend) spare
+                 in
+                 List.iter
+                   (fun spares ->
+                      let e = Crat.Engine.create () in
+                      let r = Crat.Engine.resource e ~backend cfg a in
+                      let reg_limit = r.Crat.Resource.max_reg in
+                      List.iter
+                        (fun shared_spare ->
+                           let fresh =
+                             Crat.Compile.allocate ~backend ~shared_spare
+                               ~label:a.Workloads.App.abbr ~block_size ~reg_limit kernel
+                           in
+                           let got = Crat.Engine.allocate e ~backend ~shared_spare a ~reg_limit in
+                           check (name shared_spare) true (alloc_view got = alloc_view fresh))
+                        spares)
+                   [ [ 0; 8192 ]; [ 8192; 0 ] ])
+              Workloads.Suite.all)
+         [ Machine.Backend.Ptx; Machine.Backend.Machine ])
+    [ fermi; Gpusim.Config.kepler ];
+  let fdtd = Workloads.Suite.find "FDTD" in
+  let e = Crat.Engine.create () in
+  let r = Crat.Engine.resource e fermi fdtd in
+  check_int "FDTD on Fermi: MaxReg is the cap" 63 r.Crat.Resource.max_reg;
+  let al = Crat.Engine.allocate e fdtd ~reg_limit:63 in
+  check "FDTD on Fermi: round 1 spills" true
+    (al.Regalloc.Allocator.spilled <> [] && al.Regalloc.Allocator.rounds > 1)
+
+(* The compile workload's plans: app i of the suite on platform i mod 4
+   of {Fermi, Kepler} x {PTX, machine}, all on one engine at jobs 1.
+   Taking the kept allocation is still a computed allocation, so the
+   engine reads one allocation per plan and no hit, spilling on or off. *)
+let test_static_plans_count_allocations () =
+  let platforms =
+    List.concat_map
+      (fun cfg -> List.map (fun b -> (cfg, b)) [ Machine.Backend.Ptx; Machine.Backend.Machine ])
+      [ fermi; Gpusim.Config.kepler ]
+  in
+  List.iter
+    (fun shared_spilling ->
+       let e = Crat.Engine.create ~jobs:1 () in
+       List.iteri
+         (fun i app ->
+            let cfg, backend = List.nth platforms (i mod 4) in
+            ignore (Crat.Optimizer.plan ~mode:`Static ~backend ~shared_spilling e cfg app))
+         Workloads.Suite.all;
+       let rp = Crat.Engine.report e in
+       let what = if shared_spilling then "spilling on" else "spilling off" in
+       check_int (what ^ ": alloc_runs") 22 rp.Crat.Engine.alloc_runs;
+       check_int (what ^ ": alloc_hits") 0 rp.Crat.Engine.alloc_hits)
+    [ true; false ]
+
 (* ---------- design space ---------- *)
 
 let test_stairs_structure () =
@@ -676,6 +756,10 @@ let () =
             test_resource_maxreg_is_no_spill_point
         ; Alcotest.test_case "matches per-limit allocation" `Slow
             test_resource_matches_reference
+        ; Alcotest.test_case "kept MaxReg allocation is the compiled one" `Slow
+            test_kept_allocation_is_compiled
+        ; Alcotest.test_case "static plans count one allocation each" `Quick
+            test_static_plans_count_allocations
         ; Alcotest.test_case "occupancy without the analysis" `Quick
             test_usage_matches_analysis
         ] )

@@ -826,6 +826,44 @@ let test_record_allocation () =
            abbr per !instrs words_ceiling)
     [ "HST"; "STM"; "BFS"; "PTF" ]
 
+(* ---------- replay stays lean ---------- *)
+
+(* Replaying a recorded trace through the timing model allocates per
+   warp instruction what the LSU, the caches and the schedulers need:
+   each load's pending record, a cache [Miss] result and the pools'
+   periodic rebuilds. Measured on Fermi with the default input, the
+   worst of these apps at TLP 2 and 8 reads 16.9 minor words per
+   replayed warp instruction (KMN at TLP 8; STM 12.8, BFS 9.8, PTF 8.9).
+   When the caches took byte addresses as boxed int64s, KMN read 30.5
+   and STM 24.2 there. The ceiling of 22 keeps a 30% margin over the
+   worst, and fails that older design on both. *)
+let replay_words_ceiling = 22.0
+
+let test_replay_allocation () =
+  let cfg = G.Config.fermi in
+  List.iter
+    (fun abbr ->
+       let app = Workloads.Suite.find abbr in
+       let l = Workloads.App.launch app ~input:(Workloads.App.default_input app) () in
+       let tr = G.Replay.create l in
+       ignore (G.Sm.run ~record:tr cfg (G.Launch.with_tlp l 2));
+       G.Replay.finish tr;
+       List.iter
+         (fun tlp ->
+            let replay () = G.Sm.run ~replay:tr cfg (G.Launch.with_tlp l tlp) in
+            ignore (replay ());
+            let before = Gc.minor_words () in
+            let st = replay () in
+            let words = Gc.minor_words () -. before in
+            let per = words /. float_of_int st.G.Stats.warp_instrs in
+            if per > replay_words_ceiling then
+              Alcotest.failf
+                "%s at TLP %d: replay allocated %.2f minor words per warp \
+                 instruction (%d instructions), over the ceiling of %.0f"
+                abbr tlp per st.G.Stats.warp_instrs replay_words_ceiling)
+         [ 2; 8 ])
+    [ "KMN"; "STM"; "BFS"; "PTF" ]
+
 let () =
   Alcotest.run "fastpath"
     [ ( "differential"
@@ -835,5 +873,8 @@ let () =
       , [ Alcotest.test_case "copy isolation" `Quick test_memory_copy_isolated ] )
     ; ( "allocation"
       , [ Alcotest.test_case "recording allocates nothing per lane" `Quick
-            test_record_allocation ] )
+            test_record_allocation
+        ; Alcotest.test_case "replay allocates little per instruction" `Quick
+            test_replay_allocation
+        ] )
     ]

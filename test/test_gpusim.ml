@@ -102,77 +102,87 @@ let test_dram_bandwidth_queue () =
   check_int "second queues behind the first" 116 t2;
   check_int "traffic recorded" 256 (G.Cache.Dram.traffic_bytes d)
 
+(* A 64-byte-line test cache (8 sets of 2 ways at the defaults), and
+   the line number of a byte address, which callers pass to
+   [Cache.access]. [fills] lists the line numbers the next level was
+   asked for, newest first. *)
+let lineno addr = addr / 64
+
 let make_test_cache ?(mshrs = 4) ?(assoc = 2) ?(bytes = 1024) () =
+  let fills = ref [] in
   (* next level: fixed completion 500 cycles after request *)
-  G.Cache.create ~name:"test" ~bytes ~assoc ~line:64 ~mshrs ~hit_latency:10
-    ~next:(fun ~cycle ~addr ->
-      ignore addr;
-      G.Cache.Miss (cycle + 500))
+  ( G.Cache.create ~name:"test" ~bytes ~assoc ~line:64 ~mshrs ~hit_latency:10
+      ~next:(fun ~cycle ~lineno ->
+        fills := lineno :: !fills;
+        G.Cache.Miss (cycle + 500))
+  , fills )
+
+let read c ~cycle addr =
+  G.Cache.access c ~cycle ~lineno:(lineno addr) ~write:false ~write_alloc:true
 
 let test_cache_hit_after_fill () =
-  let c = make_test_cache () in
-  (match G.Cache.access c ~cycle:0 ~addr:0L ~write:false ~write_alloc:true with
+  let c, fills = make_test_cache () in
+  (match read c ~cycle:0 0 with
    | G.Cache.Miss t -> check_int "miss completes via next level" 500 t
    | _ -> Alcotest.fail "expected miss");
-  (match G.Cache.access c ~cycle:10 ~addr:8L ~write:false ~write_alloc:true with
+  (match read c ~cycle:10 8 with
    | G.Cache.Miss t -> check_int "merged into in-flight line" 500 t
    | _ -> Alcotest.fail "expected merged miss");
-  (match G.Cache.access c ~cycle:600 ~addr:16L ~write:false ~write_alloc:true with
+  (match read c ~cycle:600 16 with
    | G.Cache.Hit -> ()
    | _ -> Alcotest.fail "expected hit");
   let st = G.Cache.stats c in
   check_int "three reads" 3 st.G.Cache.reads;
-  check_int "one read hit" 1 st.G.Cache.read_hits
+  check_int "one read hit" 1 st.G.Cache.read_hits;
+  Alcotest.(check (list int)) "one fill, of line 0" [ 0 ] !fills
 
 let test_cache_lru_eviction () =
-  let c = make_test_cache () in
-  let touch cycle addr =
-    ignore (G.Cache.access c ~cycle ~addr ~write:false ~write_alloc:true)
-  in
-  touch 0 0L;
-  touch 1 512L;
-  touch 700 0L;
-  touch 710 1024L;
-  (match G.Cache.access c ~cycle:1500 ~addr:0L ~write:false ~write_alloc:true with
+  let c, fills = make_test_cache () in
+  let touch cycle addr = ignore (read c ~cycle addr) in
+  (* lines 0, 8 and 16: all in set 0 of 8 *)
+  touch 0 0;
+  touch 1 512;
+  touch 700 0;
+  touch 710 1024;
+  Alcotest.(check (list int)) "the next level sees line numbers" [ 16; 8; 0 ] !fills;
+  (match read c ~cycle:1500 0 with
    | G.Cache.Hit -> ()
    | _ -> Alcotest.fail "line 0 must survive");
-  match G.Cache.access c ~cycle:1500 ~addr:512L ~write:false ~write_alloc:true with
+  match read c ~cycle:1500 512 with
   | G.Cache.Hit -> Alcotest.fail "line 512 must have been evicted"
   | G.Cache.Miss _ | G.Cache.Reserve_fail -> ()
 
 let test_cache_mshr_exhaustion () =
-  let c = make_test_cache ~mshrs:2 () in
-  let miss cycle addr =
-    G.Cache.access c ~cycle ~addr ~write:false ~write_alloc:true
-  in
-  (match miss 0 0L with G.Cache.Miss _ -> () | _ -> Alcotest.fail "m1");
-  (match miss 0 64L with G.Cache.Miss _ -> () | _ -> Alcotest.fail "m2");
-  (match miss 0 128L with
+  let c, _ = make_test_cache ~mshrs:2 () in
+  let miss cycle addr = read c ~cycle addr in
+  (match miss 0 0 with G.Cache.Miss _ -> () | _ -> Alcotest.fail "m1");
+  (match miss 0 64 with G.Cache.Miss _ -> () | _ -> Alcotest.fail "m2");
+  (match miss 0 128 with
    | G.Cache.Reserve_fail -> ()
    | _ -> Alcotest.fail "third miss must fail reservation");
   check_int "reserve fail counted" 1 (G.Cache.stats c).G.Cache.reserve_fails;
-  match miss 600 128L with
+  match miss 600 128 with
   | G.Cache.Miss _ -> ()
   | _ -> Alcotest.fail "MSHRs must drain"
 
 let test_cache_write_through_no_alloc () =
-  let c = make_test_cache () in
-  (match G.Cache.access c ~cycle:0 ~addr:0L ~write:true ~write_alloc:false with
+  let c, _ = make_test_cache () in
+  (match G.Cache.access c ~cycle:0 ~lineno:(lineno 0) ~write:true ~write_alloc:false with
    | G.Cache.Miss _ -> ()
    | _ -> Alcotest.fail "write miss passes through");
-  match G.Cache.access c ~cycle:600 ~addr:0L ~write:false ~write_alloc:true with
+  match read c ~cycle:600 0 with
   | G.Cache.Miss _ -> ()
   | _ -> Alcotest.fail "no-allocate must not install the line"
 
 let test_cache_writeback_dirty () =
-  let c = make_test_cache () in
+  let c, _ = make_test_cache () in
   let touch cycle addr write =
-    ignore (G.Cache.access c ~cycle ~addr ~write ~write_alloc:true)
+    ignore (G.Cache.access c ~cycle ~lineno:(lineno addr) ~write ~write_alloc:true)
   in
-  touch 0 0L true;
-  touch 600 512L false;
-  touch 1200 1024L false;
-  touch 1800 1536L false;
+  touch 0 0 true;
+  touch 600 512 false;
+  touch 1200 1024 false;
+  touch 1800 1536 false;
   check "writeback happened" true ((G.Cache.stats c).G.Cache.writebacks >= 1)
 
 (* ---------- occupancy ---------- *)

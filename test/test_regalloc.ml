@@ -679,7 +679,20 @@ let prop_allocated_demand_bounded =
    answers [(allocate ...).spilled = []] and raises [Failure] where
    round 1 does, with and without a scalar partition. The one allowed
    difference: round 1 spills (the probe says [false]) and a later
-   spill round of [allocate] finds the limit infeasible. *)
+   spill round of [allocate] finds the limit infeasible. Where the
+   probe says spill-free, [finish] is [allocate]'s allocation, field for
+   field; elsewhere it is [None]. *)
+let same_allocation (f : Regalloc.Allocator.t) (a : Regalloc.Allocator.t) =
+  Ptx.Printer.kernel_to_string f.kernel = Ptx.Printer.kernel_to_string a.kernel
+  && Ptx.Reg.Map.equal Ptx.Reg.equal f.assignment a.assignment
+  && f.units_used = a.units_used
+  && f.pred_used = a.pred_used
+  && f.scalar_units_used = a.scalar_units_used
+  && f.scalarized = a.scalarized
+  && f.stats = a.stats
+  && f.spilled = [] && a.spilled = []
+  && f.rounds = 1 && a.rounds = 1
+
 let probe_matches_allocate ~scalar ~scalar_limit k =
   let flow = Cfg.Flow.of_kernel k in
   let p =
@@ -692,14 +705,27 @@ let probe_matches_allocate ~scalar ~scalar_limit k =
          | free -> Some free
          | exception Failure _ -> None
        in
-       let allocated =
+       let allocation =
          match
            Regalloc.Allocator.allocate ~scalar ~scalar_limit ~block_size:64 ~reg_limit k
          with
-         | a -> Some (a.Regalloc.Allocator.spilled = [])
+         | a -> Some a
          | exception Failure _ -> None
        in
-       probed = allocated || (probed = Some false && allocated = None))
+       let allocated =
+         Option.map (fun (a : Regalloc.Allocator.t) -> a.spilled = []) allocation
+       in
+       let finished =
+         match Regalloc.Allocator.finish p ~block_size:64 ~reg_limit with
+         | f -> Some f
+         | exception Failure _ -> None
+       in
+       (probed = allocated || (probed = Some false && allocated = None))
+       &&
+       match (probed, finished, allocation) with
+       | Some true, Some (Some f), Some a -> same_allocation f a
+       | Some false, Some None, _ | None, None, _ -> true
+       | _ -> false)
     (List.init 63 (fun i -> i + 1))
 
 let prop_probe_matches_allocate =
