@@ -178,9 +178,8 @@ let do_allocate ?(backend = Machine.Backend.Ptx) kernel ~label ~block_size
       a.Regalloc.Allocator.scalar_units_used a.Regalloc.Allocator.scalarized;
     let m = Machine.Lower.run a in
     Format.printf
-      "machine code: %d insns (%d bytes), V=%d S=%d P=%d@."
+      "machine code: %d insns, V=%d S=%d P=%d@."
       (Array.length m.Machine.Lower.code)
-      (Array.length m.Machine.Lower.encoded * 8)
       m.Machine.Lower.vector_units m.Machine.Lower.scalar_units
       m.Machine.Lower.pred_count;
     if dump then Format.printf "%a" Machine.Lower.pp m

@@ -312,7 +312,7 @@ let distinct_by key xs =
        (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
     xs
 
-let rec simulate_batch ?(cache = true) t items =
+let rec simulate_batch t items =
   let items = Array.of_list items in
   let keys = Array.map (fun (l, cfg, tlp) -> sim_key t l cfg ~tlp) items in
   let distinct =
@@ -321,7 +321,7 @@ let rec simulate_batch ?(cache = true) t items =
   let answers = Hashtbl.create (Array.length items) in
   let hits = ref (Array.length items - List.length distinct) in
   let waited = ref 0 in
-  let replay = cache && t.replay in
+  let replay = t.replay in
   let point i =
     let launch, cfg, tlp = items.(i) in
     { launch; cfg; tlp; skey = keys.(i)
@@ -331,26 +331,23 @@ let rec simulate_batch ?(cache = true) t items =
   in
   (* every absent key is claimed at once and tried on disk, where
      statistics computed by an earlier process answer without any
-     simulation; [~cache:false] claims nothing and runs every distinct
-     point cold *)
+     simulation *)
   let todo, awaited =
-    if not cache then (List.map point distinct, [])
-    else
-      List.fold_right2
-        (fun i slot (todo, awaited) ->
-           match slot with
-           | Memo.Ready st ->
-             Hashtbl.replace answers keys.(i) st;
-             incr hits;
-             (todo, awaited)
-           | Memo.Pending -> (todo, i :: awaited)
-           | Memo.Claimed -> (point i :: todo, awaited))
-        distinct
-        (Memo.claim t.stats (List.map (Array.get keys) distinct))
-        ([], [])
+    List.fold_right2
+      (fun i slot (todo, awaited) ->
+         match slot with
+         | Memo.Ready st ->
+           Hashtbl.replace answers keys.(i) st;
+           incr hits;
+           (todo, awaited)
+         | Memo.Pending -> (todo, i :: awaited)
+         | Memo.Claimed -> (point i :: todo, awaited))
+      distinct
+      (Memo.claim t.stats (List.map (Array.get keys) distinct))
+      ([], [])
   in
   let abandon p =
-    if cache && not p.published then begin
+    if not p.published then begin
       Memo.abandon t.stats p.skey;
       if p.mode = `Record then Memo.abandon t.traces p.lkey
     end
@@ -375,7 +372,7 @@ let rec simulate_batch ?(cache = true) t items =
       | `Replay -> exec_replay t p
     in
     locked t (fun () -> t.sim_runs <- t.sim_runs + 1);
-    if cache then Memo.publish t.stats p.skey st;
+    Memo.publish t.stats p.skey st;
     p.published <- true;
     st
   in
@@ -398,7 +395,7 @@ let rec simulate_batch ?(cache = true) t items =
            incr hits;
            incr waited;
            st
-         | None -> List.hd (simulate_batch ~cache t [ items.(i) ])
+         | None -> List.hd (simulate_batch t [ items.(i) ])
        in
        Hashtbl.replace answers keys.(i) st)
     awaited;
@@ -407,13 +404,10 @@ let rec simulate_batch ?(cache = true) t items =
     t.dedup_hits <- t.dedup_hits + !waited);
   Array.to_list (Array.map (Hashtbl.find answers) keys)
 
-let simulate ?cache t l cfg ~tlp =
-  match simulate_batch ?cache t [ (l, cfg, tlp) ] with
+let simulate t l cfg ~tlp =
+  match simulate_batch t [ (l, cfg, tlp) ] with
   | [ st ] -> st
   | _ -> assert false
-
-let cycles ?cache t l cfg ~tlp =
-  (simulate ?cache t l cfg ~tlp).Gpusim.Stats.cycles
 
 (* ---------- observability ---------- *)
 

@@ -137,8 +137,7 @@ val resource :
     allocation it finishes for the next {!allocate} at MaxReg. *)
 
 val simulate :
-  ?cache:bool
-  -> t
+  t
   -> Gpusim.Launch.t
   -> Gpusim.Config.t
   -> tlp:int
@@ -146,21 +145,10 @@ val simulate :
 (** Simulate one launch point through the memos: answer from the stats
     memo when possible, else replay the launch's recorded trace under
     the given config/TLP, else run cold (recording the trace for next
-    time). [~cache:false] bypasses the memos entirely (always simulates
-    functionally, claims, awaits and stores nothing) — used by the
-    profiling-overhead experiment to pay the real cost. *)
-
-val cycles :
-  ?cache:bool
-  -> t
-  -> Gpusim.Launch.t
-  -> Gpusim.Config.t
-  -> tlp:int
-  -> int
+    time). *)
 
 val simulate_batch :
-  ?cache:bool
-  -> t
+  t
   -> (Gpusim.Launch.t * Gpusim.Config.t * int) list
   -> Gpusim.Stats.t list
 (** Evaluate a whole frontier at once: results in submission order

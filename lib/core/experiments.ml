@@ -192,9 +192,8 @@ let fig7 cfg apps =
   let rows =
     List.map
       (fun app ->
-         let r = Resource.analyze cfg app in
-         let tlp = r.Resource.max_tlp in
-         let u = Resource.usage_at r ~regs:r.Resource.default_regs in
+         let u = Resource.usage app ~regs:app.Workloads.App.default_regs in
+         let tlp = Gpusim.Occupancy.max_tlp cfg u in
          ( app.Workloads.App.abbr
          , Gpusim.Occupancy.register_utilization cfg u ~tlp
          , Gpusim.Occupancy.shared_utilization cfg u ~tlp ))
@@ -504,11 +503,12 @@ let overhead engine cfg apps =
        (fun app ->
           let r = Engine.resource engine cfg app in
           let a = Engine.allocate engine app ~reg_limit:app.Workloads.App.default_regs in
-          (* ~cache:false bypasses the store so the profiling cost is
-             actually paid here *)
+          (* a fresh engine without replay runs every TLP cold, so the
+             profiling cost is actually paid here *)
+          let cold = Engine.create ~jobs:(Engine.jobs engine) ~replay:false () in
           let profiling_seconds =
             cpu_seconds (fun () ->
-              Opttlp.profile engine cfg app ~cache:false
+              Opttlp.profile cold cfg app
                 ~kernel:a.Regalloc.Allocator.kernel ~max_tlp:r.Resource.max_tlp ())
           in
           let static =

@@ -3,7 +3,7 @@ type profile_result =
   ; samples : (int * int) list
   }
 
-let profile engine cfg (app : Workloads.App.t) ?input ?kernel ?cache ~max_tlp () =
+let profile engine cfg (app : Workloads.App.t) ?input ?kernel ~max_tlp () =
   let input =
     match input with
     | Some i -> i
@@ -22,7 +22,7 @@ let profile engine cfg (app : Workloads.App.t) ?input ?kernel ?cache ~max_tlp ()
   let launch = Workloads.App.launch app ~kernel ~input () in
   let tlps = List.init (max 1 max_tlp) (fun i -> i + 1) in
   let stats =
-    Engine.simulate_batch ?cache engine
+    Engine.simulate_batch engine
       (List.map (fun tlp -> (launch, cfg, tlp)) tlps)
   in
   let samples =

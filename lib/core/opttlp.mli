@@ -14,14 +14,12 @@ val profile :
   -> Workloads.App.t
   -> ?input:Workloads.App.input
   -> ?kernel:Ptx.Kernel.t
-  -> ?cache:bool
   -> max_tlp:int
   -> unit
   -> profile_result
 (** Default kernel: the app's kernel allocated at its default register
     count. The TLP ladder is submitted to the engine as one batch, so
-    the samples fan across domains. [~cache:false] bypasses the engine
-    store (the overhead experiment pays the real profiling cost). *)
+    the samples fan across domains. *)
 
 val estimate_static :
   Gpusim.Config.t -> Workloads.App.t -> ?input:Workloads.App.input -> max_tlp:int -> unit -> int

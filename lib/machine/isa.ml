@@ -45,55 +45,6 @@ let units r =
 let equal_reg a b =
   a.file = b.file && a.idx = b.idx && Ptx.Types.equal_scalar a.ty b.ty
 
-let equal_src a b =
-  match (a, b) with
-  | Rsrc x, Rsrc y -> equal_reg x y
-  | Imm x, Imm y -> Int64.equal x y
-  | Fimm x, Fimm y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
-  | Spec x, Spec y -> Ptx.Reg.equal_special x y
-  | Param x, Param y -> x = y
-  | Loc x, Loc y -> x = y
-  | (Rsrc _ | Imm _ | Fimm _ | Spec _ | Param _ | Loc _), _ -> false
-
-let equal_addr a b = equal_src a.abase b.abase && a.aoffset = b.aoffset
-
-let equal_insn a b =
-  match (a, b) with
-  | Mov (t1, d1, s1), Mov (t2, d2, s2) ->
-    Ptx.Types.equal_scalar t1 t2 && equal_reg d1 d2 && equal_src s1 s2
-  | Binop (o1, t1, d1, a1, b1), Binop (o2, t2, d2, a2, b2) ->
-    o1 = o2 && Ptx.Types.equal_scalar t1 t2 && equal_reg d1 d2
-    && equal_src a1 a2 && equal_src b1 b2
-  | Mad (t1, d1, a1, b1, c1), Mad (t2, d2, a2, b2, c2) ->
-    Ptx.Types.equal_scalar t1 t2 && equal_reg d1 d2 && equal_src a1 a2
-    && equal_src b1 b2 && equal_src c1 c2
-  | Unop (o1, t1, d1, s1), Unop (o2, t2, d2, s2) ->
-    o1 = o2 && Ptx.Types.equal_scalar t1 t2 && equal_reg d1 d2
-    && equal_src s1 s2
-  | Cvt (d1t, s1t, d1, s1), Cvt (d2t, s2t, d2, s2) ->
-    Ptx.Types.equal_scalar d1t d2t && Ptx.Types.equal_scalar s1t s2t
-    && equal_reg d1 d2 && equal_src s1 s2
-  | Setp (c1, t1, d1, a1, b1), Setp (c2, t2, d2, a2, b2) ->
-    c1 = c2 && Ptx.Types.equal_scalar t1 t2 && equal_reg d1 d2
-    && equal_src a1 a2 && equal_src b1 b2
-  | Selp (t1, d1, a1, b1, p1), Selp (t2, d2, a2, b2, p2) ->
-    Ptx.Types.equal_scalar t1 t2 && equal_reg d1 d2 && equal_src a1 a2
-    && equal_src b1 b2 && equal_reg p1 p2
-  | Ld (sp1, t1, d1, a1), Ld (sp2, t2, d2, a2) ->
-    Ptx.Types.equal_space sp1 sp2 && Ptx.Types.equal_scalar t1 t2
-    && equal_reg d1 d2 && equal_addr a1 a2
-  | St (sp1, t1, a1, v1), St (sp2, t2, a2, v2) ->
-    Ptx.Types.equal_space sp1 sp2 && Ptx.Types.equal_scalar t1 t2
-    && equal_addr a1 a2 && equal_src v1 v2
-  | Bra t1, Bra t2 -> t1 = t2
-  | Bra_pred (p1, s1, t1), Bra_pred (p2, s2, t2) ->
-    equal_reg p1 p2 && s1 = s2 && t1 = t2
-  | Bar, Bar -> true
-  | Exit, Exit -> true
-  | ( ( Mov _ | Binop _ | Mad _ | Unop _ | Cvt _ | Setp _ | Selp _ | Ld _
-      | St _ | Bra _ | Bra_pred _ | Bar | Exit )
-    , _ ) -> false
-
 let src_regs = function
   | Rsrc r -> [ r ]
   | Imm _ | Fimm _ | Spec _ | Param _ | Loc _ -> []

@@ -1,5 +1,6 @@
-(** The SASS-like machine ISA: a finite, fixed-width instruction set
-    with three architectural register files.
+(** The SASS-like machine ISA: a finite instruction set with three
+    architectural register files. Programs exist only as [insn]
+    records; there is no binary encoding.
 
     Unlike PTX — an infinite virtual register set with symbolic labels
     and named parameters — a machine instruction addresses physical
@@ -69,7 +70,6 @@ val units : reg -> int
     (predicates count 1 in their own file). *)
 
 val equal_reg : reg -> reg -> bool
-val equal_insn : insn -> insn -> bool
 
 val defs : insn -> reg list
 val uses : insn -> reg list

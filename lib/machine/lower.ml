@@ -3,8 +3,6 @@ module A = Regalloc.Allocator
 type t =
   { name : string
   ; code : Isa.insn array
-  ; encoded : int64 array
-  ; reconv : int array
   ; params : string array
   ; image : Gpusim.Image.t
   ; alloc : Regalloc.Allocator.t
@@ -121,8 +119,6 @@ let run (a : A.t) =
   in
   { name = kernel.Ptx.Kernel.name
   ; code
-  ; encoded = Encode.encode_program code
-  ; reconv = Array.copy image.Gpusim.Image.reconv
   ; params
   ; image
   ; alloc = a
@@ -132,10 +128,8 @@ let run (a : A.t) =
   }
 
 let pp fmt t =
-  Format.fprintf fmt "%s: %d insns (%d B), V=%d units, S=%d units, P=%d@."
-    t.name (Array.length t.code)
-    (Array.length t.encoded * 8)
-    t.vector_units t.scalar_units t.pred_count;
+  Format.fprintf fmt "%s: %d insns, V=%d units, S=%d units, P=%d@."
+    t.name (Array.length t.code) t.vector_units t.scalar_units t.pred_count;
   Array.iteri
     (fun i ins -> Format.fprintf fmt "  /*%04d*/ %a@." i Isa.pp_insn ins)
     t.code

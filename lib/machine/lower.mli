@@ -20,14 +20,13 @@
     kernel are isomorphic — {!Exec} matches the reference interpreter
     in [test/support] bit-for-bit (the differential test), which is what
     lets the timing simulator keep running the PTX form while the study
-    sweeps machine-backend allocations. *)
+    sweeps machine-backend allocations. The program is kept as
+    {!Isa.insn} records only: {!Exec}, the auditor and the equivalence
+    checker all read [code], and no binary form is produced. *)
 
 type t =
   { name : string
   ; code : Isa.insn array
-  ; encoded : int64 array
-      (** fixed-width binary form, [4 * Array.length code] words *)
-  ; reconv : int array  (** per-pc reconvergence table (from the image) *)
   ; params : string array  (** constant-bank slot -> parameter name *)
   ; image : Gpusim.Image.t
       (** the predecoded allocated-PTX image this was lowered from;

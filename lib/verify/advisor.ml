@@ -124,9 +124,7 @@ let loop_diags ~kernel (flow : Cfg.Flow.t) (l : Trip.loop) =
   | Some _ -> []
   | None ->
     [ Diagnostic.warning ~kernel ~code:"P501" ~instr:at ~block:l.Trip.header
-        (Printf.sprintf
-           "loop at block %d: trip count not statically provable; spill \
-            weights fall back to the 10^depth heuristic"
+        (Printf.sprintf "loop at block %d: trip count not statically provable"
            l.Trip.header)
     ]
 

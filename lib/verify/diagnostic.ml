@@ -90,7 +90,6 @@ let all_codes =
   ; ("V601", "machine code structurally diverges from the allocated PTX kernel")
   ; ("V602", "machine register file budget exceeded or unit ranges overlap")
   ; ("V603", "machine live ranges disagree with the PTX liveness through the register map")
-  ; ("V604", "machine instruction encoding does not round-trip")
   ; ("V605", "scalar register written from a lane-dependent source")
   ; ("P101", "MAXLIVE exceeds the register budget: spilling is inevitable")
   ; ("P102", "register pressure hotspot concentrated in one block")

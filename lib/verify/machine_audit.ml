@@ -280,21 +280,6 @@ let check (t : L.t) =
                 (MRegSet.cardinal expect)))
       code
   end;
-  (* ----- V604: the fixed-width encoding must round-trip ----- *)
-  (match Machine.Encode.decode_program t.L.encoded with
-   | decoded ->
-     if Array.length decoded <> Array.length code then
-       err "V604"
-         (Printf.sprintf "decoded %d instructions from %d encoded"
-            (Array.length decoded) (Array.length code))
-     else
-       Array.iteri
-         (fun i ins ->
-            if not (I.equal_insn ins decoded.(i)) then
-              err ~instr:i "V604"
-                (Printf.sprintf "decodes to %s" (I.insn_to_string decoded.(i))))
-         code
-   | exception Invalid_argument m -> err "V604" m);
   (* ----- V605: scalar writes must not depend on the lane ----- *)
   Array.iteri
     (fun i ins ->

@@ -140,25 +140,21 @@ let test_batch_dedups () =
      && List.nth stats 1 = List.nth stats 3
      && List.nth stats 0 <> List.nth stats 1)
 
-let test_cache_false_bypasses_store () =
-  let e = Crat.Engine.create () in
+(* The overhead experiment's cold profile: a fresh engine without
+   replay simulates every distinct point functionally, whatever another
+   engine has already recorded, and still answers the same. *)
+let test_fresh_engine_runs_cold () =
   let a = small_app "GAU" in
   let l = launch_of a in
-  let s1 = Crat.Engine.simulate ~cache:false e l fermi ~tlp:1 in
-  let s2 = Crat.Engine.simulate ~cache:false e l fermi ~tlp:1 in
-  let rep = Crat.Engine.report e in
-  check_int "every uncached run simulates" 2 rep.Crat.Engine.sim_runs;
-  check_int "uncached runs record no trace" 0 rep.Crat.Engine.trace_records;
-  check "simulation is deterministic anyway" true (s1 = s2);
-  (* a trace made resident by a cached run must not turn an uncached
-     run into a replay: ~cache:false always executes functionally *)
-  let _ = Crat.Engine.simulate e l fermi ~tlp:1 in
-  let s3 = Crat.Engine.simulate ~cache:false e l fermi ~tlp:1 in
-  let rep = Crat.Engine.report e in
-  check_int "the cached run recorded the trace" 1 rep.Crat.Engine.trace_records;
-  check_int "the uncached run ignored the resident trace" 0
-    rep.Crat.Engine.trace_replays;
-  check "and still answered the same" true (s3 = s1)
+  let warm = Crat.Engine.create () in
+  let s1 = Crat.Engine.simulate warm l fermi ~tlp:1 in
+  let cold = Crat.Engine.create ~replay:false () in
+  let stats = Crat.Engine.simulate_batch cold [ (l, fermi, 1); (l, fermi, 2) ] in
+  let rep = Crat.Engine.report cold in
+  check_int "every distinct point simulates" 2 rep.Crat.Engine.sim_runs;
+  check_int "no trace recorded" 0 rep.Crat.Engine.trace_records;
+  check_int "no trace replayed" 0 rep.Crat.Engine.trace_replays;
+  check "and still answers the same" true (List.hd stats = s1)
 
 (* ---------- claim-or-wait across callers ---------- *)
 
@@ -329,8 +325,8 @@ let () =
         ] )
     ; ( "store"
       , [ Alcotest.test_case "batch dedup" `Slow test_batch_dedups
-        ; Alcotest.test_case "cache:false bypasses" `Slow
-            test_cache_false_bypasses_store
+        ; Alcotest.test_case "fresh engine runs cold" `Slow
+            test_fresh_engine_runs_cold
         ; Alcotest.test_case "reset" `Slow test_reset
         ; Alcotest.test_case "resource memo equals Resource.analyze" `Slow
             test_resource_memo
